@@ -37,6 +37,18 @@ from repro.experiments import all_experiments
 from repro.experiments import run as run_experiment
 
 
+def _positive(cast):
+    """argparse ``type=``: ``cast`` the text and require a value > 0."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opm-repro",
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     energyp.add_argument(
         "--scale",
-        type=float,
+        type=_positive(float),
         default=0.001,
         metavar="X",
         help="capacity scale factor for the simulated hierarchies "
@@ -404,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     energyp.add_argument(
         "--reps",
-        type=int,
+        type=_positive(int),
         default=1,
         metavar="N",
         help="trace repetitions per run (default 1)",
@@ -647,8 +659,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import run_bench
+    from repro.serve.bench import MAX_DISTINCT, run_bench
 
+    if not 1 <= args.distinct <= MAX_DISTINCT:
+        print(
+            f"error: --distinct {args.distinct}: the query population holds "
+            f"1..{MAX_DISTINCT} distinct advise queries",
+            file=sys.stderr,
+        )
+        return 2
     doc = run_bench(
         out=Path(args.output),
         clients=args.clients,

@@ -14,7 +14,8 @@ full-scale sweeps use the analytic model (DESIGN.md Section 2).
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from repro.telemetry import names as tm
 from repro.memory.victim import VictimCache
 from repro.platforms.spec import MachineSpec
 from repro.platforms.tuning import EdramMode, McdramMode
+from repro.trace.batch import CHUNK
 
 
 #: Sentinel distinguishing "absent" from a stored dirty flag in the
@@ -114,9 +116,9 @@ class Hierarchy:
     def access(self, line_addr: int, *, write: bool = False) -> str:
         """Reference one cache line; returns the servicing level's name.
 
-        This is the scalar *oracle* path: one reference at a time, every
-        stage probed through the generic walk. The batched
-        :meth:`run_array` path must stay byte-identical to it
+        This is the scalar *reference* path: one reference at a time,
+        every stage probed through the generic walk. The batched replay
+        behind every ``run*`` entry point must stay byte-identical to it
         (``tests/test_trace_batch.py`` enforces this differentially).
         """
         if self._prefetcher is not None:
@@ -124,35 +126,31 @@ class Hierarchy:
         return self._walk(0, line_addr, write)
 
     def run(self, trace: Iterable[tuple[int, bool]]) -> HierarchyStats:
-        """Drive a whole (line_addr, is_write) trace and return the stats."""
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line) as sp:
-            n = 0
-            for line_addr, write in trace:
-                self.access(line_addr, write=write)
-                n += 1
-            sp.set_attr("refs", n)
-        self._publish_telemetry()
-        return self.stats()
+        """Drive a whole (line_addr, is_write) trace and return the stats.
+
+        An adapter over the batched replay: pairs are gathered into
+        ``CHUNK``-sized ndarrays and validated like :meth:`run_array`.
+        """
+
+        def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+            for batch in _batches(trace):
+                addrs, writes = zip(*batch)
+                yield np.array(addrs), np.array(writes)
+
+        return self._replay(chunks())
 
     def run_lines(self, lines: Iterable[int], *, write: bool = False) -> HierarchyStats:
         """Drive a read-only (or write-only) line-address stream."""
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, write=write) as sp:
-            n = 0
-            for line_addr in lines:
-                self.access(line_addr, write=write)
-                n += 1
-            sp.set_attr("refs", n)
-        self._publish_telemetry()
-        return self.stats()
-
-    # -- batched fast path -------------------------------------------------
+        return self._replay(
+            ((np.array(b), bool(write)) for b in _batches(lines)), write=write
+        )
 
     def run_array(
         self,
         addrs: np.ndarray,
         writes: np.ndarray | bool | None = None,
     ) -> HierarchyStats:
-        """Drive one ndarray chunk of line addresses (batched fast path).
+        """Drive one ndarray chunk of line addresses.
 
         ``addrs`` is a 1-D integer array of line addresses; ``writes`` is
         a matching bool array, a scalar bool applied to every reference,
@@ -162,14 +160,7 @@ class Hierarchy:
         order, every counter — is byte-identical to feeding the same
         references through :meth:`access` one at a time.
         """
-        arr, warr = _coerce_chunk(addrs, writes)
-        # Same span name as the scalar run(): consumers key on the
-        # logical operation; the attribute says which path produced it.
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, batched=True) as sp:
-            self._run_chunk(arr, warr)
-            sp.set_attr("refs", int(arr.shape[0]))
-        self._publish_telemetry()
-        return self.stats()
+        return self._replay([(addrs, writes)], batched=True)
 
     def run_batched(
         self,
@@ -181,7 +172,11 @@ class Hierarchy:
         (``repro.trace.batch``, ``repro.kernels.traces.kernel_trace_chunks``)
         plug in directly; one telemetry span covers the whole batch.
         """
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, batched=True) as sp:
+        return self._replay(chunks, batched=True)
+
+    def _replay(self, chunks: Iterable, **attrs: object) -> HierarchyStats:
+        """Validate and replay ``(addrs, writes)`` chunks under one span."""
+        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, **attrs) as sp:
             total = 0
             for addrs, writes in chunks:
                 arr, warr = _coerce_chunk(addrs, writes)
@@ -250,8 +245,8 @@ class Hierarchy:
             return
         if self._prefetcher is not None:
             # Prefetcher runs interleave observe() with every reference;
-            # drive them through the same observe+walk sequence as the
-            # scalar oracle (identical by construction). Telemetry stays
+            # drive them through the same observe+walk sequence as
+            # access() (identical by construction). Telemetry stays
             # hoisted to chunk granularity either way.
             observe = self._prefetch_observe
             walk = self._walk
@@ -880,6 +875,13 @@ def _coerce_chunk(
     return arr, warr
 
 
+def _batches(items: Iterable) -> Iterator[list]:
+    """Consecutive lists of up to ``CHUNK`` items."""
+    it = iter(items)
+    while batch := list(islice(it, CHUNK)):
+        yield batch
+
+
 # -- builders ---------------------------------------------------------------
 
 
@@ -890,6 +892,8 @@ def _cache_stages(machine: MachineSpec, *, scale: float = 1.0) -> list[_CacheSta
     fast-to-simulate traces exercise the same *ratios* as the real machine
     (a standard scaled-down simulation technique); 1.0 keeps true sizes.
     """
+    if not scale > 0:
+        raise ValueError(f"scale must be > 0, got {scale}")
     stages = []
     for lvl in machine.caches:
         assert lvl.capacity is not None
@@ -909,6 +913,7 @@ def for_broadwell(
     """Build the Broadwell-shaped hierarchy (optionally without eDRAM)."""
     if isinstance(edram, EdramMode):
         edram = edram.enabled
+    stages = _cache_stages(machine, scale=scale)
     victim = None
     if edram and machine.opm is not None:
         assert machine.opm.capacity is not None
@@ -917,7 +922,6 @@ def for_broadwell(
             int(machine.opm.capacity * scale),
         )
         victim = VictimCache(cap, line=machine.opm.line, ways=machine.opm.ways or 16)
-    stages = _cache_stages(machine, scale=scale)
     return Hierarchy(
         stages,
         line=machine.dram.line,
@@ -943,6 +947,7 @@ def for_knl(
     """
     if machine.opm is None:
         raise ValueError("KNL machine spec must include MCDRAM")
+    stages = _cache_stages(machine, scale=scale)
     config = McdramConfig.from_spec(machine.opm, mode)
     mcdram_cache = None
     if config.uses_cache:
@@ -956,7 +961,6 @@ def for_knl(
             machine.dram.capacity,
             prefer_mcdram=True,
         )
-    stages = _cache_stages(machine, scale=scale)
     return Hierarchy(
         stages,
         line=machine.dram.line,

@@ -366,8 +366,18 @@ def price_run(
     opm_powered: bool = True,
     reps: int = 1,
 ) -> PricedRun:
-    """Simulate ``kernel`` on ``hierarchy`` and price the run end to end."""
+    """Simulate ``kernel`` on ``hierarchy`` and price the run end to end.
+
+    A run that replays zero references (``reps=0``) has no duration to
+    price; it is rejected with a :class:`ValueError` instead of surfacing
+    as a ``ZeroDivisionError`` from the utilization arithmetic.
+    """
     stats = kernel.simulate_batched(hierarchy, reps=reps)
+    if stats.total_accesses == 0:
+        raise ValueError(
+            f"{kernel.name} on {platform}/{mode} replayed zero references "
+            f"(reps = {reps}): a run must replay at least one to be priced"
+        )
     ledger = ledger_from_hierarchy(hierarchy, machine, kernel=kernel.name)
     flops = float(kernel.flops()) * reps
     seconds = _modelled_seconds(stats, machine, flops)

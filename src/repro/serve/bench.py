@@ -88,8 +88,19 @@ class Client:
 # -- workload ------------------------------------------------------------------
 
 
+#: Most distinct queries :func:`_query_population` can produce: the five
+#: kernels take turns, and each has three sizes, every one of which can
+#: also be bumped once on a repeated draw.
+MAX_DISTINCT = 5 * 3 * 2
+
+
 def _query_population(seed: int, distinct: int) -> list[dict[str, Any]]:
     """A deterministic set of small advise queries across kernel types."""
+    if not 1 <= distinct <= MAX_DISTINCT:
+        raise ValueError(
+            f"distinct = {distinct}: the query population holds "
+            f"1..{MAX_DISTINCT} distinct advise queries"
+        )
     rng = random.Random(seed)
     kernels = [
         lambda: {"kernel": "stream", "params": {"n": rng.choice([1 << 18, 1 << 20, 1 << 22])}},
@@ -151,12 +162,12 @@ async def _run(
     jobs: int,
     cache_dir: Path | None,
 ) -> dict[str, Any]:
+    population = _query_population(seed, distinct)
     app = ServeApp(
         ServeConfig(port=0, jobs=jobs, cache_dir=cache_dir, window_s=0.001)
     )
     server = await app.serve()
     host, port = server.sockets[0].getsockname()[:2]
-    population = _query_population(seed, distinct)
     rng = random.Random(seed + 1)
 
     try:

@@ -15,11 +15,12 @@ measured ones. The curve-vs-simulator error isolates exactly the
 approximations the analytic engine makes (full associativity, no
 replacement-policy effects).
 
-The harness runs entirely on the batched ndarray pipeline: the zoo's
+The harness runs on the library's one trace pipeline: the zoo's
 ``*_array`` generators feed :func:`repro.trace.expand_lines`, the
-hierarchy's :meth:`~repro.memory.hierarchy.Hierarchy.run_array` fast
-path, and the vectorized :func:`~repro.trace.stack_distances` — the same
-numbers as the scalar path (differentially tested), several times faster.
+hierarchy's :meth:`~repro.memory.hierarchy.Hierarchy.run_array` replay
+(differentially tested against one-at-a-time
+:meth:`~repro.memory.hierarchy.Hierarchy.access`), and the vectorized
+:func:`~repro.trace.stack_distances`.
 
 For traces too large to materialize (full-scale kernel and UF-matrix
 runs), :func:`validate_case_streamed` / :func:`validate_kernel_streamed`

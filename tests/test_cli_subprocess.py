@@ -53,6 +53,26 @@ class TestListAndRun:
         assert "valid ids:" in proc.stderr
 
 
+class TestUsageErrors:
+    """Bad arguments exit 2 with a message, never a traceback or a hang."""
+
+    @pytest.mark.parametrize(
+        "args", [("--reps", "0"), ("--reps", "-1"), ("--scale", "-1")]
+    )
+    def test_energy_rejects_bad_arguments(self, args):
+        proc = run_cli("energy", "--kernel", "stream", *args, timeout=60)
+        assert proc.returncode == 2
+        assert f"argument {args[0]}: must be > 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_serve_bench_rejects_unreachable_distinct(self, tmp_path):
+        out = tmp_path / "bench.json"
+        proc = run_cli("serve-bench", "--distinct", "31", "-o", str(out), timeout=60)
+        assert proc.returncode == 2
+        assert "1..30 distinct advise queries" in proc.stderr
+        assert not out.exists()
+
+
 class TestTraceFlag:
     def test_trace_emits_valid_jsonl(self, tmp_path):
         path = tmp_path / "t.jsonl"

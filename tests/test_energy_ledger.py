@@ -141,6 +141,10 @@ class TestErrors:
         with pytest.raises(ValueError, match="KNL modes"):
             build_config("knl", "turbo")
 
+    def test_zero_reference_run_rejected(self):
+        with pytest.raises(ValueError, match="replayed zero references"):
+            price_config(demo_kernel("stream"), "broadwell", "on", reps=0)
+
     def test_mismatched_machine_rejected(self):
         """Pricing a Broadwell hierarchy with the KNL table must fail."""
         machine = broadwell(edram=True)

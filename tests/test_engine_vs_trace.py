@@ -12,9 +12,20 @@ import pytest
 from repro.kernels.profile import ReuseCurve
 from repro.memory import for_broadwell
 from repro.platforms import broadwell
-from repro.trace import repeated_sweep, stack_distances, to_line_trace, uniform_random
+from repro.trace import (
+    expand_lines,
+    repeated_sweep_array,
+    stack_distances,
+    uniform_random_array,
+)
 
 SCALE = 0.001
+
+
+def _lines(trace):
+    """Expand a generator's 8-byte word accesses to (line_addrs, writes)."""
+    addrs, writes = trace
+    return expand_lines(addrs, 8, writes)
 
 
 def scaled_capacities(hierarchy):
@@ -37,8 +48,7 @@ class TestSweepAgreement:
         sweeps = 8
         footprint = n_words * 8
         curve = ReuseCurve([(footprint, 1.0 - 1.0 / sweeps)])
-        trace = list(to_line_trace(repeated_sweep(0, n_words, sweeps)))
-        stats = h.run(iter(trace))
+        stats = h.run_array(*_lines(repeated_sweep_array(0, n_words, sweeps)))
         caps = scaled_capacities(h)
         # Cumulative hit fraction up to each level, model vs simulator.
         served = 0
@@ -56,10 +66,9 @@ class TestSweepAgreement:
         simulator's cumulative hit rates (fully associative regime)."""
         machine = broadwell()
         h = for_broadwell(machine, scale=SCALE)
-        trace = list(to_line_trace(repeated_sweep(0, 3000, 5)))
-        lines = [l for l, _ in trace]
+        lines, writes = _lines(repeated_sweep_array(0, 3000, 5))
         profile = stack_distances(lines)
-        stats = h.run(iter(trace))
+        stats = h.run_array(lines, writes)
         caps = scaled_capacities(h)
         served = 0
         total = stats.total_accesses
@@ -78,12 +87,9 @@ class TestRandomAgreement:
         the stack-distance prediction within a conflict tolerance."""
         machine = broadwell()
         h = for_broadwell(machine, scale=SCALE)
-        trace = list(
-            to_line_trace(uniform_random(0, 4000, 20000, seed=7))
-        )
-        lines = [l for l, _ in trace]
+        lines, writes = _lines(uniform_random_array(0, 4000, 20000, seed=7))
         profile = stack_distances(lines)
-        stats = h.run(iter(trace))
+        stats = h.run_array(lines, writes)
         caps = scaled_capacities(h)
         served = 0
         total = stats.total_accesses

@@ -3,9 +3,13 @@
 The strongest evidence the analytic profiles are faithful: drive the
 exact trace simulator with the *actual* kernel loop nests and check that
 the measured reuse behaviour orders and bounds the way each kernel's
-ReuseCurve claims.
+ReuseCurve claims. Every check runs on :func:`kernel_trace_chunks`, the
+tracer the simulator is fed with. Every paper kernel's accesses are
+aligned to their size, so each event touches exactly one line and line
+counts equal event counts.
 """
 
+import numpy as np
 import pytest
 
 from repro.kernels import (
@@ -16,64 +20,66 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.kernels.traces import (
-    MAX_EVENTS,
-    kernel_trace,
-    trace_gemm,
-    trace_spmv,
-    trace_stream,
-)
+from repro.kernels.traces import _ARRAY_TRACERS, MAX_EVENTS, kernel_trace_chunks
 from repro.sparse import generators
-from repro.trace import stack_distances, to_line_trace
+from repro.trace import stack_distances
 
 
-def measured_hit_rate(accesses, capacity_bytes):
-    lines = [l for l, _ in to_line_trace(accesses)]
+def line_trace(kernel, reps=1):
+    """``kernel_trace_chunks`` concatenated into one (lines, writes) pair."""
+    chunks = list(kernel_trace_chunks(kernel, reps=reps))
+    return np.concatenate([a for a, _ in chunks]), np.concatenate([w for _, w in chunks])
+
+
+def byte_trace(kernel):
+    """One repetition's byte-level (addrs, sizes, writes) before line expansion."""
+    addrs, sizes, writes = _ARRAY_TRACERS[type(kernel)](kernel, 1)
+    return addrs, np.broadcast_to(sizes, addrs.shape), writes
+
+
+def measured_hit_rate(kernel, capacity_bytes, reps=1):
+    lines, _ = line_trace(kernel, reps)
     return stack_distances(lines).hit_rate(capacity_bytes // 64), len(lines)
 
 
 class TestEventCounts:
     def test_stream_event_count(self):
-        events = list(trace_stream(StreamKernel(n=100)))
-        assert len(events) == 300  # 2 reads + 1 write per element
-        assert sum(e.write for e in events) == 100
+        lines, writes = line_trace(StreamKernel(n=100))
+        assert len(lines) == 300  # 2 reads + 1 write per element
+        assert int(writes.sum()) == 100
 
     def test_gemm_event_count(self):
         n = 8
-        events = list(trace_gemm(GemmKernel(order=n, tile=4)))
+        lines, _ = line_trace(GemmKernel(order=n, tile=4))
         # 2 n^3 A/B reads + n^2 * (n/b) C writes.
-        assert len(events) == 2 * n**3 + n * n * (n // 4)
+        assert len(lines) == 2 * n**3 + n * n * (n // 4)
 
     def test_spmv_event_count(self):
         m = generators.random_uniform(50, 300, seed=1)
-        events = list(trace_spmv(SpmvKernel.from_matrix(m)))
+        lines, _ = line_trace(SpmvKernel.from_matrix(m))
         # indptr + y per row, (col + val + x) per nonzero.
-        assert len(events) == 2 * m.n_rows + 3 * m.nnz
+        assert len(lines) == 2 * m.n_rows + 3 * m.nnz
 
     def test_dispatcher(self):
-        assert len(list(kernel_trace(StreamKernel(n=10)))) == 30
-        with pytest.raises(TypeError):
-            kernel_trace(object())  # type: ignore[arg-type]
+        assert len(line_trace(StreamKernel(n=10))[0]) == 30
+        with pytest.raises(TypeError, match="no tracer for object"):
+            kernel_trace_chunks(object())  # type: ignore[arg-type]
 
     def test_sptrans_event_count(self):
         from repro.kernels import SptransKernel
-        from repro.kernels.traces import trace_sptrans
 
         m = generators.random_uniform(40, 200, seed=4)
-        events = list(trace_sptrans(SptransKernel.from_matrix(m)))
+        lines, _ = line_trace(SptransKernel.from_matrix(m))
         # 2 per nnz (histogram) + 2 per col (scan) + 4 per nnz (scatter).
-        assert len(events) == 2 * m.nnz + 2 * m.n_cols + 4 * m.nnz
+        assert len(lines) == 2 * m.nnz + 2 * m.n_cols + 4 * m.nnz
 
     def test_sptrans_scatter_writes_column_ordered(self):
         """Output slots must be written in a permutation of 0..nnz-1."""
         from repro.kernels import SptransKernel
-        from repro.kernels.traces import trace_sptrans
 
         m = generators.random_uniform(30, 150, seed=5)
-        events = list(trace_sptrans(SptransKernel.from_matrix(m)))
-        out_val_writes = [
-            e.addr for e in events if e.write and e.size == 8
-        ]
+        addrs, sizes, writes = byte_trace(SptransKernel.from_matrix(m))
+        out_val_writes = addrs[writes & (sizes == 8)].tolist()
         # nnz distinct 8-byte output-value slots, each written once.
         assert len(out_val_writes) == m.nnz
         assert len(set(out_val_writes)) == m.nnz
@@ -82,30 +88,28 @@ class TestEventCounts:
         import math
 
         from repro.kernels import FftKernel
-        from repro.kernels.traces import trace_fft
 
         n = 8
-        events = list(trace_fft(FftKernel(size=n)))
+        lines, _ = line_trace(FftKernel(size=n))
         stages = math.ceil(math.log2(n))
-        assert len(events) == 3 * stages * n**3 * 2
+        assert len(lines) == 3 * stages * n**3 * 2
 
     def test_fft_pencil_reuse_measurable(self):
         from repro.kernels import FftKernel
-        from repro.kernels.traces import trace_fft
 
         kernel = FftKernel(size=8)
         # A capacity holding a few pencils captures the butterfly sweeps.
-        rate, _ = measured_hit_rate(trace_fft(kernel), 16 * 8 * 64)
+        rate, _ = measured_hit_rate(kernel, 16 * 8 * 64)
         assert rate > 0.4
 
     def test_guard_rejects_huge_traces(self):
         with pytest.raises(ValueError, match="guard"):
-            list(trace_gemm(GemmKernel(order=4096, tile=256)))
+            kernel_trace_chunks(GemmKernel(order=4096, tile=256))
         assert MAX_EVENTS > 0
 
     def test_reps_multiply(self):
-        one = len(list(trace_stream(StreamKernel(n=50), reps=1)))
-        three = len(list(trace_stream(StreamKernel(n=50), reps=3)))
+        one = len(line_trace(StreamKernel(n=50), reps=1)[0])
+        three = len(line_trace(StreamKernel(n=50), reps=3)[0])
         assert three == 3 * one
 
 
@@ -114,10 +118,8 @@ class TestTraceValidatesProfiles:
         """The stream profile claims reuse only at the full footprint."""
         kernel = StreamKernel(n=2000)
         fp = kernel.profile().footprint_bytes
-        rate_half, _ = measured_hit_rate(
-            trace_stream(kernel, reps=3), fp // 2
-        )
-        rate_full, _ = measured_hit_rate(trace_stream(kernel, reps=3), fp)
+        rate_half, _ = measured_hit_rate(kernel, fp // 2, reps=3)
+        rate_full, _ = measured_hit_rate(kernel, fp, reps=3)
         # Sub-footprint: only spatial (within-line) locality, no temporal.
         spatial = 1.0 - 1.0 / 8.0  # 8 words per line
         assert rate_half <= spatial + 0.02
@@ -129,8 +131,8 @@ class TestTraceValidatesProfiles:
         kernel = GemmKernel(order=48, tile=8)
         curve = kernel.profile().phases[0].reuse
         three_tiles = 3 * 8 * 8 * 8
-        below, _ = measured_hit_rate(trace_gemm(kernel), three_tiles // 4)
-        at, _ = measured_hit_rate(trace_gemm(kernel), 4 * three_tiles)
+        below, _ = measured_hit_rate(kernel, three_tiles // 4)
+        at, _ = measured_hit_rate(kernel, 4 * three_tiles)
         assert at > below
         # The analytic tile-level fraction is conservative w.r.t. the
         # measured one (word-level trace sees line locality too).
@@ -139,7 +141,7 @@ class TestTraceValidatesProfiles:
     def test_gemm_full_problem_reuse(self):
         kernel = GemmKernel(order=32, tile=8)
         fp = kernel.profile().footprint_bytes
-        rate, _ = measured_hit_rate(trace_gemm(kernel, reps=2), 2 * fp)
+        rate, _ = measured_hit_rate(kernel, 2 * fp, reps=2)
         assert rate > 0.95  # nearly everything hits once all fits
 
     def test_spmv_banded_beats_random_at_small_capacity(self):
@@ -150,43 +152,37 @@ class TestTraceValidatesProfiles:
             generators.random_uniform(400, 4000, seed=2)
         )
         cap = 2048  # holds the band window, not the whole vector
-        rate_banded, _ = measured_hit_rate(trace_spmv(banded), cap)
-        rate_rand, _ = measured_hit_rate(trace_spmv(rand), cap)
+        rate_banded, _ = measured_hit_rate(banded, cap)
+        rate_rand, _ = measured_hit_rate(rand, cap)
         assert rate_banded > rate_rand
 
     def test_sptrsv_trace_respects_dependencies(self):
         """Every x[j] gather happens after x[j] was produced."""
-        from repro.kernels.traces import trace_sptrsv
-
         kernel = SptrsvKernel.from_matrix(
             generators.random_uniform(60, 400, seed=3)
         )
-        events = list(trace_sptrsv(kernel))
+        addrs, sizes, writes = byte_trace(kernel)
         # All writes target the x region; b reads live in a separate
         # region above x by layout construction (b follows x).
-        writes_sorted = sorted(e.addr for e in events if e.write)
-        x_lo, x_hi = writes_sorted[0], writes_sorted[-1] + 8
+        writes_sorted = np.sort(addrs[writes])
+        x_lo, x_hi = int(writes_sorted[0]), int(writes_sorted[-1]) + 8
         seen_writes: set[int] = set()
-        for e in events:
-            if e.write:
-                seen_writes.add(e.addr)
-            elif e.size == 8 and x_lo <= e.addr < x_hi:
-                assert e.addr in seen_writes, "x gathered before produced"
+        for addr, size, write in zip(addrs.tolist(), sizes.tolist(), writes.tolist()):
+            if write:
+                seen_writes.add(addr)
+            elif size == 8 and x_lo <= addr < x_hi:
+                assert addr in seen_writes, "x gathered before produced"
 
     def test_stencil_plane_reuse(self):
         """Neighbor reads hit once a few planes fit — the plane knot."""
         kernel = StencilKernel(20, 20, 20)
         plane_bytes = 8 * (2 * 8 + 1) * 20 * 20
-        from repro.kernels.traces import trace_stencil
-
-        small, _ = measured_hit_rate(trace_stencil(kernel), plane_bytes // 16)
-        big, _ = measured_hit_rate(trace_stencil(kernel), 2 * plane_bytes)
+        small, _ = measured_hit_rate(kernel, plane_bytes // 16)
+        big, _ = measured_hit_rate(kernel, 2 * plane_bytes)
         assert big > small
         assert big > 0.9  # the 49-point star is highly reusing
 
     def test_cholesky_trace_runs(self):
-        from repro.kernels.traces import trace_cholesky
-
-        events = list(trace_cholesky(CholeskyKernel(order=16, tile=8)))
-        assert events
-        assert any(e.write for e in events)
+        lines, writes = line_trace(CholeskyKernel(order=16, tile=8))
+        assert len(lines)
+        assert writes.any()

@@ -1,4 +1,4 @@
-"""Victim cache, NUMA allocator, MCDRAM config and cache-line helpers."""
+"""Victim cache, NUMA allocator and MCDRAM config."""
 
 import pytest
 
@@ -9,34 +9,9 @@ from repro.memory import (
     NumaAllocator,
     PAGE,
     VictimCache,
-    count_lines,
-    line_of,
-    lines_touched,
 )
 from repro.platforms import GIB, McdramMode, mcdram_spec
 from repro.platforms.broadwell import edram_spec
-
-
-class TestCacheLine:
-    def test_line_of(self):
-        assert line_of(0) == 0
-        assert line_of(63) == 0
-        assert line_of(64) == 1
-
-    def test_lines_touched_spanning(self):
-        assert list(lines_touched(60, 8)) == [0, 1]
-        assert list(lines_touched(0, 64)) == [0]
-        assert list(lines_touched(0, 65)) == [0, 1]
-
-    def test_lines_touched_rejects_zero_size(self):
-        with pytest.raises(ValueError):
-            lines_touched(0, 0)
-
-    def test_count_lines(self):
-        assert count_lines(0) == 0
-        assert count_lines(1) == 1
-        assert count_lines(64) == 1
-        assert count_lines(65) == 2
 
 
 class TestVictimCache:

@@ -290,10 +290,10 @@ class TestIntegration:
         telemetry.configure(enabled=True)
         kernel = StreamKernel(512)
         h = for_broadwell(broadwell(), scale=0.0005)
-        stats = kernel.simulate(h)
+        stats = kernel.simulate_batched(h)
         assert stats["L1"].accesses > 0
         names = {sp.name for sp in telemetry.get_tracer().finished()}
-        assert {"kernel.trace", "kernel.simulate", "hierarchy.run"} <= names
+        assert {"kernel.trace", "kernel.simulate_batched", "hierarchy.run"} <= names
         assert telemetry.get_registry().counter(
             "kernel.stream.trace_events"
         ).value == 3 * 512

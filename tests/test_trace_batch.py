@@ -3,7 +3,8 @@
 The fast path is only allowed to be fast — never different. Every layer
 (line expansion, generators, kernel chunk emitters, the hierarchy's
 batched inner loop, the ndarray stack-distance path) is pinned
-differentially against its scalar counterpart here.
+differentially against the plain-loop oracle in ``tests/scalar_oracle.py``
+replayed through ``Hierarchy.access`` one reference at a time.
 """
 
 import numpy as np
@@ -19,30 +20,34 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.kernels.traces import kernel_trace, kernel_trace_chunks
+from repro.kernels.traces import kernel_trace_chunks
 from repro.memory import for_broadwell, for_knl
 from repro.platforms import McdramMode, broadwell, knl
 from repro.sparse import generators
 from repro.trace import (
-    Access,
-    chunk_accesses,
+    CHUNK,
     chunk_arrays,
     expand_lines,
-    pointer_chase,
     pointer_chase_array,
-    repeated_sweep,
     repeated_sweep_array,
     sampled_stack_distances,
-    sequential,
     sequential_array,
     stack_distances,
-    strided,
     strided_array,
-    tiled_2d,
     tiled_2d_array,
+    uniform_random_array,
+)
+from tests.scalar_oracle import (
+    Access,
+    kernel_trace,
+    pointer_chase,
+    repeated_sweep,
+    replay,
+    sequential,
+    strided,
+    tiled_2d,
     to_line_trace,
     uniform_random,
-    uniform_random_array,
 )
 
 SCALE = 0.001
@@ -57,6 +62,11 @@ def _random_trace(seed, n=8_000, span=5_000, p_write=0.4):
     addrs = rng.integers(0, span, size=n).astype(np.int64)
     writes = rng.random(n) < p_write
     return addrs, writes
+
+
+def _oracle_replay(kernel, hierarchy, *, reps):
+    """The kernel's oracle trace fed through ``Hierarchy.access``."""
+    return replay(hierarchy, to_line_trace(kernel_trace(kernel, reps=reps), hierarchy.line))
 
 
 def kernel_zoo():
@@ -110,22 +120,6 @@ class TestExpandLines:
 
 
 class TestChunking:
-    def test_chunk_accesses_matches_scalar_expansion(self):
-        rng = np.random.default_rng(5)
-        accesses = [
-            Access(int(a), size=int(s), write=bool(w))
-            for a, s, w in zip(
-                rng.integers(0, 100_000, size=500),
-                rng.choice([4, 8, 16, 100], size=500),
-                rng.random(500) < 0.3,
-            )
-        ]
-        expected = list(to_line_trace(accesses, 64))
-        got = []
-        for la, lw in chunk_accesses(iter(accesses), 64, chunk=64):
-            got.extend(zip(la.tolist(), lw.tolist()))
-        assert got == expected
-
     def test_chunk_arrays_slices_everything(self):
         addrs = np.arange(1000, dtype=np.int64)
         writes = np.zeros(1000, dtype=bool)
@@ -134,8 +128,6 @@ class TestChunking:
         assert np.concatenate([c[0] for c in chunks]).tolist() == addrs.tolist()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            list(chunk_accesses(iter([]), chunk=0))
         with pytest.raises(ValueError):
             list(chunk_arrays(np.zeros(1, dtype=np.int64), np.zeros(1, bool), 0))
 
@@ -215,6 +207,28 @@ class TestRunArray:
         )
         assert stats["L1"].accesses == 3
 
+    def test_run_and_run_lines_reject_negative_addresses(self):
+        h = for_broadwell(broadwell(), scale=SCALE)
+        with pytest.raises(ValueError, match=r"addrs\[0\] = -7"):
+            h.run([(-7, False)])
+        with pytest.raises(ValueError, match=r"addrs\[1\] = -7"):
+            h.run_lines([3, -7])
+        assert h.stats().total_accesses == 0
+
+    def test_run_and_run_lines_match_access(self):
+        # Longer than one CHUNK, so the adapters cut more than one batch;
+        # full-size caches keep the L1-resident reference replay cheap.
+        addrs, writes = _random_trace(24, n=CHUNK + 1000, span=300)
+        pairs = list(zip(addrs.tolist(), writes.tolist()))
+        stores = [(a, True) for a, _ in pairs]
+        for drive, trace in (
+            (lambda h: h.run(iter(pairs)), pairs),
+            (lambda h: h.run_lines(iter(addrs.tolist()), write=True), stores),
+        ):
+            got = drive(for_broadwell(broadwell()))
+            want = replay(for_broadwell(broadwell()), trace)
+            assert _stats_dict(got) == _stats_dict(want)
+
     def test_run_batched_rejects_bad_chunk(self):
         h = for_broadwell(broadwell(), scale=SCALE)
         chunks = [(np.array([1, 2], dtype=np.int64), None), (np.array([-1]), None)]
@@ -269,7 +283,7 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE)
         batched_h = for_broadwell(broadwell(), scale=SCALE)
-        s = kernel.simulate(scalar_h, reps=2)
+        s = _oracle_replay(kernel, scalar_h, reps=2)
         b = kernel.simulate_batched(batched_h, reps=2)
         assert _stats_dict(b) == _stats_dict(s)
 
@@ -280,19 +294,19 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_knl(knl(mode), mode, scale=SCALE)
         batched_h = for_knl(knl(mode), mode, scale=SCALE)
-        s = kernel.simulate(scalar_h, reps=1)
+        s = _oracle_replay(kernel, scalar_h, reps=1)
         b = kernel.simulate_batched(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("prefetch", ["next-line", "stride"])
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_simulate_batched_identical_with_prefetch(self, name, prefetch):
-        """Prefetch forces the batched path onto its scalar-equivalent
-        fallback; the results must still be identical."""
+        """Prefetch forces the batched path onto its per-reference
+        branch; the results must still be identical."""
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
         batched_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        s = kernel.simulate(scalar_h, reps=1)
+        s = _oracle_replay(kernel, scalar_h, reps=1)
         b = kernel.simulate_batched(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
@@ -300,7 +314,10 @@ class TestKernelTraceChunks:
     def test_reps_zero_yields_nothing(self, name):
         kernel = kernel_zoo()[name]
         assert list(kernel_trace_chunks(kernel, reps=0)) == []
-        assert list(kernel_trace(kernel, reps=0)) == []
+
+    def test_negative_reps_rejected(self):
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            kernel_trace_chunks(StreamKernel(n=10), reps=-1)
 
 
 class TestFuzzDifferential:
