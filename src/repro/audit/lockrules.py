@@ -134,7 +134,7 @@ class SharedCacheMutationRule(Rule):
 
 
 class StatsWriteRule(Rule):
-    """LOCK002: stats.json writes must hold the stats lock file."""
+    """LOCK002: stats.json writes must hold the cache lock file."""
 
     rule_id = "LOCK002"
     description = (

@@ -39,11 +39,19 @@ from repro.experiments import run as run_experiment
 
 def _positive(cast):
     """argparse ``type=``: ``cast`` the text and require a value > 0."""
+    return _checked(cast, "> 0", lambda value: value > 0)
 
+
+def _non_negative(cast):
+    """argparse ``type=``: ``cast`` the text and require a value >= 0."""
+    return _checked(cast, ">= 0", lambda value: value >= 0)
+
+
+def _checked(cast, rule, ok):
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
 
     return parse
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reportp.add_argument(
         "--jobs",
-        type=int,
+        type=_positive(int),
         default=1,
         metavar="N",
         help=(
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--jobs",
-        type=int,
+        type=_positive(int),
         default=1,
         metavar="N",
         help="worker processes for batch runs (default: 1 = in-process)",
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECS",
         help=(
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative(int),
         default=1,
         metavar="N",
         help=(
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--backoff",
-        type=float,
+        type=_non_negative(float),
         default=0.0,
         metavar="SECS",
         help=(
@@ -212,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--backoff-max",
-        type=float,
+        type=_non_negative(float),
         default=30.0,
         metavar="SECS",
         help="ceiling for one exponential-backoff delay (default 30)",
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profilep.add_argument(
         "--jobs",
-        type=int,
+        type=_positive(int),
         default=1,
         metavar="N",
         help=(
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     servep.add_argument("--port", type=int, default=8177)
     servep.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative(int),
         default=2,
         metavar="N",
         help="worker shards for query execution (0 = inline; default 2)",
@@ -332,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     servep.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         default=30.0,
         metavar="SECS",
         help="per-execution deadline; a hung shard is recycled (default 30)",
     )
     servep.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative(int),
         default=1,
         metavar="N",
         help="extra attempts after a crashed execution (default 1)",
@@ -372,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 100)",
     )
     sbenchp.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
+        "--jobs", type=_non_negative(int), default=0, metavar="N",
         help="worker shards (0 = inline, the fast CI mode; default 0)",
     )
     sbenchp.add_argument("--seed", type=int, default=7)
@@ -490,13 +498,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_batch(ids: list[str], args: argparse.Namespace) -> int:
     from repro.report import batch_summary_section
     from repro.runtime import (
-        ResultCache,
         RunJournal,
+        SharedResultCache,
         completed_tasks,
         run_batch,
     )
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = None if args.no_cache else SharedResultCache(args.cache_dir)
     journal = None
     resume_completed: set[str] = set()
     if args.resume:
@@ -528,9 +536,9 @@ def _run_batch(ids: list[str], args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.runtime import ResultCache
+    from repro.runtime import SharedResultCache
 
-    cache = ResultCache(args.cache_dir)
+    cache = SharedResultCache(args.cache_dir)
     if args.cache_command == "clear":
         removed = cache.clear()
         print(f"removed {removed} cached result(s) from {cache.root}")
@@ -868,9 +876,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         cache = None
         if args.jobs > 1 and not args.no_cache:
-            from repro.runtime import ResultCache
+            from repro.runtime import SharedResultCache
 
-            cache = ResultCache(args.cache_dir)
+            cache = SharedResultCache(args.cache_dir)
         path = report_mod.write(
             args.output,
             quick=not args.full,

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro import telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.cache import ResultCache
+    from repro.runtime.cache import SharedResultCache
     from repro.runtime.scheduler import BatchSummary
 from repro._version import __version__
 from repro.experiments import all_experiments, run
@@ -157,7 +157,7 @@ def generate(
     experiment_ids: Sequence[str] | None = None,
     with_telemetry: bool = True,
     jobs: int = 1,
-    cache: "ResultCache | None" = None,
+    cache: "SharedResultCache | None" = None,
 ) -> str:
     """Build the full Markdown report (all experiments by default).
 
@@ -226,7 +226,7 @@ def generate(
 
 def write(path: str | Path, *, quick: bool = True,
           experiment_ids: Sequence[str] | None = None,
-          jobs: int = 1, cache: "ResultCache | None" = None) -> Path:
+          jobs: int = 1, cache: "SharedResultCache | None" = None) -> Path:
     """Generate and write the report; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,8 @@ that makes re-running it cheap:
 * **Cache** (:mod:`repro.runtime.cache`) — content-addressed JSON store
   of serialized results under ``~/.cache/opm-repro`` (or
   ``$OPM_REPRO_CACHE_DIR``); unchanged experiments replay in
-  milliseconds.
+  milliseconds. One class, :class:`SharedResultCache`, whose every
+  mutation holds one lock file, serves batches and the advisor alike.
 * **Journal** (:mod:`repro.runtime.journal`) — append-only JSONL task
   log; an interrupted batch resumes with ``--resume <journal>``.
 * **Scheduler** (:mod:`repro.runtime.scheduler`) — fans tasks across a
@@ -25,7 +26,6 @@ that makes re-running it cheap:
 
 from repro.runtime.cache import (
     CacheStats,
-    ResultCache,
     SharedResultCache,
     default_cache_dir,
     file_lock,
@@ -40,7 +40,6 @@ __all__ = [
     "CacheStats",
     "FaultInjected",
     "FaultPlan",
-    "ResultCache",
     "RunJournal",
     "SharedResultCache",
     "TaskOutcome",

@@ -11,16 +11,20 @@ via ``--cache-dir`` or the ``OPM_REPRO_CACHE_DIR`` environment variable.
 
 Alongside the objects the cache keeps ``stats.json`` with lifetime and
 last-run hit/miss counts; ``opm-repro cache stats`` renders it and CI
-asserts on it. Writes are atomic (tempfile + ``os.replace``), so
-concurrent batches at worst redo one put; the stats read-modify-write is
-additionally serialized through a lock file so concurrent writers cannot
-lose each other's counts, and a corrupt or partial stats file reads as
-empty counts instead of tracebacking.
+asserts on it. A corrupt or partial stats file reads as empty counts
+instead of tracebacking.
 
-:class:`SharedResultCache` promotes the store to a concurrency-safe
-shared backend for the :mod:`repro.serve` service: every write takes the
-lock file, and an in-process LRU hot tier in front of the on-disk
-objects serves repeat hits without touching disk.
+One class, :class:`SharedResultCache`, serves the batch scheduler,
+``report``, the ``cache`` subcommands and the :mod:`repro.serve`
+service, so concurrent batches, serve workers and ``cache clear`` can
+share one directory. Every mutation (``put``, ``put_payload``,
+``clear``, ``record_run``) holds the one cache-wide lock file,
+``cache.lock``, around its own writes: a clear cannot interleave with a
+stats update, and two stats updates cannot lose each other's counts.
+Reads take no lock, because every object is written to a temp file and
+``os.replace``d into place, so a reader sees a whole object or none. An
+in-process LRU hot tier in front of the on-disk objects serves repeat
+hits without touching disk.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 try:  # pragma: no cover - always present on the supported platforms
     import fcntl
@@ -90,30 +94,91 @@ class CacheStats:
         )
 
 
-class ResultCache:
-    """Filesystem-backed, content-addressed store of experiment results."""
+class SharedResultCache:
+    """Filesystem-backed, content-addressed store with an LRU hot tier.
 
-    def __init__(self, root: str | Path | None = None) -> None:
+    ``hot_capacity`` bounds the hot tier (entries; 0 disables it). Tier
+    accounting (``hot_hits`` / ``disk_hits`` / ``misses``) is kept on
+    the instance; the serve app publishes it as ``serve.cache.*``
+    counters.
+    """
+
+    def __init__(
+        self, root: str | Path | None = None, *, hot_capacity: int = 256
+    ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._hot = _LruTier(hot_capacity)
+        self._tier_lock = threading.Lock()
+        self.hot_hits = 0
+        self.disk_hits = 0
+        self.misses = 0
 
-    # -- object store --------------------------------------------------------
+    @property
+    def _lock_path(self) -> Path:
+        return self.root / "cache.lock"
 
     def _object_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
+    # -- reads (lock-free) ---------------------------------------------------
+
     def get(self, key: str) -> ExperimentResult | None:
         """The cached result for ``key``, or None on miss/corruption."""
-        path = self._object_path(key)
+        return self._lookup(key, "result", _decode_result)
+
+    def get_payload(self, key: str) -> dict[str, Any] | None:
+        """A generic JSON payload stored under ``key``, or None."""
+        return self._lookup(
+            key, "payload", lambda v: v if isinstance(v, dict) else None
+        )
+
+    def _lookup(
+        self, key: str, field: str, decode: Callable[[Any], Any]
+    ) -> Any | None:
+        """``decode`` of the object's ``field``: hot tier, then disk."""
+        hot = self._hot.get(key)
+        if hot is not None:
+            value = decode(hot)
+            if value is not None:
+                self._count("hot")
+                return value
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(self._object_path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
+            doc = None
+        raw = (
+            doc.get(field)
+            if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION
+            else None
+        )
+        value = None if raw is None else decode(raw)
+        if value is None:
+            self._count("miss")
             return None
-        if payload.get("schema") != SCHEMA_VERSION:
-            return None
-        try:
-            return ExperimentResult.from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
+        self._hot.put(key, raw)
+        self._count("disk")
+        return value
+
+    def _count(self, tier: str) -> None:
+        with self._tier_lock:
+            if tier == "hot":
+                self.hot_hits += 1
+            elif tier == "disk":
+                self.disk_hits += 1
+            else:
+                self.misses += 1
+
+    @property
+    def hot_entries(self) -> int:
+        return len(self._hot)
+
+    def entries(self) -> list[Path]:
+        objects = self.root / "objects"
+        if not objects.is_dir():
+            return []
+        return sorted(objects.glob("*/*.json"))
+
+    # -- mutations (each under the cache lock) -------------------------------
 
     def put(
         self,
@@ -124,80 +189,56 @@ class ResultCache:
         wall_time_s: float | None = None,
     ) -> Path:
         """Store ``result`` under ``key`` atomically; returns the path."""
-        payload: dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "experiment_id": result.experiment_id,
-            "quick": quick,
-            "created_unix_s": time.time(),
-            "wall_time_s": wall_time_s,
-            "result": result.as_dict(),
-        }
+        value = result.as_dict()
         path = self._object_path(key)
-        _atomic_write_json(path, payload)
+        with file_lock(self._lock_path):
+            _atomic_write_json(
+                path,
+                {
+                    "schema": SCHEMA_VERSION,
+                    "key": key,
+                    "experiment_id": result.experiment_id,
+                    "quick": quick,
+                    "created_unix_s": time.time(),
+                    "wall_time_s": wall_time_s,
+                    "result": value,
+                },
+            )
+            self._hot.put(key, value)
         return path
-
-    # -- generic JSON payloads (serve answers) -------------------------------
-
-    def get_payload(self, key: str) -> dict[str, Any] | None:
-        """A generic JSON payload stored under ``key``, or None."""
-        path = self._object_path(key)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if doc.get("schema") != SCHEMA_VERSION or "payload" not in doc:
-            return None
-        payload = doc["payload"]
-        return payload if isinstance(payload, dict) else None
 
     def put_payload(
         self, key: str, payload: dict[str, Any], *, kind: str = "payload"
     ) -> Path:
         """Store an arbitrary JSON document under ``key`` atomically."""
-        doc: dict[str, Any] = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "kind": kind,
-            "created_unix_s": time.time(),
-            "payload": payload,
-        }
         path = self._object_path(key)
-        _atomic_write_json(path, doc)
+        with file_lock(self._lock_path):
+            _atomic_write_json(
+                path,
+                {
+                    "schema": SCHEMA_VERSION,
+                    "key": key,
+                    "kind": kind,
+                    "created_unix_s": time.time(),
+                    "payload": payload,
+                },
+            )
+            self._hot.put(key, payload)
         return path
-
-    def entries(self) -> list[Path]:
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return []
-        return sorted(objects.glob("*/*.json"))
 
     def clear(self) -> int:
         """Delete every cached object and the stats file; returns count."""
-        entries = self.entries()
-        for path in entries:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        stats = self.root / "stats.json"
-        try:
-            stats.unlink()
-        except OSError:
-            pass
+        with file_lock(self._lock_path):
+            self._hot.clear()
+            entries = self.entries()
+            for path in [*entries, self.root / "stats.json"]:
+                with contextlib.suppress(OSError):
+                    path.unlink()
         return len(entries)
 
-    # -- hit/miss accounting -------------------------------------------------
-
     def record_run(self, *, hits: int, misses: int) -> None:
-        """Fold one batch's hit/miss counts into ``stats.json``.
-
-        The read-modify-write is serialized through a lock file so two
-        concurrent batches (or serve workers) cannot interleave and lose
-        each other's lifetime counts; a corrupt or partially written
-        stats file resets the counts instead of raising.
-        """
-        with file_lock(self.root / "stats.lock"):
+        """Fold one batch's hit/miss counts into ``stats.json``."""
+        with file_lock(self._lock_path):
             counts = self._read_counts()
             counts["lifetime_hits"] = counts.get("lifetime_hits", 0) + hits
             counts["lifetime_misses"] = (
@@ -206,6 +247,8 @@ class ResultCache:
             counts["last_run_hits"] = hits
             counts["last_run_misses"] = misses
             _atomic_write_json(self.root / "stats.json", counts)
+
+    # -- hit/miss accounting -------------------------------------------------
 
     def _read_counts(self) -> dict[str, int]:
         """Counts from ``stats.json``; corruption resets to empty."""
@@ -241,6 +284,13 @@ class ResultCache:
             lifetime_hits=counts.get("lifetime_hits", 0),
             lifetime_misses=counts.get("lifetime_misses", 0),
         )
+
+
+def _decode_result(value: Any) -> ExperimentResult | None:
+    try:
+        return ExperimentResult.from_dict(value)
+    except (KeyError, TypeError, ValueError):  # poisoned entry
+        return None
 
 
 @contextlib.contextmanager
@@ -286,7 +336,9 @@ class _LruTier:
     """Bounded in-process LRU of deep-copied JSON payloads (thread-safe)."""
 
     def __init__(self, capacity: int) -> None:
-        self.capacity = max(0, int(capacity))
+        if capacity < 0:
+            raise ValueError(f"hot_capacity must be >= 0, got {capacity}")
+        self.capacity = capacity
         self._entries: collections.OrderedDict[str, Any] = (
             collections.OrderedDict()
         )
@@ -315,114 +367,6 @@ class _LruTier:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-class SharedResultCache(ResultCache):
-    """Concurrency-safe cache front for the serve layer.
-
-    Two hardenings over the base store:
-
-    * **lock-file-guarded writes** — every ``put``/``put_payload`` takes
-      the cache-wide lock file, so N serve workers and a concurrent
-      ``run all`` batch can share one directory without interleaving
-      (stats updates already lock in the base class);
-    * **LRU hot tier** — the last ``hot_capacity`` objects read or
-      written stay in process memory, so repeat hits never touch disk.
-
-    Tier accounting (``hot_hits`` / ``disk_hits`` / ``misses``) is kept
-    on the instance; the serve app publishes it as ``serve.cache.*``
-    counters.
-    """
-
-    def __init__(
-        self, root: str | Path | None = None, *, hot_capacity: int = 256
-    ) -> None:
-        super().__init__(root)
-        self._hot = _LruTier(hot_capacity)
-        self._tier_lock = threading.Lock()
-        self.hot_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-
-    @property
-    def _write_lock_path(self) -> Path:
-        return self.root / "objects.lock"
-
-    def _count(self, tier: str) -> None:
-        with self._tier_lock:
-            if tier == "hot":
-                self.hot_hits += 1
-            elif tier == "disk":
-                self.disk_hits += 1
-            else:
-                self.misses += 1
-
-    # -- experiment results --------------------------------------------------
-
-    def get(self, key: str) -> ExperimentResult | None:
-        hot = self._hot.get(key)
-        if hot is not None:
-            try:
-                result = ExperimentResult.from_dict(hot)
-            except (KeyError, TypeError, ValueError):  # poisoned entry
-                result = None
-            if result is not None:
-                self._count("hot")
-                return result
-        result = super().get(key)
-        if result is None:
-            self._count("miss")
-            return None
-        self._hot.put(key, result.as_dict())
-        self._count("disk")
-        return result
-
-    def put(
-        self,
-        key: str,
-        result: ExperimentResult,
-        *,
-        quick: bool,
-        wall_time_s: float | None = None,
-    ) -> Path:
-        with file_lock(self._write_lock_path):
-            path = super().put(
-                key, result, quick=quick, wall_time_s=wall_time_s
-            )
-        self._hot.put(key, result.as_dict())
-        return path
-
-    # -- generic payloads ----------------------------------------------------
-
-    def get_payload(self, key: str) -> dict[str, Any] | None:
-        hot = self._hot.get(key)
-        if isinstance(hot, dict):
-            self._count("hot")
-            return hot
-        payload = super().get_payload(key)
-        if payload is None:
-            self._count("miss")
-            return None
-        self._hot.put(key, payload)
-        self._count("disk")
-        return payload
-
-    def put_payload(
-        self, key: str, payload: dict[str, Any], *, kind: str = "payload"
-    ) -> Path:
-        with file_lock(self._write_lock_path):
-            path = super().put_payload(key, payload, kind=kind)
-        self._hot.put(key, payload)
-        return path
-
-    def clear(self) -> int:
-        self._hot.clear()
-        with file_lock(self._write_lock_path):
-            return super().clear()
-
-    @property
-    def hot_entries(self) -> int:
-        return len(self._hot)
 
 
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:

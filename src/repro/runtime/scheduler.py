@@ -71,7 +71,7 @@ from repro.experiments.results import ExperimentResult
 from repro.telemetry import collect, names as tm
 from repro.telemetry.spans import Span
 from repro.runtime import faults
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import SharedResultCache
 from repro.runtime.journal import RunJournal
 
 #: Ceiling for one exponential-backoff delay between retry attempts.
@@ -210,7 +210,7 @@ def run_batch(
     *,
     quick: bool = True,
     jobs: int = 1,
-    cache: ResultCache | None = None,
+    cache: SharedResultCache | None = None,
     journal: RunJournal | None = None,
     resume_completed: Iterable[str] = (),
     timeout: float | None = None,
@@ -228,11 +228,17 @@ def run_batch(
     attempts remain. ``retries`` is the number of *additional* attempts
     granted to a task whose execution raised or timed out. ``backoff``
     seconds (doubling per attempt, capped at ``backoff_max``) separate a
-    failure from its retry.
+    failure from its retry. Out-of-range numbers raise ValueError.
     """
     from repro import telemetry
     from repro.experiments import registry
 
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
     start = time.perf_counter()
     resume_completed = set(resume_completed)
     if journal is not None:

@@ -10,7 +10,7 @@ each a thin module:
 * **HTTP** (:mod:`repro.serve.http`) — a hand-rolled HTTP/1.1 layer on
   asyncio streams (stdlib only; no new runtime dependencies).
 * **Batcher** (:mod:`repro.serve.batcher`) — coalesces identical
-  in-flight queries onto one execution and micro-batches distinct ones.
+  in-flight queries onto one execution, cache lookup included.
 * **Pool** (:mod:`repro.serve.pool`) — a sharded worker-process pool
   reusing the scheduler's timeout/recycle machinery, with cross-process
   trace propagation so every request yields one rooted span tree.

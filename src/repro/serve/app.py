@@ -3,10 +3,14 @@
 Request path for ``POST /v1/advise``::
 
     parse HTTP → normalize query → cache key
-        → shared cache (LRU hot tier → disk)          [hit: answer]
-        → coalescing batcher (identical key in flight → share it)
-        → worker pool (sharded by key) → engine evaluate
-        → cache fill → answer
+        → batcher (identical key in flight → share its execution)
+        → claimed execution: shared cache (LRU hot tier → disk) [hit: answer]
+              → worker pool (sharded by key) → engine evaluate
+              → cache fill → answer
+
+The claim on a key covers its cache lookup, so a request that arrives
+while an identical one is looking up or executing shares that work; a
+later request reads the fill.
 
 The answer body is byte-identical to the offline
 :func:`repro.serve.advisor.evaluate` output for the same normalized
@@ -15,9 +19,8 @@ id) rides in a separate top-level ``meta`` field, so differential tests
 can strip ``meta`` and compare the rest byte-for-byte.
 
 ``POST /v1/experiment`` serves registered experiments through the same
-batcher/pool/cache path, sharing content-addressed keys with the offline
-``repro run`` scheduler: an experiment cached by a batch run replays
-from the serve cache and vice versa.
+batcher/cache/pool path, keyed by the offline ``repro run`` scheduler's
+task keys.
 
 Spans here use manual lifecycles (``Tracer.begin``/``finish``): the
 asyncio handlers interleave many requests on one thread, which a
@@ -63,37 +66,26 @@ class ServeConfig:
     timeout_s: float | None = 30.0
     #: Extra attempts after a crashed execution.
     retries: int = 1
-    #: Micro-batch limits for the coalescing batcher.
-    max_batch: int = 16
-    window_s: float = 0.002
-    #: LRU hot-tier capacity (entries) in front of the disk cache.
-    hot_capacity: int = 256
     #: Experiments run in quick mode by default (full on request).
     quick: bool = True
 
 
 class ServeApp:
-    """Route handling plus the coalesce → pool → cache machinery."""
+    """Route handling plus the coalesce → cache → pool machinery."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.cache: SharedResultCache | None = (
             None
             if self.config.no_cache
-            else SharedResultCache(
-                self.config.cache_dir, hot_capacity=self.config.hot_capacity
-            )
+            else SharedResultCache(self.config.cache_dir)
         )
         self.pool = ServePool(
             self.config.jobs,
             timeout_s=self.config.timeout_s,
             retries=self.config.retries,
         )
-        self.batcher = Batcher(
-            self._execute_batch,
-            max_batch=self.config.max_batch,
-            window_s=self.config.window_s,
-        )
+        self.batcher = Batcher(self._execute)
         self.trace_id = collect.new_trace_id()
         self.started_unix_s = time.time()
         self.requests = 0
@@ -101,60 +93,41 @@ class ServeApp:
 
     # -- execution backend ----------------------------------------------------
 
-    async def _execute_batch(
-        self, batch: list[tuple[str, Any]]
-    ) -> list[Any]:
-        """Batcher callback: run every job, per-item failure isolation."""
-
-        async def one(key: str, job: dict[str, Any]) -> dict[str, Any]:
-            envelope = await self.pool.run(
-                job["kind"],
-                job["payload"],
-                quick=job["quick"],
-                key=key,
-                trace_id=self.trace_id,
-                parent_span_id=job.get("parent_span_id"),
-            )
-            result = envelope["result"]
-            if self.cache is not None:
-                # Disk write off the loop: put_payload takes the cache
-                # lock file and does file I/O, which would stall every
-                # in-flight request if run inline.
-                await asyncio.to_thread(
-                    self.cache.put_payload,
-                    key,
-                    result,
-                    kind=f"serve.{job['kind']}",
-                )
-            return result
-
-        return await asyncio.gather(
-            *(one(key, job) for key, job in batch), return_exceptions=True
-        )
-
-    async def _answer(
+    async def _execute(
         self, key: str, job: dict[str, Any]
     ) -> tuple[dict[str, Any], str]:
-        """Resolve one query; returns (result, cache tier)."""
+        """The claimed execution of one key; returns (result, cache tier).
+
+        Reads the cache; on a miss, runs the pool and fills the cache.
+        Every request that coalesces onto this key shares the outcome.
+        """
         if self.cache is not None:
-            before = (self.cache.hot_hits, self.cache.disk_hits)
-            # Disk read off the loop (the hot tier answers from memory,
-            # but a miss there falls through to file I/O).
+            hot_before = self.cache.hot_hits
+            # Cache I/O off the loop: a hot-tier miss falls through to a
+            # disk read, and a fill takes the cache lock file.
             cached = await asyncio.to_thread(self.cache.get_payload, key)
             if cached is not None:
-                tier = (
-                    "hot" if self.cache.hot_hits > before[0] else "disk"
-                )
+                hot = self.cache.hot_hits > hot_before
                 telemetry.counter(
                     tm.METRIC_SERVE_CACHE_HOT
-                    if tier == "hot"
+                    if hot
                     else tm.METRIC_SERVE_CACHE_DISK
                 ).inc()
-                return cached, tier
-            telemetry.counter(tm.METRIC_SERVE_CACHE_MISSES).inc()
-        else:
-            telemetry.counter(tm.METRIC_SERVE_CACHE_MISSES).inc()
-        result = await self.batcher.submit(key, job)
+                return cached, "hot" if hot else "disk"
+        telemetry.counter(tm.METRIC_SERVE_CACHE_MISSES).inc()
+        envelope = await self.pool.run(
+            job["kind"],
+            job["payload"],
+            quick=job["quick"],
+            key=key,
+            trace_id=self.trace_id,
+            parent_span_id=job.get("parent_span_id"),
+        )
+        result = envelope["result"]
+        if self.cache is not None:
+            await asyncio.to_thread(
+                self.cache.put_payload, key, result, kind=f"serve.{job['kind']}"
+            )
         return result, "miss"
 
     # -- routes ---------------------------------------------------------------
@@ -201,7 +174,6 @@ class ServeApp:
             "errors": self.errors,
             "coalesced": self.batcher.coalesced,
             "dispatched": self.batcher.dispatched,
-            "batches": self.batcher.batches,
             "pool_recycles": self.pool.recycles,
         }
         if self.cache is not None:
@@ -264,7 +236,7 @@ class ServeApp:
     ) -> tuple[int, Any]:
         start = time.perf_counter()
         try:
-            result, tier = await self._answer(key, job)
+            result, tier = await self.batcher.submit(key, job)
         except PoolTimeout as exc:
             return 503, error_payload(503, str(exc))
         except PoolError as exc:

@@ -1,70 +1,48 @@
-"""Coalescing micro-batcher.
+"""Coalescing of identical in-flight queries.
 
 Traffic to an advisor is heavily repetitive: many clients ask about the
-same (kernel, size, candidates) tuple at once. The batcher exploits that
-in two ways:
-
-* **Coalescing** — queries with the same canonical cache key share one
-  in-flight execution. N identical concurrent requests cost exactly one
-  engine evaluation; the other N-1 await the same future and count into
-  ``serve.requests.coalesced``.
-* **Micro-batching** — distinct keys that arrive within one drain window
-  are grouped and dispatched together, giving the worker pool a batch to
-  spread across shards instead of a trickle.
+same (kernel, size, candidates) tuple at once. Queries with the same
+canonical cache key share one in-flight execution: N identical
+concurrent requests cost exactly one execution, and the other N-1 await
+it and count into ``serve.requests.coalesced``. Distinct keys start
+their executions at once, each on its own; the pool shards them by key.
 
 Everything runs on the event-loop thread, so the invariants are enforced
-by *not awaiting* between checking and updating the in-flight map: a key
-is claimed (inserted) synchronously on first sight, and resolved (popped
-and completed) synchronously when its execution finishes.
+by *not awaiting* between checking and updating the in-flight map: the
+first submit of a key claims it (inserts its task) synchronously, and
+the task pops the key in a ``finally`` with no ``await`` between the
+pop and its completion. A later submit therefore either joins a running
+execution or starts a fresh one, never one that has already finished.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
 from repro import telemetry
 from repro.telemetry import names as tm
 
-#: One queued query: its canonical key plus the opaque job the executor
-#: understands (the batcher never inspects job payloads).
-@dataclass
-class _Pending:
-    key: str
-    job: Any
-    future: asyncio.Future = field(repr=False)
-
 
 class Batcher:
-    """Deduplicate identical in-flight queries and drain micro-batches.
+    """Share one execution among the submitters of an in-flight key.
 
-    ``execute`` receives a list of (key, job) pairs — one per *distinct*
-    key — and must return one result per pair, in order; an item's slot
-    may hold an exception instance, which resolves that key's waiters
-    exceptionally without failing its batch-mates. An exception *raised*
-    by ``execute`` fans out to every waiter of every key in the batch.
+    ``execute(key, job)`` is awaited once per claimed key; its result,
+    or the exception it raises, goes to every submitter of that key.
+    The batcher never inspects jobs or results.
     """
 
-    def __init__(
-        self,
-        execute: Callable[[list[tuple[str, Any]]], Awaitable[list[Any]]],
-        *,
-        max_batch: int = 16,
-        window_s: float = 0.002,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, execute: Callable[[str, Any], Awaitable[Any]]) -> None:
         self._execute = execute
-        self._max_batch = max_batch
-        self._window_s = window_s
-        #: key -> future shared by every waiter of that key.
-        self._inflight: dict[str, asyncio.Future] = {}
-        self._queue: list[_Pending] = []
-        self._drainer: asyncio.Task | None = None
+        #: key -> the one task every submitter of that key awaits.
+        self._inflight: dict[str, asyncio.Task] = {}
         self.coalesced = 0
         self.dispatched = 0
-        self.batches = 0
+
+    @property
+    def batches(self) -> int:
+        """Executions started: one per claimed key, as ``dispatched``."""
+        return self.dispatched
 
     @property
     def inflight(self) -> int:
@@ -72,68 +50,20 @@ class Batcher:
 
     async def submit(self, key: str, job: Any) -> Any:
         """Resolve one query, sharing work with identical in-flight ones."""
-        existing = self._inflight.get(key)
-        if existing is not None:
+        task = self._inflight.get(key)
+        if task is None:
+            self.dispatched += 1
+            task = asyncio.get_running_loop().create_task(self._run(key, job))
+            self._inflight[key] = task
+        else:
             self.coalesced += 1
             telemetry.counter(tm.METRIC_SERVE_COALESCED).inc()
-            # shield: one waiter being cancelled must not cancel the
-            # shared execution other waiters depend on.
-            return await asyncio.shield(existing)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        self._queue.append(_Pending(key=key, job=job, future=future))
-        if self._drainer is None or self._drainer.done():
-            self._drainer = loop.create_task(self._drain())
-        return await asyncio.shield(future)
+        # shield: one waiter being cancelled must not cancel the shared
+        # execution other waiters depend on.
+        return await asyncio.shield(task)
 
-    async def _drain(self) -> None:
-        while self._queue:
-            if len(self._queue) < self._max_batch and self._window_s > 0:
-                # Let one window of concurrent arrivals pile up so they
-                # ship as one batch.
-                await asyncio.sleep(self._window_s)
-            batch, self._queue = (
-                self._queue[: self._max_batch],
-                self._queue[self._max_batch :],
-            )
-            if not batch:
-                continue
-            self.batches += 1
-            self.dispatched += len(batch)
-            telemetry.histogram(tm.METRIC_SERVE_BATCH_SIZE).observe(
-                float(len(batch))
-            )
-            sp = telemetry.get_tracer().begin(
-                tm.SPAN_SERVE_BATCH, size=len(batch)
-            )
-            try:
-                results = await self._execute(
-                    [(p.key, p.job) for p in batch]
-                )
-                if len(results) != len(batch):
-                    raise RuntimeError(
-                        f"executor returned {len(results)} results "
-                        f"for {len(batch)} jobs"
-                    )
-            except BaseException as exc:
-                for p in batch:
-                    self._inflight.pop(p.key, None)
-                    if not p.future.done():
-                        p.future.set_exception(exc)
-                telemetry.get_tracer().finish(sp)
-                if isinstance(exc, asyncio.CancelledError):
-                    raise
-                continue
-            telemetry.get_tracer().finish(sp)
-            # Pop + resolve with no await in between: a request for the
-            # same key arriving after this point starts a fresh
-            # execution instead of latching onto a completed future.
-            for p, result in zip(batch, results):
-                self._inflight.pop(p.key, None)
-                if p.future.done():
-                    continue
-                if isinstance(result, BaseException):
-                    p.future.set_exception(result)
-                else:
-                    p.future.set_result(result)
+    async def _run(self, key: str, job: Any) -> Any:
+        try:
+            return await self._execute(key, job)
+        finally:
+            del self._inflight[key]

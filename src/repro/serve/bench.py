@@ -9,7 +9,9 @@ with the numbers CI gates on:
 * **coalescing proof** — N identical concurrent queries against a cold
   cache must produce *exactly one* engine execution, read from the
   ``serve.engine.executions`` counter via ``/metrics``;
-* **hit ratios** — coalesced fraction and cache-tier hit fractions.
+* **hit ratios** — coalesced and cache-tier hit fractions of all
+  requests. A coalesced request shares its key's one cache lookup,
+  so the tiers count once per claimed key.
 
 The workload mix is seeded and deterministic: a fixed population of
 distinct advise queries, zipf-ish repetition so coalescing and the hot
@@ -163,9 +165,7 @@ async def _run(
     cache_dir: Path | None,
 ) -> dict[str, Any]:
     population = _query_population(seed, distinct)
-    app = ServeApp(
-        ServeConfig(port=0, jobs=jobs, cache_dir=cache_dir, window_s=0.001)
-    )
+    app = ServeApp(ServeConfig(port=0, jobs=jobs, cache_dir=cache_dir))
     server = await app.serve()
     host, port = server.sockets[0].getsockname()[:2]
     rng = random.Random(seed + 1)

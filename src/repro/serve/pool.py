@@ -10,10 +10,10 @@ timeouts, retries, and fault injection behave identically under serve
 and under ``repro run``.
 
 Sharding: the pool is N *single-worker* executors, and a query's shard
-is chosen by its cache key. Identical queries therefore serialize on one
-shard (no duplicated work even across micro-batches), while distinct
-keys spread uniformly. A shard whose worker hangs or dies is recycled —
-terminated and replaced — without touching the other shards.
+is chosen by its cache key. Identical queries therefore land on one
+shard (the batcher already runs each in-flight key once), while
+distinct keys spread uniformly. A shard whose worker hangs or dies is
+recycled — terminated and replaced — without touching the other shards.
 
 Telemetry: each execution gets a manual-lifecycle ``serve.execute``
 span; a :class:`~repro.telemetry.collect.TraceContext` rides to the
@@ -111,10 +111,14 @@ class ServePool:
         retries: int = DEFAULT_RETRIES,
     ) -> None:
         if jobs < 0:
-            raise ValueError("jobs must be >= 0")
+            raise ValueError(f"jobs must be >= 0, got {jobs}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
+        if timeout_s is not None and not timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.jobs = jobs
         self.timeout_s = timeout_s
-        self.retries = max(0, retries)
+        self.retries = retries
         self._shards: list[ProcessPoolExecutor | None] = [None] * jobs
         self.recycles = 0
 

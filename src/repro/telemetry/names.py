@@ -41,8 +41,6 @@ SPAN_HIERARCHY_RUN = "hierarchy.run"
 #: One HTTP request handled by the memory-advisor service (manual
 #: lifecycle: the asyncio handler interleaves requests on one thread).
 SPAN_SERVE_REQUEST = "serve.request"
-#: One coalesced micro-batch drained by the serve batcher.
-SPAN_SERVE_BATCH = "serve.batch"
 #: One query executed on a serve worker shard (manual lifecycle).
 SPAN_SERVE_EXECUTE = "serve.execute"
 #: One advisor engine evaluation (worker side, with-scoped).
@@ -65,7 +63,6 @@ SPAN_NAMES = frozenset(
         SPAN_SWEEP_KERNEL,
         SPAN_HIERARCHY_RUN,
         SPAN_SERVE_REQUEST,
-        SPAN_SERVE_BATCH,
         SPAN_SERVE_EXECUTE,
         SPAN_SERVE_ADVISE,
         SPAN_POWER_LEDGER,
@@ -122,8 +119,6 @@ METRIC_SERVE_ENGINE_EXECUTIONS = "serve.engine.executions"
 METRIC_SERVE_RECYCLED = "serve.pool.recycled"
 #: Histogram: wall seconds per served request.
 METRIC_SERVE_REQUEST_WALL_S = "serve.request_wall_s"
-#: Histogram: queries per drained micro-batch.
-METRIC_SERVE_BATCH_SIZE = "serve.batch_size"
 #: Counter: energy ledgers built from simulated hierarchies.
 METRIC_POWER_LEDGERS = "power.ledgers"
 #: Counter: energy-conservation violations detected while building
@@ -157,7 +152,6 @@ METRIC_NAMES = frozenset(
         METRIC_SERVE_ENGINE_EXECUTIONS,
         METRIC_SERVE_RECYCLED,
         METRIC_SERVE_REQUEST_WALL_S,
-        METRIC_SERVE_BATCH_SIZE,
         METRIC_POWER_LEDGERS,
         METRIC_POWER_CONSERVATION_FAILURES,
     }

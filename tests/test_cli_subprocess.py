@@ -65,6 +65,32 @@ class TestUsageErrors:
         assert f"argument {args[0]}: must be > 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("run", "table2", "--retries", "-1", "--journal", "{tmp}/j.jsonl"),
+             "argument --retries: must be >= 0"),
+            (("run", "all", "--jobs", "-3"), "argument --jobs: must be > 0"),
+            (("run", "table2", "--jobs", "2", "--timeout", "-1"),
+             "argument --timeout: must be > 0"),
+            (("run", "table2", "--backoff", "-1"), "argument --backoff: must be >= 0"),
+            (("run", "table2", "--backoff-max", "-1"),
+             "argument --backoff-max: must be >= 0"),
+            (("profile", "fig6", "--jobs", "0"), "argument --jobs: must be > 0"),
+            (("serve", "--jobs", "-1"), "argument --jobs: must be >= 0"),
+            (("serve", "--retries", "-1"), "argument --retries: must be >= 0"),
+            (("serve", "--timeout", "-1"), "argument --timeout: must be > 0"),
+            (("serve-bench", "--jobs", "-1", "-o", "{tmp}/b.json"),
+             "argument --jobs: must be >= 0"),
+        ],
+    )
+    def test_run_and_serve_reject_bad_numbers(self, tmp_path, args, message):
+        proc = run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=60)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_serve_bench_rejects_unreachable_distinct(self, tmp_path):
         out = tmp_path / "bench.json"
         proc = run_cli("serve-bench", "--distinct", "31", "-o", str(out), timeout=60)

@@ -12,8 +12,8 @@ from repro.experiments.registry import _REGISTRY, ExperimentSpec
 from repro.experiments.results import ExperimentResult
 from repro.report import batch_summary_section, generate
 from repro.runtime import (
-    ResultCache,
     RunJournal,
+    SharedResultCache,
     completed_tasks,
     run_batch,
     source_digest,
@@ -121,7 +121,7 @@ class TestResultCache:
         return result
 
     def test_put_get_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         key = "ab" + "0" * 62
         cache.put(key, self._result(), quick=True, wall_time_s=0.5)
         cached = cache.get(key)
@@ -129,17 +129,18 @@ class TestResultCache:
         assert cached.render() == self._result().render()
 
     def test_miss_returns_none(self, tmp_path):
-        assert ResultCache(tmp_path).get("ff" + "0" * 62) is None
+        assert SharedResultCache(tmp_path).get("ff" + "0" * 62) is None
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         key = "cd" + "0" * 62
         path = cache.put(key, self._result(), quick=True)
         path.write_text("{not json")
-        assert cache.get(key) is None
+        # A fresh instance: the writer's own hot tier still holds the entry.
+        assert SharedResultCache(tmp_path).get(key) is None
 
     def test_clear_and_stats(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         cache.put("ab" + "0" * 62, self._result(), quick=True)
         cache.record_run(hits=3, misses=1)
         stats = cache.stats()
@@ -152,7 +153,7 @@ class TestResultCache:
 
     def test_env_var_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPM_REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert ResultCache().root == tmp_path / "envcache"
+        assert SharedResultCache().root == tmp_path / "envcache"
 
 
 class TestJournal:
@@ -203,7 +204,7 @@ class TestJournal:
 
 class TestScheduler:
     def test_repeat_run_hits_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         ids = ["table2", "eq1"]
         first = run_batch(ids, cache=cache)
         second = run_batch(ids, cache=cache)
@@ -223,7 +224,7 @@ class TestScheduler:
             assert s.result.render() == p.result.render()
 
     def test_parallel_populates_cache_serial_hits_it(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         run_batch(CHEAP_IDS, jobs=4, cache=cache)
         second = run_batch(CHEAP_IDS, jobs=1, cache=cache)
         assert second.cache_hits == len(CHEAP_IDS)
@@ -271,8 +272,23 @@ class TestScheduler:
         assert "driver exploded" in outcome.error
         assert completed_tasks(journal_path) == set()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": 0},
+            {"jobs": -3},
+            {"retries": -1},
+            {"timeout": 0.0},
+            {"timeout": -1.0},
+        ],
+    )
+    def test_rejects_out_of_range_numbers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            run_batch(["table2"], cache=None, **kwargs)
+
     def test_telemetry_counters_and_spans(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         with telemetry.session():
             run_batch(["table2"], cache=cache)
             run_batch(["table2"], cache=cache)
@@ -285,7 +301,7 @@ class TestScheduler:
         assert {"batch", "task", "cache.lookup"} <= names
 
     def test_batch_summary_render_and_section(self, tmp_path):
-        summary = run_batch(["table2"], cache=ResultCache(tmp_path))
+        summary = run_batch(["table2"], cache=SharedResultCache(tmp_path))
         assert "batch: 1/1 done" in summary.render()
         section = batch_summary_section(summary)
         assert "## Batch execution" in section
@@ -296,7 +312,7 @@ class TestReportBatchIntegration:
     def test_report_with_cache_has_batch_section(self, tmp_path):
         text = generate(
             experiment_ids=["table2"],
-            cache=ResultCache(tmp_path),
+            cache=SharedResultCache(tmp_path),
             with_telemetry=False,
         )
         assert "## Batch execution" in text

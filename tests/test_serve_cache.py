@@ -1,11 +1,15 @@
-"""Shared cache under concurrency: locks, hot tier, stats hardening."""
+"""The result cache under concurrency: one lock, hot tier, stats hardening."""
 
 import json
 import multiprocessing
 import os
+import threading
 
+import pytest
+
+from repro.experiments.results import ExperimentResult
 from repro.runtime import file_lock
-from repro.runtime.cache import ResultCache, SharedResultCache
+from repro.runtime.cache import SharedResultCache
 
 PAYLOAD = {"schema": 1, "winner": {"platform": "knl", "mode": "cache"}}
 
@@ -50,7 +54,7 @@ def _hammer(root, worker_id, iterations):
 
 
 def _record_runs(root, n):
-    cache = ResultCache(root)
+    cache = SharedResultCache(root)
     for _ in range(n):
         cache.record_run(hits=1, misses=2)
 
@@ -81,6 +85,69 @@ class TestFileLock:
             pass
         with file_lock(tmp_path / "a.lock"):
             pass
+
+
+def _result():
+    result = ExperimentResult(experiment_id="table2", title="T")
+    result.add_table("t", ("a",), [(1,)])
+    return result
+
+
+#: Every mutation of the cache, each of which must take the lock file.
+MUTATIONS = {
+    "put": lambda cache: cache.put("ab" * 32, _result(), quick=True),
+    "put_payload": lambda cache: cache.put_payload("cd" * 32, dict(PAYLOAD)),
+    "clear": lambda cache: cache.clear(),
+    "record_run": lambda cache: cache.record_run(hits=1, misses=0),
+}
+
+
+class TestOneLock:
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_every_mutation_waits_for_the_cache_lock(self, tmp_path, name):
+        cache = SharedResultCache(tmp_path)
+        done = threading.Event()
+
+        def mutate():
+            MUTATIONS[name](cache)
+            done.set()
+
+        worker = threading.Thread(target=mutate)
+        with file_lock(cache._lock_path):
+            worker.start()
+            assert not done.wait(0.2), f"{name} ran without the lock"
+        worker.join(10)
+        assert done.is_set() and not worker.is_alive()
+
+    def test_clear_cannot_lose_to_a_stats_update(self, tmp_path):
+        """A clear() issued while record_run() sits between its read and
+        its write waits for that write, then resets the counts; it is
+        never overwritten by counts read before it."""
+        cache = SharedResultCache(tmp_path)
+        cache.record_run(hits=5, misses=0)
+        read, release = threading.Event(), threading.Event()
+        read_counts = cache._read_counts
+
+        def blocking_read():
+            counts = read_counts()
+            read.set()
+            release.wait(10)
+            return counts
+
+        cache._read_counts = blocking_read
+        recorder = threading.Thread(
+            target=cache.record_run, kwargs={"hits": 1, "misses": 0}
+        )
+        recorder.start()
+        assert read.wait(10)
+        clearer = threading.Thread(target=cache.clear)
+        clearer.start()
+        clearer.join(0.2)  # an unlocked clear() finishes in this time
+        release.set()
+        recorder.join(10)
+        clearer.join(10)
+        assert not recorder.is_alive() and not clearer.is_alive()
+        assert SharedResultCache(tmp_path).stats().lifetime_hits in (0, 1)
 
 
 # -- hot tier -----------------------------------------------------------------
@@ -131,6 +198,10 @@ class TestHotTier:
         assert cache.hot_entries == 0
         assert cache.get_payload(key) is None
 
+    def test_negative_capacity_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="hot_capacity"):
+            SharedResultCache(tmp_path, hot_capacity=-1)
+
     def test_miss_counted(self, tmp_path):
         cache = SharedResultCache(tmp_path)
         assert cache.get_payload("9" * 64) is None
@@ -142,14 +213,14 @@ class TestHotTier:
 
 class TestStatsHardening:
     def test_corrupt_stats_resets_counts(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         (tmp_path / "stats.json").write_text("{not json!!")
         assert cache.stats().lifetime_hits == 0
         cache.record_run(hits=2, misses=1)
         assert cache.stats().lifetime_hits == 2
 
     def test_wrong_shape_stats_tolerated(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = SharedResultCache(tmp_path)
         (tmp_path / "stats.json").write_text('["a", "list"]')
         assert cache.stats().lifetime_misses == 0
         (tmp_path / "stats.json").write_text(
@@ -161,7 +232,7 @@ class TestStatsHardening:
     def test_concurrent_record_run_loses_no_updates(self, tmp_path):
         n, procs = 50, 4
         _run_procs(_record_runs, [(str(tmp_path), n)] * procs)
-        stats = ResultCache(tmp_path).stats()
+        stats = SharedResultCache(tmp_path).stats()
         assert stats.lifetime_hits == n * procs
         assert stats.lifetime_misses == 2 * n * procs
 

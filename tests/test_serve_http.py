@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -106,9 +107,7 @@ class _Server:
     """Async context: in-process app bound to an ephemeral port."""
 
     def __init__(self, tmp_path, **overrides):
-        defaults = dict(
-            port=0, jobs=0, cache_dir=tmp_path / "cache", window_s=0.001
-        )
+        defaults = dict(port=0, jobs=0, cache_dir=tmp_path / "cache")
         defaults.update(overrides)
         self.app = ServeApp(ServeConfig(**defaults))
 
@@ -274,6 +273,59 @@ class TestCoalescing:
         assert all(status == 200 for status, _ in results)
         assert len(bodies) == 1  # every waiter got the identical answer
 
+    def test_late_miss_joins_the_claimed_execution(self, tmp_path):
+        """A request whose lookup missed, but that is still in flight when
+        an identical request arrives, executes once for both of them."""
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                missed, release = threading.Event(), threading.Event()
+                get_payload, pool_run = s.app.cache.get_payload, s.app.pool.run
+                lookups = runs = 0
+
+                def held_get_payload(key):
+                    nonlocal lookups
+                    lookups += 1
+                    payload = get_payload(key)
+                    if lookups == 1:  # hold the first request after its miss
+                        missed.set()
+                        release.wait(10)
+                    return payload
+
+                async def counted_run(*args, **kwargs):
+                    nonlocal runs
+                    runs += 1
+                    return await pool_run(*args, **kwargs)
+
+                s.app.cache.get_payload = held_get_payload
+                s.app.pool.run = counted_run
+                first = asyncio.create_task(
+                    s.client.request("POST", "/v1/advise", STREAM_QUERY)
+                )
+                assert await asyncio.to_thread(missed.wait, 10)
+                other = Client("127.0.0.1", s.port)
+                await other.connect()
+                second = asyncio.create_task(
+                    other.request("POST", "/v1/advise", STREAM_QUERY)
+                )
+                for _ in range(1000):
+                    if second.done() or s.app.batcher.coalesced:
+                        break
+                    await asyncio.sleep(0.01)
+                release.set()
+                results = [await first, await second]
+                await other.close()
+                return runs, results
+
+        runs, results = run(go())
+        assert runs == 1
+        assert [status for status, _ in results] == [200, 200]
+        first, second = (
+            {k: v for k, v in payload.items() if k != "meta"}
+            for _, payload in results
+        )
+        assert first == second
+
     def test_request_yields_single_rooted_span_tree(self, tmp_path):
         async def go():
             async with _Server(tmp_path) as s:
@@ -306,71 +358,55 @@ class TestBatcher:
     def test_identical_keys_share_one_execution(self):
         calls = []
 
-        async def execute(batch):
-            calls.append(batch)
-            return [f"answer:{key}" for key, _ in batch]
+        async def execute(key, job):
+            calls.append(key)
+            return f"answer:{key}"
 
         async def go():
-            b = Batcher(execute, window_s=0.001)
+            b = Batcher(execute)
             results = await asyncio.gather(
                 *(b.submit("k1", None) for _ in range(50))
             )
             return b, results
 
         b, results = run(go())
-        assert len(calls) == 1
-        assert len(calls[0]) == 1
+        assert calls == ["k1"]
         assert set(results) == {"answer:k1"}
         assert b.coalesced == 49
-        assert b.dispatched == 1
-
-    def test_distinct_keys_batch_together(self):
-        calls = []
-
-        async def execute(batch):
-            calls.append(batch)
-            return [key.upper() for key, _ in batch]
-
-        async def go():
-            b = Batcher(execute, max_batch=8, window_s=0.005)
-            return await asyncio.gather(
-                *(b.submit(f"k{i}", None) for i in range(8))
-            )
-
-        results = run(go())
-        assert len(calls) == 1
-        assert results == [f"K{i}" for i in range(8)]
+        assert b.dispatched == b.batches == 1
 
     def test_per_item_exception_isolation(self):
-        async def execute(batch):
-            return [
-                ValueError("boom") if key == "bad" else "ok"
-                for key, _ in batch
-            ]
+        async def execute(key, job):
+            if key == "bad":
+                raise ValueError("boom")
+            return "ok"
 
         async def go():
-            b = Batcher(execute, window_s=0.001)
-            good, bad = await asyncio.gather(
+            b = Batcher(execute)
+            results = await asyncio.gather(
                 b.submit("good", None),
+                b.submit("bad", None),
                 b.submit("bad", None),
                 return_exceptions=True,
             )
-            return good, bad
+            return b, results
 
-        good, bad = run(go())
+        b, (good, bad, bad_coalesced) = run(go())
         assert good == "ok"
         assert isinstance(bad, ValueError)
+        assert isinstance(bad_coalesced, ValueError)
+        assert b.inflight == 0
 
     def test_fresh_execution_after_completion(self):
         n_calls = 0
 
-        async def execute(batch):
+        async def execute(key, job):
             nonlocal n_calls
             n_calls += 1
-            return ["x" for _ in batch]
+            return "x"
 
         async def go():
-            b = Batcher(execute, window_s=0.001)
+            b = Batcher(execute)
             await b.submit("k", None)
             await b.submit("k", None)  # in-flight map must be drained
             return b
@@ -379,6 +415,44 @@ class TestBatcher:
         assert n_calls == 2
         assert b.coalesced == 0
         assert b.inflight == 0
+
+    def test_cancelled_waiter_leaves_shared_result_intact(self):
+        n_calls = 0
+
+        async def go():
+            release = asyncio.Event()
+
+            async def execute(key, job):
+                nonlocal n_calls
+                n_calls += 1
+                await release.wait()
+                return "shared"
+
+            b = Batcher(execute)
+            claimer = asyncio.create_task(b.submit("k", None))
+            joiner = asyncio.create_task(b.submit("k", None))
+            await asyncio.sleep(0)
+            claimer.cancel()
+            await asyncio.sleep(0)
+            release.set()
+            return b, claimer, await joiner
+
+        b, claimer, result = run(go())
+        assert claimer.cancelled()
+        assert result == "shared"
+        assert n_calls == 1
+        assert b.coalesced == 1
+        assert b.inflight == 0
+
+
+class TestPoolArguments:
+    @pytest.mark.parametrize(
+        "kwargs", [{"retries": -1}, {"timeout_s": 0.0}, {"timeout_s": -1.0}]
+    )
+    def test_rejects_out_of_range_numbers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            ServePool(1, **kwargs)
 
 
 class TestPoolFaults:
