@@ -56,18 +56,16 @@ class Kernel(abc.ABC):
 
     # -- instrumented faces -------------------------------------------------
 
-    def simulate_batched(
-        self, hierarchy: "Hierarchy", *, reps: int = 1
-    ) -> "HierarchyStats":
+    def simulate(self, hierarchy: "Hierarchy", *, reps: int = 1) -> "HierarchyStats":
         """Drive the exact simulator with this kernel's trace.
 
-        Opens a ``kernel.simulate_batched`` span enclosing both trace
+        Opens a ``kernel.simulate`` span enclosing both trace
         generation (:func:`repro.kernels.traces.kernel_trace_chunks`) and
         the hierarchy replay, and returns the per-level statistics.
         """
         from repro.kernels.traces import kernel_trace_chunks
 
-        with telemetry.span(tm.SPAN_KERNEL_SIMULATE_BATCHED, kernel=self.name, reps=reps):
+        with telemetry.span(tm.SPAN_KERNEL_SIMULATE, kernel=self.name, reps=reps):
             return hierarchy.run_batched(
                 kernel_trace_chunks(self, reps=reps, line=hierarchy.line)
             )

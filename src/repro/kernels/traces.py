@@ -407,9 +407,7 @@ def kernel_trace_chunks(
     )
     if fn is None:
         raise TypeError(f"no tracer for {type(kernel).__name__}")
-    with telemetry.span(
-        tm.SPAN_KERNEL_TRACE, kernel=kernel.name, reps=reps, batched=True
-    ) as sp:
+    with telemetry.span(tm.SPAN_KERNEL_TRACE, kernel=kernel.name, reps=reps) as sp:
         addrs, sizes, writes = fn(kernel, reps)
         la, lw = expand_lines(addrs, sizes, writes, line)
         n = int(la.size) * reps

@@ -14,7 +14,7 @@ full-scale sweeps use the analytic model (DESIGN.md Section 2).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,6 +39,10 @@ _MISS = object()
 #: the np.unique + residency probe would cost more than the plain loop.
 _CLASSIFY_MIN = 1024
 
+#: Event kind of a prefetcher observation in a prefetching hierarchy's
+#: LLC pass (0 is a demand access, 1 a dirty-victim insert).
+_OBSERVE = 2
+
 #: Adaptive sub-block sizing for the batched path. Blocks start small so
 #: a cold cache (where classification can't help) pays little overhead,
 #: and double on mostly-vectorized blocks so a warm steady state amortizes
@@ -54,6 +58,10 @@ class _CacheStage:
         self.name = name
         self.cache = cache
         self.stats = LevelStats(name=name, line=cache.line)
+        #: Events the batched replay resolved wholesale vs walked
+        #: (monotone, like the cache's replacement counters).
+        self.wholesale = 0
+        self.walked = 0
 
 
 class Hierarchy:
@@ -122,8 +130,30 @@ class Hierarchy:
         (``tests/test_trace_batch.py`` enforces this differentially).
         """
         if self._prefetcher is not None:
-            self._prefetch_observe(line_addr)
-        return self._walk(0, line_addr, write)
+            issued = len(self._prefetcher.observe(line_addr))
+            if issued:
+                # Prefetch fills are real traffic: they load the LLC from
+                # memory (counted as DRAM reads + LLC fills).
+                self._stages[-1].stats.fills += issued
+                self._dram_stats.accesses += issued
+                self._dram_stats.hits += issued
+        stages = self._stages
+        last = len(stages) - 1
+        for i, stage in enumerate(stages):
+            st = stage.stats
+            st.accesses += 1
+            hit, ev = stage.cache.access(line_addr, write=write)
+            if hit:
+                st.hits += 1
+                return stage.name
+            st.misses += 1
+            st.fills += 1
+            # A clean victim of a non-last stage needs no handling
+            # (_handle_eviction would fall straight through); skipping
+            # the call is a pure fast-path, not a behaviour change.
+            if ev is not None and (ev.dirty or i == last):
+                self._handle_eviction(i, ev)
+        return self._service_below(line_addr, write)
 
     def run(self, trace: Iterable[tuple[int, bool]]) -> HierarchyStats:
         """Drive a whole (line_addr, is_write) trace and return the stats.
@@ -160,7 +190,7 @@ class Hierarchy:
         order, every counter — is byte-identical to feeding the same
         references through :meth:`access` one at a time.
         """
-        return self._replay([(addrs, writes)], batched=True)
+        return self._replay([(addrs, writes)])
 
     def run_batched(
         self,
@@ -172,7 +202,7 @@ class Hierarchy:
         (``repro.trace.batch``, ``repro.kernels.traces.kernel_trace_chunks``)
         plug in directly; one telemetry span covers the whole batch.
         """
-        return self._replay(chunks, batched=True)
+        return self._replay(chunks)
 
     def _replay(self, chunks: Iterable, **attrs: object) -> HierarchyStats:
         """Validate and replay ``(addrs, writes)`` chunks under one span."""
@@ -187,36 +217,6 @@ class Hierarchy:
         return self.stats()
 
     # -- internals ---------------------------------------------------------
-
-    def _walk(self, start: int, line_addr: int, write: bool) -> str:
-        """Probe stages ``start`` and below; fill on misses; service."""
-        stages = self._stages
-        last = len(stages) - 1
-        for i in range(start, last + 1):
-            stage = stages[i]
-            st = stage.stats
-            st.accesses += 1
-            hit, ev = stage.cache.access(line_addr, write=write)
-            if hit:
-                st.hits += 1
-                return stage.name
-            st.misses += 1
-            st.fills += 1
-            # A clean victim of a non-last stage needs no handling
-            # (_handle_eviction would fall straight through); skipping
-            # the call is a pure fast-path, not a behaviour change.
-            if ev is not None and (ev.dirty or i == last):
-                self._handle_eviction(i, ev)
-        return self._service_below(line_addr, write)
-
-    def _prefetch_observe(self, line_addr: int) -> None:
-        issued = self._prefetcher.observe(line_addr)
-        if issued:
-            # Prefetch fills are real traffic: they load the target
-            # stage from memory (counted as DRAM reads + stage fills).
-            self._stages[-1].stats.fills += len(issued)
-            self._dram_stats.accesses += len(issued)
-            self._dram_stats.hits += len(issued)
 
     def _prefetch_displaced(self, ev: Eviction) -> None:
         """Sink for victims displaced out of the LLC by prefetch fills."""
@@ -240,24 +240,17 @@ class Hierarchy:
         # reference at a time because levels never feed upward: victim
         # promotion only ever inserts into the set that just missed,
         # which is slow by construction.
-        n = addrs.shape[0]
-        if n == 0:
-            return
-        if self._prefetcher is not None:
-            # Prefetcher runs interleave observe() with every reference;
-            # drive them through the same observe+walk sequence as
-            # access() (identical by construction). Telemetry stays
-            # hoisted to chunk granularity either way.
-            observe = self._prefetch_observe
-            walk = self._walk
-            for addr, w in zip(addrs.tolist(), writes.tolist()):
-                observe(addr)
-                walk(0, addr, w)
-            return
+        #
+        # Prefetchers only insert into the LLC, and LLC evictions never
+        # travel back up, so L1/L2 state does not depend on them. Each
+        # reference's prefetch *observation* joins the LLC pass as a
+        # third event kind (see _observation_stream).
+        #
         # Adaptive sub-blocks: grow while the first level resolves
         # (almost) everything vectorized, shrink back the moment it
         # stops — a cold or thrashing phase then pays classification on
         # small blocks only.
+        n = addrs.shape[0]
         block = _BLOCK_MIN
         start = 0
         while start < n:
@@ -269,14 +262,25 @@ class Hierarchy:
     def _run_block(self, lines: np.ndarray, flags: np.ndarray) -> bool:
         """Replay one sub-block through every level; returns whether the
         first level handled (nearly) all of it on the vectorized path."""
+        pf = self._prefetcher
+        last = len(self._stages) - 1
+        refs = lines
+        idx = None if pf is None else np.arange(lines.shape[0])
         ins: np.ndarray | None = None
         first_fast = False
-        for i in range(len(self._stages)):
-            lines, ins, flags, fast = self._level_pass(i, lines, ins, flags)
+        for i in range(last + 1):
+            if i == last and pf is not None:
+                # Every reference is observed, even in a block the levels
+                # above resolved wholesale, unless that changes nothing.
+                strides = pf.issue_strides(refs)
+                if lines is None and pf.idle(refs, strides):
+                    break
+                lines, ins, flags = _observation_stream(refs, strides, lines, ins, flags, idx)
+            if lines is None:
+                continue
+            lines, ins, flags, idx, fast = self._level_pass(i, lines, ins, flags, idx)
             if i == 0:
                 first_fast = fast
-            if lines is None:
-                break
         return first_fast
 
     def _level_pass(
@@ -285,15 +289,19 @@ class Hierarchy:
         lines: np.ndarray,
         ins: np.ndarray | None,
         flags: np.ndarray,
-    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, bool]:
+        idx: np.ndarray | None,
+    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None, bool]:
         """Drive one level's event stream; return the next level's.
 
         ``lines`` holds the event line addresses in order; ``ins`` marks
         which events are dirty-victim inserts (None = pure access
         stream); ``flags`` carries the write bit for accesses and the
-        dirty bit (always True) for inserts. Returns ``(lines, ins,
-        flags, mostly_fast)`` for the next level, with ``lines is None``
-        when nothing propagates deeper.
+        dirty bit (always True) for inserts. ``idx`` (None without a
+        prefetcher) holds each event's origin: the index of the block
+        reference that caused it. A prefetching hierarchy's LLC pass
+        gets event kinds in ``ins`` (see :func:`_observation_stream`).
+        Returns ``(lines, ins, flags, idx, mostly_fast)`` for the next
+        level, with ``lines is None`` when nothing propagates deeper.
         """
         stage = self._stages[i]
         cache = stage.cache
@@ -301,10 +309,12 @@ class Hierarchy:
         mask = cache.n_sets - 1
         ways = cache.ways
         last = i == len(self._stages) - 1
+        pf = self._prefetcher if last else None
         st = stage.stats
         n = lines.shape[0]
         fast_ok = False
-        if n >= _CLASSIFY_MIN:
+        # Observations may prefetch into any set: no all-hit sets there.
+        if n >= _CLASSIFY_MIN and pf is None:
             uniq, inv = np.unique(lines, return_inverse=True)
             nu = uniq.shape[0]
             if nu * 4 <= n:
@@ -353,13 +363,16 @@ class Hierarchy:
                         s[ln] = d
                     st.accesses += n_fast
                     st.hits += n_fast
+                    stage.wholesale += n_fast
                     cache.n_dirty_created += created_fast
                     if n_slow == 0:
-                        return None, None, None, True
+                        return None, None, None, None, True
                     fast_ok = n_slow * 16 <= n
                     keep = np.flatnonzero(ev_slow)
                     lines = lines[keep]
                     flags = flags[keep]
+                    if idx is not None:
+                        idx = idx[keep]
                     if ins is not None:
                         ins = ins[keep]
                         if not ins.any():
@@ -372,16 +385,17 @@ class Hierarchy:
         make_ev = Eviction
         miss = _MISS  # sentinel: probe + LRU-pop in one dict operation
         out_lines: list = []
-        out_ins: list = []
+        out_ins: list = []  # input position j of an access, ~j of an insert
         out_flags: list = []
         ol_append = out_lines.append
         oi_append = out_ins.append
         of_append = out_flags.append
         hits = created = evs = devs = wb = merged = received = 0
+        issued = useful = 0
         sl = lines.tolist()
         fl = flags.tolist()
         if ins is None:
-            accs = len(sl)
+            accs = walked = len(sl)
             if last:
                 for addr, w in zip(sl, fl):
                     s = sets[addr & mask]
@@ -408,7 +422,7 @@ class Hierarchy:
                         handle(i, ev)
                     service(addr, w)
             else:
-                for addr, w in zip(sl, fl):
+                for j, addr, w in zip(count(), sl, fl):
                     s = sets[addr & mask]
                     was_dirty = s.pop(addr, miss)
                     if was_dirty is not miss:
@@ -432,19 +446,39 @@ class Hierarchy:
                             devs += 1
                             wb += 1
                             ol_append(vl)
-                            oi_append(True)
+                            oi_append(~j)
                             of_append(True)
                     s[addr] = w
                     if w:
                         created += 1
                     ol_append(addr)
-                    oi_append(False)
+                    oi_append(j)
                     of_append(w)
         else:
             il = ins.tolist()
-            accs = len(sl) - int(ins.sum())
+            accs = int(np.count_nonzero(ins == 0))
+            walked = accs + int(np.count_nonzero(ins == 1))
             if last:
+                if pf is not None:
+                    pending = pf._outstanding
+                    install = pf._install
+                    upto = pf.degree + 1
+                observe = _OBSERVE
                 for addr, is_ins, fg in zip(sl, il, fl):
+                    if is_ins == observe:
+                        # observe() with the probes inlined: score a
+                        # useful prefetch, then issue each candidate that
+                        # is neither resident nor outstanding.
+                        if addr in pending:
+                            useful += 1
+                            pending.discard(addr)
+                        if fg:
+                            for t in range(addr + fg, addr + fg * upto, fg):
+                                if t < 0 or t in sets[t & mask] or t in pending:
+                                    continue
+                                install(t)
+                                issued += 1
+                        continue
                     s = sets[addr & mask]
                     was_dirty = s.pop(addr, miss)
                     if is_ins:
@@ -489,7 +523,7 @@ class Hierarchy:
                         handle(i, ev)
                     service(addr, fg)
             else:
-                for addr, is_ins, fg in zip(sl, il, fl):
+                for j, addr, is_ins, fg in zip(count(), sl, il, fl):
                     s = sets[addr & mask]
                     was_dirty = s.pop(addr, miss)
                     if is_ins:
@@ -508,7 +542,7 @@ class Hierarchy:
                                 devs += 1
                                 wb += 1
                                 ol_append(vl)
-                                oi_append(True)
+                                oi_append(~j)
                                 of_append(True)
                         s[addr] = True
                         received += 1
@@ -529,13 +563,13 @@ class Hierarchy:
                             devs += 1
                             wb += 1
                             ol_append(vl)
-                            oi_append(True)
+                            oi_append(~j)
                             of_append(True)
                     s[addr] = fg
                     if fg:
                         created += 1
                     ol_append(addr)
-                    oi_append(False)
+                    oi_append(j)
                     of_append(fg)
         st.accesses += accs
         st.hits += hits
@@ -548,13 +582,22 @@ class Hierarchy:
         cache.n_dirty_created += created
         cache.n_dirty_received += received
         cache.n_dirty_merged += merged
+        stage.walked += walked
+        if pf is not None:
+            # Prefetch fills, in bulk (see access()).
+            st.fills += issued
+            self._dram_stats.accesses += issued
+            self._dram_stats.hits += issued
+            pf.stats.useful += useful
         if last or not out_lines:
-            return None, None, None, fast_ok
-        nxt_ins = np.array(out_ins, dtype=bool)
+            return None, None, None, None, fast_ok
+        code = np.array(out_ins, dtype=np.int64)
+        nxt_ins = code < 0
         return (
             np.array(out_lines, dtype=np.int64),
             nxt_ins if nxt_ins.any() else None,
             np.array(out_flags, dtype=bool),
+            None if idx is None else idx[np.where(nxt_ins, ~code, code)],
             fast_ok,
         )
 
@@ -672,8 +715,10 @@ class Hierarchy:
 
         This unifies :mod:`repro.memory.stats` with the telemetry metrics:
         every ``memory.<level>.<counter>`` name carries the access/hit/
-        miss/fill/writeback traffic, and ``memory.<level>.cache.<counter>``
-        the replacement traffic of the backing cache structure.
+        miss/fill/writeback traffic, ``memory.<level>.cache.<counter>``
+        the replacement traffic of the backing cache structure,
+        ``memory.<level>.replay.*`` the events resolved ``wholesale`` vs
+        ``walked``, and ``memory.prefetch.*`` the prefetcher's stats.
         """
         if not telemetry.enabled():
             return
@@ -685,6 +730,12 @@ class Hierarchy:
                 f"cache:{stage.name}",
                 stage.cache.telemetry_counters(),
             )
+            replay = {"wholesale": stage.wholesale, "walked": stage.walked}
+            self._publish_delta(tm.memory_replay_prefix(stage.name), f"replay:{stage.name}", replay)
+        if self._prefetcher is not None:
+            pfs = self._prefetcher.stats
+            prefetch = {"issued": pfs.issued, "useful": pfs.useful}
+            self._publish_delta(tm.MEMORY_PREFETCH, "prefetch", prefetch)
 
     def _publish_delta(
         self, prefix: str, key: str, totals: dict[str, int]
@@ -730,11 +781,10 @@ class Hierarchy:
             # Stale stride/outstanding state from a previous repetition
             # would leak prefetches (and accuracy) into the next one.
             self._prefetcher.reset()
-        # Level counters restart at zero; drop their publish baselines
-        # (cache replacement counters survive invalidate_all, keep theirs).
-        self._published = {
-            k: v for k, v in self._published.items() if k.startswith("cache:")
-        }
+        # Level and prefetch counters restart at zero; drop their publish
+        # baselines (cache replacement and replay counters survive).
+        keep = ("cache:", "replay:")
+        self._published = {k: v for k, v in self._published.items() if k.startswith(keep)}
         # Close the previous epoch's dirty-flow books (the invalidations
         # above consumed its resident dirty lines) and start fresh.
         self._ledger_base = {
@@ -873,6 +923,31 @@ def _coerce_chunk(
                 )
             warr = warr.astype(bool)
     return arr, warr
+
+
+def _observation_stream(refs, strides, lines, ins, flags, idx):
+    """Merge a block's prefetch observations into its LLC event stream.
+
+    ``access()`` runs reference k's observation after every LLC event of
+    reference k-1 and before every one of its own, so event e with
+    origin o goes to slot e + o + 1 and the observations fill the rest.
+    Returns ``(lines, kinds, flags)``: kind 0 is an access, 1 a dirty-
+    victim insert, :data:`_OBSERVE` an observation (flag: its stride).
+    """
+    total = refs.shape[0] + (0 if lines is None else lines.shape[0])
+    kinds = np.full(total, _OBSERVE, dtype=np.int8)
+    addrs = np.empty(total, dtype=np.int64)
+    fl = np.empty(total, dtype=object)
+    obs = np.ones(total, dtype=bool)
+    if lines is not None:
+        pos = np.arange(1, lines.shape[0] + 1) + idx
+        obs[pos] = False
+        kinds[pos] = 0 if ins is None else ins
+        addrs[pos] = lines
+        fl[pos] = flags.tolist()
+    addrs[obs] = refs
+    fl[obs] = strides.tolist()
+    return addrs, kinds, fl
 
 
 def _batches(items: Iterable) -> Iterator[list]:

@@ -10,11 +10,13 @@ rather than assumed:
 * :class:`StridePrefetcher` — per-PC-less stride table: detects constant
   strides in the global reference stream and runs ahead of them.
 
-Both observe the demand stream of the hierarchy's *last-level* on-chip
-cache and insert into that same cache (see
-``repro.memory.hierarchy._make_prefetcher``). Prefetches are issued via
-``insert`` (no reference counted) and tracked for accuracy statistics:
-*useful* prefetches are those whose line is touched before eviction.
+Both observe every core reference and insert into the hierarchy's
+last-level on-chip cache (``repro.memory.hierarchy._make_prefetcher``).
+``observe`` is the scalar reference; the batched replay takes a whole
+block's issue decisions from ``issue_strides`` and probes the candidates
+itself. Prefetches are issued via ``insert`` (no reference counted) and
+tracked for accuracy statistics: *useful* prefetches are those whose
+line is touched before eviction.
 
 A prefetch fill can displace a victim from the target cache. The
 displaced :class:`~repro.memory.cache.Eviction` is forwarded to the
@@ -31,6 +33,8 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Callable
+
+import numpy as np
 
 from repro.memory.cache import Eviction, SetAssociativeCache
 
@@ -73,6 +77,15 @@ class _PrefetcherBase:
             if self.on_evict is not None:
                 self.on_evict(ev)
 
+    def idle(self, lines: np.ndarray, strides: np.ndarray) -> bool:
+        """Whether observing ``lines`` alone would change nothing: none
+        is outstanding and every candidate is already cached."""
+        on = strides != 0
+        cands = lines[on, None] + strides[on, None] * np.arange(1, self.degree + 1)
+        return self._outstanding.isdisjoint(np.unique(lines).tolist()) and all(
+            t < 0 or t in self.cache for t in np.unique(cands).tolist()
+        )
+
     def line_evicted(self, line_addr: int) -> None:
         """Notify that the target cache evicted ``line_addr``.
 
@@ -95,6 +108,10 @@ class NextLinePrefetcher(_PrefetcherBase):
             raise ValueError("degree must be >= 1")
         super().__init__(cache)
         self.degree = degree
+
+    def issue_strides(self, lines: np.ndarray) -> np.ndarray:
+        """Per-reference issue strides of :meth:`observe`: always 1."""
+        return np.ones(lines.shape[0], dtype=np.int64)
 
     def observe(self, line_addr: int) -> list[int]:
         """Notify of a demand access; returns lines prefetched now."""
@@ -154,6 +171,28 @@ class StridePrefetcher(_PrefetcherBase):
                     issued.append(target)
         self._last_addr = line_addr
         return issued
+
+    def issue_strides(self, lines: np.ndarray) -> np.ndarray:
+        """Per-reference issue strides (0 = none) of :meth:`observe`.
+
+        Advances the predictor as observing ``lines`` one at a time
+        would; probing the candidates is left to the caller.
+        """
+        if lines.shape[0] == 0:
+            return np.zeros(0, dtype=np.int64)
+        # A first reference (no last address) acts as a zero stride.
+        prev = lines[0] if self._last_addr is None else self._last_addr
+        stride = np.diff(lines, prepend=prev)
+        # Run of equal strides ending at each reference, counting the
+        # self._streak-long run carried over from the last call.
+        k = np.arange(lines.shape[0])
+        new = np.r_[stride[0] != self._last_stride, stride[1:] != stride[:-1]]
+        run = k - np.maximum.accumulate(np.where(new, k - 1, -1 - self._streak))
+        streak = np.where(stride != 0, run, 0)
+        self._last_addr = int(lines[-1])
+        self._last_stride = int(stride[-1])
+        self._streak = int(streak[-1])
+        return np.where(streak >= self.confirm, stride, 0)
 
     def reset(self) -> None:
         super().reset()

@@ -372,7 +372,7 @@ def price_run(
     price; it is rejected with a :class:`ValueError` instead of surfacing
     as a ``ZeroDivisionError`` from the utilization arithmetic.
     """
-    stats = kernel.simulate_batched(hierarchy, reps=reps)
+    stats = kernel.simulate(hierarchy, reps=reps)
     if stats.total_accesses == 0:
         raise ValueError(
             f"{kernel.name} on {platform}/{mode} replayed zero references "

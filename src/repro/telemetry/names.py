@@ -33,7 +33,7 @@ SPAN_STEPPING_CURVE = "stepping.curve"
 #: Kernel access-trace generation (``kernel_trace_chunks``).
 SPAN_KERNEL_TRACE = "kernel.trace"
 #: Kernel simulation (trace generation + hierarchy replay).
-SPAN_KERNEL_SIMULATE_BATCHED = "kernel.simulate_batched"
+SPAN_KERNEL_SIMULATE = "kernel.simulate"
 #: One kernel evaluated inside a Broadwell/KNL sweep.
 SPAN_SWEEP_KERNEL = "sweep.kernel"
 #: One hierarchy trace replay (any of the run* entry points).
@@ -59,7 +59,7 @@ SPAN_NAMES = frozenset(
         SPAN_EXPERIMENT,
         SPAN_STEPPING_CURVE,
         SPAN_KERNEL_TRACE,
-        SPAN_KERNEL_SIMULATE_BATCHED,
+        SPAN_KERNEL_SIMULATE,
         SPAN_SWEEP_KERNEL,
         SPAN_HIERARCHY_RUN,
         SPAN_SERVE_REQUEST,
@@ -175,6 +175,15 @@ def memory_level_prefix(level: str) -> str:
 def memory_cache_prefix(level: str) -> str:
     """``record_counts`` prefix for one level's internal cache counters."""
     return f"memory.{level}.cache"
+
+
+def memory_replay_prefix(level: str) -> str:
+    """``record_counts`` prefix for one level's replay-path counters."""
+    return f"memory.{level}.replay"
+
+
+#: ``record_counts`` prefix for the prefetcher's ``issued``/``useful``.
+MEMORY_PREFETCH = "memory.prefetch"
 
 
 def power_level_prefix(level: str) -> str:

@@ -149,7 +149,7 @@ class TestErrors:
         """Pricing a Broadwell hierarchy with the KNL table must fail."""
         machine = broadwell(edram=True)
         hierarchy = for_broadwell(machine, edram=True, scale=0.001)
-        demo_kernel("stream").simulate_batched(hierarchy, reps=1)
+        demo_kernel("stream").simulate(hierarchy, reps=1)
         with pytest.raises(ValueError, match="describes no such level"):
             ledger_from_hierarchy(hierarchy, knl())
 

@@ -1,6 +1,9 @@
 """Prefetcher models and their integration with the hierarchy."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import SetAssociativeCache, for_broadwell
 from repro.memory.prefetch import NextLinePrefetcher, StridePrefetcher
@@ -34,8 +37,6 @@ class TestNextLine:
     def test_random_stream_low_usefulness(self):
         cache = self._cache()
         pf = NextLinePrefetcher(cache, degree=2)
-        import numpy as np
-
         rng = np.random.default_rng(0)
         for line in rng.integers(0, 100_000, size=400):
             pf.observe(int(line))
@@ -86,6 +87,98 @@ class TestStride:
             StridePrefetcher(self._cache(), degree=0)
         with pytest.raises(ValueError):
             StridePrefetcher(self._cache(), confirm=0)
+
+
+@st.composite
+def _chunked_streams(draw):
+    """Piecewise-strided line streams (zero, negative and changing
+    strides, random jumps between runs), cut into random chunks, with
+    an optional reset() before one of them."""
+    lines: list[int] = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 400))
+        stride = draw(st.sampled_from([0, 1, 3, -2, 7, -9]))
+        lines += [abs(start + stride * k) for k in range(draw(st.integers(1, 15)))]
+    cuts = sorted(draw(st.lists(st.integers(1, len(lines)), max_size=5)))
+    bounds = [0, *cuts, len(lines)]
+    chunks = [lines[a:b] for a, b in zip(bounds, bounds[1:])]
+    reset_before = draw(st.none() | st.integers(0, len(chunks) - 1))
+    return chunks, reset_before
+
+
+def _predictor(pf):
+    return pf._last_addr, pf._last_stride, pf._streak
+
+
+class TestIssueStrides:
+    """The vectorized issue decisions equal observe()'s, reference by
+    reference, and leave the predictor where observe() leaves it."""
+
+    @staticmethod
+    def _issued_on_empty(pf, line):
+        # With an empty cache and no outstanding line, observe() issues
+        # every non-negative candidate of its decision.
+        pf.cache.invalidate_all()
+        pf._outstanding.clear()
+        return pf.observe(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stream=_chunked_streams(),
+        degree=st.integers(1, 4),
+        confirm=st.integers(1, 3),
+    )
+    def test_stride_matches_observe(self, stream, degree, confirm):
+        chunks, reset_before = stream
+        scalar, vector = (
+            StridePrefetcher(SetAssociativeCache(64 * 8, ways=8), degree=degree, confirm=confirm)
+            for _ in range(2)
+        )
+        for c, chunk in enumerate(chunks):
+            if c == reset_before:
+                scalar.reset()
+                vector.reset()
+            strides = vector.issue_strides(np.array(chunk, dtype=np.int64))
+            for line, stride in zip(chunk, strides.tolist()):
+                want = [line + stride * d for d in range(1, degree + 1)] if stride else []
+                got = self._issued_on_empty(scalar, line)
+                assert got == [t for t in want if t >= 0], (c, line, stride)
+            assert _predictor(vector) == _predictor(scalar)
+
+    def test_stride_empty_chunk_keeps_state(self):
+        pf = StridePrefetcher(SetAssociativeCache(64 * 8, ways=8))
+        pf.issue_strides(np.array([3, 6, 9], dtype=np.int64))
+        before = _predictor(pf)
+        assert pf.issue_strides(np.empty(0, dtype=np.int64)).size == 0
+        assert _predictor(pf) == before == (9, 3, 2)
+
+    def test_next_line_always_issues_stride_one(self):
+        pf = NextLinePrefetcher(SetAssociativeCache(64 * 8, ways=8), degree=2)
+        lines = [5, 5, 0, 17, 3]
+        assert pf.issue_strides(np.array(lines, dtype=np.int64)).tolist() == [1] * 5
+        for line in lines:
+            assert self._issued_on_empty(pf, line) == [line + 1, line + 2]
+
+
+class TestIdle:
+    """idle(): observing the lines alone would change nothing, so the
+    batched replay may skip a block that never reached the LLC."""
+
+    def test_needs_every_candidate_cached_and_no_line_outstanding(self):
+        cache = SetAssociativeCache(64 * 64, line=64, ways=8)
+        pf = NextLinePrefetcher(cache, degree=2)
+        lines = np.array([10, 11], dtype=np.int64)
+        strides = pf.issue_strides(lines)
+        assert not pf.idle(lines, strides)  # 12 and 13 would be prefetched
+        for line in (11, 12, 13):
+            cache.insert(line)
+        assert pf.idle(lines, strides)
+        pf._outstanding.add(11)
+        assert not pf.idle(lines, strides)  # observing 11 scores it useful
+
+    def test_zero_strides_and_negative_candidates_issue_nothing(self):
+        pf = StridePrefetcher(SetAssociativeCache(64 * 64, line=64, ways=8), degree=2)
+        assert pf.idle(np.array([3, 1], dtype=np.int64), np.array([0, -2]))
 
 
 class TestHierarchyIntegration:

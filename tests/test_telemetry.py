@@ -282,6 +282,53 @@ class TestIntegration:
         assert reg.counter("memory.L1.accesses").value == 8192
         assert reg.counter("memory.L1.cache.evictions").value >= 0
 
+    @pytest.mark.parametrize("prefetch", [None, "next-line", "stride"])
+    def test_replay_counters_explain_hierarchy_run(self, prefetch):
+        import numpy as np
+
+        from repro.memory import for_broadwell
+        from repro.platforms import broadwell
+
+        telemetry.configure(enabled=True)
+        reg = telemetry.get_registry()
+        h = for_broadwell(broadwell(), scale=0.001, prefetch=prefetch)
+        rng = np.random.default_rng(5)
+        # A hot loop the 8-line L1 resolves wholesale, then a strided
+        # sweep and a random phase that walk.
+        addrs = np.concatenate(
+            [np.tile(np.arange(6), 3000), np.arange(0, 30_000, 3), rng.integers(0, 9000, 6000)]
+        )
+        writes = rng.random(addrs.size) < 0.3
+        issued = useful = 0
+        for run in range(3):
+            if run == 2:
+                h.reset()  # zeroes the prefetch stats, not the published totals
+            pf = h._prefetcher
+            before = (pf.stats.issued, pf.stats.useful) if pf else (0, 0)
+            h.run_array(addrs, writes)
+            if pf is not None:
+                issued += pf.stats.issued - before[0]
+                useful += pf.stats.useful - before[1]
+                assert reg.counter("memory.prefetch.issued").value == issued > 0
+                assert reg.counter("memory.prefetch.useful").value == useful > 0
+        assert ("memory.prefetch.issued" in reg) == (prefetch is not None)
+
+        def replay(level, kind):
+            return reg.counter(f"memory.{level}.replay.{kind}").value
+
+        # Events each level received over the three runs: every
+        # reference at L1; below, the level above's misses plus its
+        # dirty-victim writebacks (published totals survive reset()).
+        received = addrs.size * 3
+        assert replay("L1", "wholesale") > 0 and replay("L1", "walked") > 0
+        for name in ("L1", "L2", "L3"):
+            assert replay(name, "wholesale") + replay(name, "walked") == received, name
+            received = sum(
+                reg.counter(f"memory.{name}.{k}").value for k in ("misses", "writebacks")
+            )
+        if prefetch is not None:
+            assert replay("L3", "wholesale") == 0  # every reference is observed
+
     def test_kernel_trace_and_simulate_spans(self):
         from repro.kernels import StreamKernel
         from repro.memory import for_broadwell
@@ -290,10 +337,10 @@ class TestIntegration:
         telemetry.configure(enabled=True)
         kernel = StreamKernel(512)
         h = for_broadwell(broadwell(), scale=0.0005)
-        stats = kernel.simulate_batched(h)
+        stats = kernel.simulate(h)
         assert stats["L1"].accesses > 0
         names = {sp.name for sp in telemetry.get_tracer().finished()}
-        assert {"kernel.trace", "kernel.simulate_batched", "hierarchy.run"} <= names
+        assert {"kernel.trace", "kernel.simulate", "hierarchy.run"} <= names
         assert telemetry.get_registry().counter(
             "kernel.stream.trace_events"
         ).value == 3 * 512

@@ -57,6 +57,32 @@ def _stats_dict(stats):
     return {lvl.name: lvl.counters() for lvl in stats.levels}
 
 
+def _full_state(h):
+    """Everything the simulator holds, not just the level counters.
+
+    Per-set LRU order and dirty bits plus the replacement and dirty-flow
+    counters of every cache (stages, eDRAM victim cache, KNL MCDRAM
+    cache), the dirty ledger, and the prefetcher's statistics,
+    outstanding set and predictor state. The writeback books must close.
+    """
+    assert h.conservation_violations() == []
+    caches = [stage.cache for stage in h._stages]
+    if h._victim is not None:
+        caches.append(h._victim.cache)
+    if h._mcdram_cache is not None:
+        caches.append(h._mcdram_cache)
+    pf = h._prefetcher
+    return {
+        "levels": _stats_dict(h.stats()),
+        "sets": [[list(s.items()) for s in c._sets] for c in caches],
+        "counters": [c.telemetry_counters() for c in caches],
+        "ledger": h.dirty_ledger(),
+        "prefetch": None
+        if pf is None
+        else {k: v for k, v in vars(pf).items() if k not in ("cache", "on_evict")},
+    }
+
+
 def _random_trace(seed, n=8_000, span=5_000, p_write=0.4):
     rng = np.random.default_rng(seed)
     addrs = rng.integers(0, span, size=n).astype(np.int64)
@@ -245,7 +271,7 @@ class TestRunArray:
             scalar.access(a, write=w)
         for chunk_a, chunk_w in chunk_arrays(addrs, writes, chunk=1900):
             batched.run_array(chunk_a, chunk_w)
-        assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
+        assert _full_state(batched) == _full_state(scalar)
 
     @pytest.mark.parametrize("mode", list(McdramMode))
     def test_knl_identical_to_scalar(self, mode):
@@ -284,7 +310,7 @@ class TestKernelTraceChunks:
         scalar_h = for_broadwell(broadwell(), scale=SCALE)
         batched_h = for_broadwell(broadwell(), scale=SCALE)
         s = _oracle_replay(kernel, scalar_h, reps=2)
-        b = kernel.simulate_batched(batched_h, reps=2)
+        b = kernel.simulate(batched_h, reps=2)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("mode", list(McdramMode))
@@ -295,20 +321,21 @@ class TestKernelTraceChunks:
         scalar_h = for_knl(knl(mode), mode, scale=SCALE)
         batched_h = for_knl(knl(mode), mode, scale=SCALE)
         s = _oracle_replay(kernel, scalar_h, reps=1)
-        b = kernel.simulate_batched(batched_h, reps=1)
+        b = kernel.simulate(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
     @pytest.mark.parametrize("prefetch", ["next-line", "stride"])
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_simulate_batched_identical_with_prefetch(self, name, prefetch):
-        """Prefetch forces the batched path onto its per-reference
-        branch; the results must still be identical."""
+        """Prefetching hierarchies take the level passes too, with each
+        reference's observation merged into the LLC pass; the whole
+        simulator state must match the scalar observe-then-walk."""
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
         batched_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        s = _oracle_replay(kernel, scalar_h, reps=1)
-        b = kernel.simulate_batched(batched_h, reps=1)
-        assert _stats_dict(b) == _stats_dict(s)
+        _oracle_replay(kernel, scalar_h, reps=1)
+        kernel.simulate(batched_h, reps=1)
+        assert _full_state(batched_h) == _full_state(scalar_h)
 
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_reps_zero_yields_nothing(self, name):
@@ -318,6 +345,9 @@ class TestKernelTraceChunks:
     def test_negative_reps_rejected(self):
         with pytest.raises(ValueError, match="reps must be >= 0"):
             kernel_trace_chunks(StreamKernel(n=10), reps=-1)
+
+
+PREFETCH_FUZZ_SHAPES = ("random", "strided", "hot")
 
 
 class TestFuzzDifferential:
@@ -367,6 +397,64 @@ class TestFuzzDifferential:
         empty = np.empty(0, dtype=np.int64)
         h.run_batched([(empty, None), (empty, np.empty(0, dtype=bool))])
         assert h.stats().total_accesses == 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("edram", [True, False])
+    @pytest.mark.parametrize("prefetch", ["next-line", "stride"])
+    @pytest.mark.parametrize("shape", PREFETCH_FUZZ_SHAPES)
+    def test_prefetch_full_state(self, shape, prefetch, edram, seed):
+        """Prefetching replay vs access(), on the whole simulator state,
+        across random chunk splits (which cut the merged LLC stream and
+        carry the stride predictor over at arbitrary points). "hot"
+        folds the strided runs into the 8-line L1, so whole blocks
+        resolve above the LLC and only their observations remain."""
+        shape_id = PREFETCH_FUZZ_SHAPES.index(shape)
+        rng = np.random.default_rng([seed, edram, prefetch == "stride", shape_id])
+        n = int(rng.integers(6_000, 12_000))
+        scale = float(rng.choice([SCALE, 0.01, 1.0]))
+        if shape == "random":
+            addrs = rng.integers(0, int(rng.integers(50, 6000)), size=n)
+        else:
+            # Piecewise-strided runs, incl. zero and negative strides.
+            runs = []
+            while sum(map(len, runs)) < n:
+                stride = int(rng.choice([0, 1, 3, -2, 7]))
+                start = int(rng.integers(0, 5000))
+                runs.append(np.abs(start + stride * np.arange(rng.integers(1, 400))))
+            addrs = np.concatenate(runs)[:n]
+            if shape == "hot":
+                addrs %= int(rng.integers(2, 9))
+                scale = SCALE
+        addrs = addrs.astype(np.int64)
+        writes = rng.random(n) < float(rng.random())
+        scalar = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=prefetch)
+        batched = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=prefetch)
+        for a, w in zip(addrs.tolist(), writes.tolist()):
+            scalar.access(a, write=w)
+        pos = 0
+        while pos < n:
+            size = int(rng.integers(1, 9001))
+            batched.run_array(addrs[pos : pos + size], writes[pos : pos + size])
+            pos += size
+        assert _full_state(batched) == _full_state(scalar)
+
+    def test_prefetch_observes_blocks_resolved_above_the_llc(self):
+        """A block that never reaches the LLC still replays its
+        observations when they would issue: here the second chunk only
+        hits the 8-line L1, but confirms a stride whose candidates the
+        LLC has not seen."""
+        scalar = for_broadwell(broadwell(), scale=SCALE, prefetch="stride")
+        batched = for_broadwell(broadwell(), scale=SCALE, prefetch="stride")
+        # No two equal strides in a row: warms L1 without prefetching.
+        warm = np.tile([0, 5, 1, 7, 3, 6, 2, 4], 600)
+        for chunk in (warm, np.tile([0, 2, 4, 6], 1500)):
+            chunk = chunk.astype(np.int64)
+            for a in chunk.tolist():
+                scalar.access(a)
+            batched.run_array(chunk)
+        assert batched.stats()["L1"].misses == 8
+        assert batched._prefetcher.stats.issued == 4  # lines 8, 10, 12, 14
+        assert _full_state(batched) == _full_state(scalar)
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_random_chunk_splits_knl(self, seed):
