@@ -22,25 +22,32 @@ inserts a direct-mapped stage (capacity derated for conflicts), flat mode
 splits the memory boundary into static-share channels (with the
 straddling penalty of paper Section 4.2.1-II when an allocation spans
 both nodes), and hybrid composes a flat half over a cache half.
+
+:func:`estimate` is one pass per call: the stack's straddle-adjusted
+stage constants are derived once into a table that every phase walks.
+Its floats follow a fixed evaluation order, pinned against a per-phase
+oracle by ``tests/test_engine_oracle.py``; the lognormal noise factor is
+memoized per ``(seed, sigma)``. See docs/MODEL.md, "Evaluation".
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.engine.calibration import DEFAULT_KNOBS, ModelKnobs, efficiency
-from repro.kernels.profile import Phase, WorkloadProfile
+from repro.kernels.profile import WorkloadProfile
 from repro.memory.mcdram import McdramConfig
 from repro.platforms.spec import LINE_BYTES, MachineSpec
 from repro.platforms.tuning import EdramMode, McdramMode
 
 
-@dataclasses.dataclass(frozen=True)
-class _Stage:
+class _Stage(NamedTuple):
     """One absorber in the configured stack."""
 
     name: str
@@ -56,8 +63,7 @@ class _Stage:
     direct_mapped: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
-class _Stack:
+class _Stack(NamedTuple):
     stages: tuple[_Stage, ...]
     memory: _Stage  # the final DRAM channel
     straddling: bool
@@ -100,19 +106,6 @@ class RunResult:
 # -- stack construction -------------------------------------------------------
 
 
-def _cache_stages(machine: MachineSpec) -> list[_Stage]:
-    return [
-        _Stage(
-            name=lvl.name,
-            kind="cache",
-            capacity=float(lvl.capacity or 0),
-            bandwidth=lvl.bandwidth,
-            latency=lvl.latency,
-        )
-        for lvl in machine.caches
-    ]
-
-
 def build_stack(
     machine: MachineSpec,
     footprint: float,
@@ -122,14 +115,12 @@ def build_stack(
     knobs: ModelKnobs = DEFAULT_KNOBS,
 ) -> _Stack:
     """Resolve the OPM configuration into an ordered absorber stack."""
-    stages = _cache_stages(machine)
-    dram = _Stage(
-        name=machine.dram.name,
-        kind="cache",
-        capacity=math.inf,
-        bandwidth=machine.dram.bandwidth,
-        latency=machine.dram.latency,
-    )
+    stages = [
+        _Stage(lvl.name, "cache", float(lvl.capacity or 0), lvl.bandwidth, lvl.latency)
+        for lvl in machine.caches
+    ]
+    mem = machine.dram
+    dram = _Stage(mem.name, "cache", math.inf, mem.bandwidth, mem.latency)
     opm = machine.opm
     if opm is None or (opm.kind == "victim-cache" and _edram_off(edram)):
         return _Stack(tuple(stages), dram, straddling=False)
@@ -139,15 +130,7 @@ def build_stack(
         if not knobs.edram_victim:
             # Inclusive design ablation: the L4 duplicates L3 contents.
             cap = max(0.0, cap - float(machine.llc.capacity or 0))
-        stages.append(
-            _Stage(
-                name=opm.name,
-                kind="cache",
-                capacity=cap,
-                bandwidth=opm.bandwidth,
-                latency=opm.latency,
-            )
-        )
+        stages.append(_Stage(opm.name, "cache", cap, opm.bandwidth, opm.latency))
         return _Stack(tuple(stages), dram, straddling=False)
 
     # Memory-side OPM (MCDRAM).
@@ -195,7 +178,7 @@ def _edram_off(edram: EdramMode | bool | None) -> bool:
     return not edram
 
 
-# -- per-phase evaluation ------------------------------------------------------
+# -- evaluation ----------------------------------------------------------------
 
 
 def _valley_ramp(footprint: float, llc_capacity: float, knobs: ModelKnobs) -> float:
@@ -214,125 +197,6 @@ def _valley_ramp(footprint: float, llc_capacity: float, knobs: ModelKnobs) -> fl
     return float(min(1.0, max(knobs.valley_floor, ramp)))
 
 
-def _phase_time(
-    phase: Phase,
-    profile: WorkloadProfile,
-    machine: MachineSpec,
-    stack: _Stack,
-    knobs: ModelKnobs,
-) -> PhaseResult:
-    demand = phase.demand_bytes
-    footprint = float(profile.footprint_bytes)
-    straddle_bw = knobs.flat_straddle_bandwidth_factor if stack.straddling else 1.0
-    straddle_lat = knobs.flat_straddle_latency_factor if stack.straddling else 1.0
-    straddle_cap = knobs.flat_straddle_cache_factor if stack.straddling else 1.0
-
-    llc_capacity = float(machine.llc.capacity or 0)
-    base_mlp = phase.global_mlp(machine.cores)
-    # On-chip hits are pipelined; the valley ramp only throttles the
-    # parallelism available to *below-LLC* misses.
-    miss_mlp = base_mlp * _valley_ramp(footprint, llc_capacity, knobs)
-    opm_name = machine.opm.name if machine.opm is not None else None
-    opm_port_bw = machine.opm.bandwidth if machine.opm is not None else 0.0
-
-    remaining = 1.0  # fraction of demand still unserved
-    cum = 0.0  # cumulative absorber capacity seen so far
-    on_chip = True
-    loads: list[StageLoad] = []
-    channel_times: list[tuple[str, float]] = []
-    opm_port_load = 0.0  # MCDRAM flat + cache halves share one device
-    latency_s = 0.0
-
-    for stage in stack.stages:
-        is_opm_stage = opm_name is not None and stage.name.startswith(opm_name)
-        if is_opm_stage:
-            on_chip = False
-        transit = demand * remaining
-        if stage.kind == "cache":
-            capacity = stage.capacity * straddle_cap
-            frac_above = phase.reuse(cum)
-            cum += capacity
-            frac_here = phase.reuse(cum)
-            cond_hit = 0.0
-            if frac_above < 1.0:
-                cond_hit = max(0.0, (frac_here - frac_above) / (1.0 - frac_above))
-            if stage.direct_mapped and frac_above < 1.0:
-                # Proportional residency: a direct-mapped memory-side
-                # cache keeps ~capacity/working-set of an over-capacity
-                # cyclic footprint resident (no LRU thrash). Applies to
-                # the fraction of traffic that is re-referenced at all.
-                overflow_ws = max(capacity, footprint - (cum - capacity))
-                residency = min(1.0, capacity / overflow_ws)
-                reusable = max(
-                    0.0,
-                    (phase.reuse.max_fraction - frac_above)
-                    / (1.0 - frac_above),
-                )
-                cond_hit = max(cond_hit, residency * reusable)
-            served = transit * cond_hit
-            remaining *= 1.0 - cond_hit
-            port_load = transit  # misses transit on the fill path too
-        else:  # flat: static placement share
-            served = transit * stage.share
-            remaining *= 1.0 - stage.share
-            cum += stage.capacity
-            port_load = served  # pass-down traffic does not cross this port
-        # Dirty evictions from the on-chip caches land wherever the data
-        # is serviced: any memory-side stage (flat or OPM cache) carries
-        # write-back traffic for what it serves, as does an on-chip level
-        # big enough to hold the whole problem (steady-state residency).
-        is_memoryish = (
-            stage.kind == "flat" or is_opm_stage or stage.capacity >= footprint
-        )
-        wb = phase.write_fraction * served if is_memoryish else 0.0
-        bw = stage.bandwidth * (straddle_bw if stage.kind == "flat" else 1.0)
-        channel_times.append((stage.name, (port_load + wb) / (bw * 1e9)))
-        if is_opm_stage:
-            opm_port_load += port_load + wb
-        lat = stage.latency * (straddle_lat if stage.kind == "flat" else 1.0)
-        mlp = base_mlp if on_chip else miss_mlp
-        latency_s += (served / LINE_BYTES) * lat * 1e-9 / mlp
-        loads.append(StageLoad(stage.name, transit, served))
-
-    if opm_port_load > 0.0 and opm_port_bw > 0.0:
-        # Hybrid mode: the flat and cache halves are the same physical
-        # MCDRAM; their combined traffic cannot exceed the device port.
-        channel_times.append(
-            (f"{opm_name}-port", opm_port_load / (opm_port_bw * straddle_bw * 1e9))
-        )
-
-    # Final DRAM channel.
-    transit = demand * remaining
-    wb = phase.write_fraction * transit
-    dram_bw = stack.memory.bandwidth * straddle_bw
-    channel_times.append((stack.memory.name, (transit + wb) / (dram_bw * 1e9)))
-    latency_s += (
-        (transit / LINE_BYTES)
-        * stack.memory.latency
-        * straddle_lat
-        * 1e-9
-        / miss_mlp
-    )
-    loads.append(StageLoad(stack.memory.name, transit, transit))
-
-    eff = profile.compute_efficiency * efficiency(profile.kernel, machine.arch)
-    compute_s = phase.flops / (machine.dp_peak_gflops * 1e9 * eff)
-    bw_stage, bw_s = max(channel_times, key=lambda kv: kv[1])
-    core = max(compute_s, bw_s, latency_s)
-    if core == compute_s:
-        bound = "compute"
-    elif core == bw_s:
-        bound = f"bandwidth:{bw_stage}"
-    else:
-        bound = "latency"
-    total = core + phase.serial_overhead_s
-    if phase.serial_overhead_s > core:
-        bound = "overhead"
-    return PhaseResult(
-        name=phase.name, seconds=total, bound=bound, loads=tuple(loads)
-    )
-
-
 # -- public API ----------------------------------------------------------------
 
 
@@ -346,42 +210,163 @@ def estimate(
     noise_seed: int | None = None,
 ) -> RunResult:
     """Model one kernel run; see the module docstring for semantics."""
-    stack = build_stack(
-        machine,
-        float(profile.footprint_bytes),
-        edram=edram,
-        mcdram=mcdram,
-        knobs=knobs,
-    )
-    phases = tuple(
-        _phase_time(p, profile, machine, stack, knobs) for p in profile.phases
-    )
-    seconds = sum(p.seconds for p in phases)
-    gflops = profile.flops / seconds / 1e9 if seconds > 0 else 0.0
-    if knobs.noise_sigma > 0.0:
-        rng = np.random.default_rng(_derive_seed(profile, noise_seed))
-        gflops *= float(np.exp(rng.normal(0.0, knobs.noise_sigma)))
-        seconds = profile.flops / (gflops * 1e9) if gflops > 0 else seconds
-    opm_bytes = 0.0
+    footprint = float(profile.footprint_bytes)
+    stack = build_stack(machine, footprint, edram=edram, mcdram=mcdram, knobs=knobs)
+    s_bw = s_lat = s_cap = 1.0
+    if stack.straddling:
+        s_bw = knobs.flat_straddle_bandwidth_factor
+        s_lat = knobs.flat_straddle_latency_factor
+        s_cap = knobs.flat_straddle_cache_factor
+    opm = machine.opm
+    opm_name = opm.name if opm is not None else None
+
+    # Per-call stage table: (name, flat, capacity, share, bandwidth in B/s,
+    # latency, OPM stage, on-chip, memory-ish, direct-mapped).
+    table = []
+    on_chip = True
+    for stage in stack.stages:
+        flat = stage.kind == "flat"
+        is_opm = opm_name is not None and stage.name.startswith(opm_name)
+        on_chip = on_chip and not is_opm
+        # Dirty evictions from the on-chip caches land wherever the data
+        # is serviced: any memory-side stage (flat or OPM cache) carries
+        # write-back traffic for what it serves, as does an on-chip level
+        # big enough to hold the whole problem (steady-state residency).
+        memoryish = flat or is_opm or stage.capacity >= footprint
+        table.append((
+            stage.name,
+            flat,
+            stage.capacity if flat else stage.capacity * s_cap,
+            stage.share,
+            stage.bandwidth * (s_bw if flat else 1.0) * 1e9,
+            stage.latency * (s_lat if flat else 1.0),
+            is_opm,
+            on_chip,
+            memoryish,
+            stage.direct_mapped,
+        ))
+    memory = stack.memory
+    dram_hz = memory.bandwidth * s_bw * 1e9
+    port_hz = opm.bandwidth * s_bw * 1e9 if opm is not None else 0.0
+    eff = profile.compute_efficiency * efficiency(profile.kernel, machine.arch)
+    peak = machine.dp_peak_gflops * 1e9 * eff
+    ramp = _valley_ramp(footprint, float(machine.llc.capacity or 0), knobs)
+
+    phases: list[PhaseResult] = []
+    dominant: PhaseResult | None = None
+    opm_bytes = 0.0  # traffic served by the OPM stages
     dram_bytes = 0.0
-    opm_name = machine.opm.name if machine.opm else None
-    for pr in phases:
-        for load in pr.loads:
-            if opm_name and load.name.startswith(opm_name):
-                opm_bytes += load.served_bytes
-            elif load.name == machine.dram.name:
-                dram_bytes += load.served_bytes
-    dominant = max(phases, key=lambda p: p.seconds)
+    for phase in profile.phases:
+        demand = phase.demand_bytes
+        reuse = phase.reuse
+        write_fraction = phase.write_fraction
+        base_mlp = phase.global_mlp(machine.cores)
+        # On-chip hits are pipelined; the valley ramp only throttles the
+        # parallelism available to *below-LLC* misses.
+        miss_mlp = base_mlp * ramp
+        remaining = 1.0  # fraction of demand still unserved
+        cum = 0.0  # cumulative absorber capacity seen so far
+        above = reuse(cum)  # hit fraction of the capacity above this stage
+        loads: list[StageLoad] = []
+        bw_stage, bw_s = None, 0.0  # most loaded channel (first wins a tie)
+        opm_port_load = 0.0  # MCDRAM flat + cache halves share one device
+        latency_s = 0.0
+        for name, flat, capacity, share, bw, lat, is_opm, on_chip, memoryish, dm in table:
+            transit = demand * remaining
+            if flat:  # static placement share
+                served = transit * share
+                remaining *= 1.0 - share
+                cum += capacity
+                above = reuse(cum)
+                port_load = served  # pass-down traffic does not cross this port
+            else:
+                cum += capacity
+                here = reuse(cum)
+                cond_hit = 0.0
+                if above < 1.0:
+                    cond_hit = max(0.0, (here - above) / (1.0 - above))
+                    if dm:
+                        # Proportional residency: a direct-mapped memory-side
+                        # cache keeps ~capacity/working-set of an over-capacity
+                        # cyclic footprint resident (no LRU thrash). Applies to
+                        # the fraction of traffic that is re-referenced at all.
+                        overflow_ws = max(capacity, footprint - (cum - capacity))
+                        residency = min(1.0, capacity / overflow_ws)
+                        reusable = max(0.0, (reuse.max_fraction - above) / (1.0 - above))
+                        cond_hit = max(cond_hit, residency * reusable)
+                above = here
+                served = transit * cond_hit
+                remaining *= 1.0 - cond_hit
+                port_load = transit  # misses transit on the fill path too
+            wb = write_fraction * served if memoryish else 0.0
+            channel_s = (port_load + wb) / bw
+            if bw_stage is None or channel_s > bw_s:
+                bw_stage, bw_s = name, channel_s
+            if is_opm:
+                opm_port_load += port_load + wb
+                opm_bytes += served
+            mlp = base_mlp if on_chip else miss_mlp
+            latency_s += (served / LINE_BYTES) * lat * 1e-9 / mlp
+            loads.append(StageLoad(name, transit, served))
+
+        if opm_port_load > 0.0:
+            # Hybrid mode: the flat and cache halves are the same physical
+            # MCDRAM; their combined traffic cannot exceed the device port.
+            channel_s = opm_port_load / port_hz
+            if channel_s > bw_s:
+                bw_stage, bw_s = f"{opm_name}-port", channel_s
+
+        # Final DRAM channel.
+        transit = demand * remaining
+        channel_s = (transit + write_fraction * transit) / dram_hz
+        if bw_stage is None or channel_s > bw_s:
+            bw_stage, bw_s = memory.name, channel_s
+        latency_s += (transit / LINE_BYTES) * memory.latency * s_lat * 1e-9 / miss_mlp
+        loads.append(StageLoad(memory.name, transit, transit))
+        dram_bytes += transit
+
+        compute_s = phase.flops / peak
+        core = max(compute_s, bw_s, latency_s)
+        if core == compute_s:
+            bound = "compute"
+        elif core == bw_s:
+            bound = f"bandwidth:{bw_stage}"
+        else:
+            bound = "latency"
+        total = core + phase.serial_overhead_s
+        if phase.serial_overhead_s > core:
+            bound = "overhead"
+        result = PhaseResult(phase.name, total, bound, tuple(loads))
+        phases.append(result)
+        if dominant is None or total > dominant.seconds:
+            dominant = result
+
+    seconds = sum(p.seconds for p in phases)
+    flops = profile.flops
+    gflops = flops / seconds / 1e9 if seconds > 0 else 0.0
+    if knobs.noise_sigma > 0.0:
+        gflops *= _noise_factor(_derive_seed(profile, noise_seed), knobs.noise_sigma)
+        seconds = flops / (gflops * 1e9) if gflops > 0 else seconds
     return RunResult(
         kernel=profile.kernel,
         machine=machine.name,
         seconds=seconds,
         gflops=gflops,
         bound=dominant.bound,
-        phases=phases,
+        phases=tuple(phases),
         opm_bytes=opm_bytes,
         dram_bytes=dram_bytes,
     )
+
+
+@functools.lru_cache(maxsize=8192)
+def _noise_factor(seed: int, sigma: float) -> float:
+    """Lognormal GFlop/s jitter for one derived seed.
+
+    Memoized: building a ``Generator`` costs more than the rest of a noisy
+    call, and a sweep prices each seed under several modes.
+    """
+    return float(np.exp(np.random.default_rng(seed).normal(0.0, sigma)))
 
 
 def _derive_seed(profile: WorkloadProfile, noise_seed: int | None) -> int:

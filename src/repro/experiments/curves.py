@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import MODE_LABELS, run_broadwell_sweep, run_knl_sweep
+from repro.experiments.sweeps import MODE_LABELS, run_broadwell_sweep, run_knl_sweep, speedups
 from repro.kernels.base import Kernel
 from repro.viz import line_chart
 
@@ -44,7 +44,7 @@ def curve_experiment(
     )
     base = series[labels[0]]
     for label in labels[1:]:
-        ratio = series[label] / np.maximum(base, 1e-12)
+        ratio = speedups(series[label], base)
         result.notes.append(
             f"{label}: max gain {ratio.max():.2f}x over {labels[0]}, "
             f"at footprint {fps[int(np.argmax(ratio))]:.1f} MB."

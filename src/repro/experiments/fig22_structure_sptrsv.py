@@ -17,7 +17,7 @@ from repro.experiments.sparse_exp import (
     structure_grid,
     structure_rows,
 )
-from repro.experiments.sweeps import collection_for, run_knl_sweep
+from repro.experiments.sweeps import collection_for, run_knl_sweep, speedups
 from repro.kernels import SptrsvKernel
 from repro.sparse import MatrixDescriptor
 from repro.viz import heatmap
@@ -40,7 +40,7 @@ def run(quick: bool = True) -> ExperimentResult:
     nnz = np.array([d.nnz for d in collection])
     flat = np.array([p.gflops("Flat") for p in points])
     ddr = np.array([p.gflops("DDR") for p in points])
-    speedup = flat / np.maximum(ddr, 1e-12)
+    speedup = speedups(flat, ddr)
     grid, row_edges, nnz_edges = structure_grid(rows, nnz, speedup)
     result.figures.append(
         heatmap(

@@ -13,6 +13,7 @@ import numpy as np
 from repro.engine import stepping
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
+from repro.experiments.sweeps import speedups
 from repro.platforms import broadwell
 from repro.viz import line_chart
 
@@ -43,7 +44,7 @@ def run(quick: bool = True) -> ExperimentResult:
         list(zip(sizes.tolist(), on_a.gflops.tolist(), off_a.gflops.tolist())),
     )
     # The PER: sizes where eDRAM delivers a speedup.
-    speedup = on_a.gflops / np.maximum(off_a.gflops, 1e-12)
+    speedup = speedups(on_a.gflops, off_a.gflops)
     effective = sizes[speedup > 1.01]
     if len(effective):
         result.notes.append(

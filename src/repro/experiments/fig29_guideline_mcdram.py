@@ -12,6 +12,7 @@ import numpy as np
 from repro.engine import stepping
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
+from repro.experiments.sweeps import speedups
 from repro.platforms import McdramMode, knl
 from repro.platforms.tuning import ALL_MCDRAM_MODES
 from repro.viz import line_chart
@@ -70,6 +71,6 @@ def run(quick: bool = True) -> ExperimentResult:
         result.notes.append(
             "Guideline III — hybrid peaks where the hot set fits its cache "
             "half but the data exceeds the flat half: hybrid/cache ratio "
-            f"up to {float((hybrid[mid] / np.maximum(cache[mid], 1e-12)).max()):.2f}x there."
+            f"up to {float(speedups(hybrid[mid], cache[mid]).max()):.2f}x there."
         )
     return result

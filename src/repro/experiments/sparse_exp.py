@@ -18,10 +18,11 @@ from repro.experiments.sweeps import (
     collection_for,
     run_broadwell_sweep,
     run_knl_sweep,
+    speedups,
 )
 from repro.kernels.base import Kernel
 from repro.sparse import MatrixDescriptor
-from repro.viz import heatmap, line_chart, scatter
+from repro.viz import heatmap, line_chart
 
 #: Lognormal run-to-run jitter for scatter realism in the sparse figures.
 SPARSE_NOISE_SIGMA = 0.06
@@ -63,14 +64,14 @@ def sparse_experiment(
         )
     )
     # Speedup vs baseline.
-    speedups = {
-        label: mode_values[label] / np.maximum(mode_values[base_label], 1e-12)
+    ratios = {
+        label: speedups(mode_values[label], mode_values[base_label])
         for label in opm_labels
     }
     result.figures.append(
         line_chart(
             footprints,
-            speedups,
+            ratios,
             title=f"{title}: speedup vs {base_label}",
             y_label="speedup",
         )
@@ -98,7 +99,7 @@ def sparse_experiment(
         ],
     )
     for label in opm_labels:
-        sp = speedups[label]
+        sp = ratios[label]
         result.notes.append(
             f"{label}: avg speedup {sp.mean():.3f}x, max {sp.max():.3f}x, "
             f">1x on {np.mean(sp > 1.001):.0%} of matrices; effective "
@@ -106,7 +107,7 @@ def sparse_experiment(
         )
     if structure_heatmap:
         grid, row_edges, nnz_edges = structure_grid(
-            rows_arr, nnz_arr, speedups[opm_labels[0]]
+            rows_arr, nnz_arr, ratios[opm_labels[0]]
         )
         result.figures.append(
             heatmap(
@@ -119,7 +120,7 @@ def sparse_experiment(
         result.add_table(
             "structure",
             ("log2_rows_bin", "log2_nnz_bin", "mean_speedup", "count"),
-            structure_rows(rows_arr, nnz_arr, speedups[opm_labels[0]]),
+            structure_rows(rows_arr, nnz_arr, ratios[opm_labels[0]]),
         )
     return result
 

@@ -8,6 +8,7 @@ once, with reduced "quick" variants used by tests and benchmarks.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,11 +75,13 @@ def fft_sizes(platform: str, *, quick: bool) -> list[int]:
     return full[::4] if quick else full
 
 
-def collection_for(*, quick: bool) -> list[MatrixDescriptor]:
-    """The 968-matrix collection (a deterministic 96-matrix subsample in
-    quick mode)."""
-    coll = build_collection()
-    return coll[::10] if quick else coll
+@functools.lru_cache(maxsize=None)
+def collection_for(*, quick: bool) -> tuple[MatrixDescriptor, ...]:
+    """The 968-matrix collection (every tenth matrix, 97 of them, in quick
+    mode), built once per process and shared as an immutable tuple."""
+    if quick:
+        return collection_for(quick=False)[::10]
+    return tuple(build_collection())
 
 
 # -- sweep runners -------------------------------------------------------------
@@ -171,7 +174,7 @@ class ModeSummary:
     best_opm: float  # best GFlop/s with it
     avg_gap: float  # mean (opm - base) over configurations
     max_gap: float
-    avg_speedup: float  # geometric-ish mean of per-config speedups
+    avg_speedup: float  # arithmetic mean of per-config speedups
     max_speedup: float
 
 
@@ -183,14 +186,14 @@ def summarize(
     opm_vals = np.array([p.gflops(opm) for p in points])
     if len(base_vals) == 0:
         raise ValueError("empty sweep")
-    speedups = opm_vals / np.maximum(base_vals, 1e-12)
+    ratios = speedups(opm_vals, base_vals)
     return ModeSummary(
         best_base=float(base_vals.max()),
         best_opm=float(opm_vals.max()),
         avg_gap=float((opm_vals - base_vals).mean()),
         max_gap=float((opm_vals - base_vals).max()),
-        avg_speedup=float(speedups.mean()),
-        max_speedup=float(speedups.max()),
+        avg_speedup=float(ratios.mean()),
+        max_speedup=float(ratios.max()),
     )
 
 
@@ -205,13 +208,28 @@ def geomean(values: Iterable[float]) -> float:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("geomean: empty sequence")
-    if not np.all(arr > 0):
-        first = int(np.flatnonzero(arr <= 0)[0])
-        raise ValueError(
-            f"geomean: values[{first}] = {arr[first]}: "
-            "geometric mean requires positive values"
-        )
+    _require_positive(arr, "geomean: values", "geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(arr))))
+
+
+def speedups(opm: Sequence[float] | np.ndarray, base: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Per-configuration speedups ``opm / base``, failing loudly on a
+    non-positive baseline.
+
+    Modelled GFlop/s are positive, so a zero or negative baseline is a
+    bug upstream; clamping it would report a 1e12x speedup instead.
+    """
+    base_arr = np.asarray(base, dtype=float)
+    _require_positive(base_arr, "speedups: base", "speedup requires a positive baseline")
+    return np.asarray(opm, dtype=float) / base_arr
+
+
+def _require_positive(arr: np.ndarray, what: str, why: str) -> None:
+    """Raise ``ValueError`` naming the first entry of ``arr`` that is not > 0."""
+    bad = np.flatnonzero(~(arr > 0))
+    if bad.size:
+        first = int(bad[0])
+        raise ValueError(f"{what}[{first}] = {arr[first]}: {why}")
 
 
 def representative_kernels(

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from repro.sparse import (
     COLLECTION_SIZE,

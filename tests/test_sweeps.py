@@ -1,17 +1,23 @@
 """Sweep grids (appendix A.2) and summary statistics (Tables 4/5)."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.experiments.sweeps import (
     MODE_LABELS,
+    SweepPoint,
     collection_for,
     dense_orders,
     dense_tiles,
     fft_sizes,
+    geomean,
     representative_kernels,
     run_broadwell_sweep,
     run_knl_sweep,
     stencil_grids,
+    speedups,
     stream_sizes,
     summarize,
 )
@@ -61,6 +67,13 @@ class TestGrids:
         full_names = {d.name for d in collection_for(quick=False)}
         assert all(d.name in full_names for d in quick)
 
+    def test_collection_built_once_per_process(self):
+        full = collection_for(quick=False)
+        assert isinstance(full, tuple)
+        assert collection_for(quick=False) is full
+        assert collection_for(quick=True) is collection_for(quick=True)
+        assert collection_for(quick=True) == full[::10]
+
 
 class TestSweepRunners:
     def test_broadwell_sweep_modes(self):
@@ -95,6 +108,31 @@ class TestSummarize:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             summarize([], base="a", opm="b")
+
+    def test_zero_baseline_rejected(self):
+        points = [
+            SweepPoint(
+                params={},
+                results={"base": SimpleNamespace(gflops=b), "opm": SimpleNamespace(gflops=2.0)},
+            )
+            for b in (1.0, 0.0)
+        ]
+        with pytest.raises(ValueError, match=r"base\[1\] = 0\.0"):
+            summarize(points, base="base", opm="opm")
+
+
+class TestSpeedups:
+    def test_elementwise_ratio(self):
+        np.testing.assert_array_equal(speedups([2.0, 3.0], [1.0, 2.0]), [2.0, 1.5])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_non_positive_baseline_raises(self, bad):
+        with pytest.raises(ValueError, match=r"speedups: base\[2\] = "):
+            speedups([1.0, 1.0, 1.0], [0.5, 1.0, bad])
+
+    def test_geomean_names_a_nan(self):
+        with pytest.raises(ValueError, match=r"geomean: values\[1\] = nan"):
+            geomean([1.0, float("nan")])
 
 
 class TestRepresentativeKernels:
