@@ -5,7 +5,11 @@ concurrency from the access stream; on real parts the L2/LLC prefetchers
 do much of that work. This experiment drives the *exact* simulator with
 the instrumented kernel traces (:mod:`repro.kernels.traces`) under no
 prefetching, next-line, and stride prefetching, and reports LLC hit rate,
-DRAM traffic, and prefetch accuracy per kernel.
+DRAM traffic, and prefetch accuracy per kernel. The three configurations
+of a kernel replay one trace as a group (``Hierarchy.run_batched`` with
+``also=``): the levels above the LLC, which no prefetcher touches, run
+once, and each configuration runs its own LLC and memory on what they
+leave over.
 
 Expected shape: streaming kernels (STREAM, stencil planes) are covered by
 next-line; SpMV's x-gathers are covered by neither (the gather stream has
@@ -50,12 +54,16 @@ def run(quick: bool = True) -> ExperimentResult:
     machine = broadwell()
     rows = []
     for name, kernel in _workloads(quick).items():
-        for kind in PREFETCHERS:
-            # Regenerate the chunk stream per configuration: one rep's
-            # arrays are built vectorized either way, and streaming them
-            # keeps peak memory at one chunk instead of the whole trace.
-            h = for_broadwell(machine, scale=0.001, prefetch=kind)
-            stats = h.run_batched(kernel_trace_chunks(kernel, reps=2))
+        hs = {kind: for_broadwell(machine, scale=0.001, prefetch=kind) for kind in PREFETCHERS}
+        # One trace, one L1/L2 replay: prefetchers only act at the LLC,
+        # so the three configurations share every level above it. A
+        # prefetching hierarchy leads, so perfbench/layers.py books the
+        # group's replay under memory.replay_prefetch.
+        hs["next-line"].run_batched(
+            kernel_trace_chunks(kernel, reps=2), also=(hs[None], hs["stride"])
+        )
+        for kind, h in hs.items():
+            stats = h.stats()
             pf = h._prefetcher
             rows.append(
                 (

@@ -50,6 +50,16 @@ _OBSERVE = 2
 _BLOCK_MIN = 4096
 _BLOCK_MAX = 1 << 16
 
+#: The cache counters a level pass advances; a replay group's other
+#: members take the receiver's deltas of these above the LLC.
+_PASS_COUNTERS = (
+    "n_evictions",
+    "n_dirty_evictions",
+    "n_dirty_created",
+    "n_dirty_received",
+    "n_dirty_merged",
+)
+
 
 class _CacheStage:
     """A standard inclusive-fill cache level with its counters."""
@@ -195,25 +205,50 @@ class Hierarchy:
     def run_batched(
         self,
         chunks: Iterable[tuple[np.ndarray, np.ndarray | bool | None]],
+        *,
+        also: Iterable[Hierarchy] = (),
     ) -> HierarchyStats:
         """Drive an iterable of ``(addrs, writes)`` ndarray chunks.
 
         The streaming companion to :meth:`run_array` — chunk generators
         (``repro.trace.batch``, ``repro.kernels.traces.kernel_trace_chunks``)
         plug in directly; one telemetry span covers the whole batch.
-        """
-        return self._replay(chunks)
 
-    def _replay(self, chunks: Iterable, **attrs: object) -> HierarchyStats:
+        ``also`` names other hierarchies to drive with the same chunks.
+        Nothing at or below the LLC feeds back into the levels above it,
+        so the group replays those levels once, on this hierarchy, and
+        each member runs its own LLC and everything below on the events
+        they leave over. Every member must match this one above the LLC
+        in geometry and starting contents (``ValueError`` otherwise,
+        before anything replays), and each ends exactly as its own solo
+        replay would. Returns this hierarchy's stats.
+        """
+        return self._replay(chunks, also=tuple(also))
+
+    def _replay(
+        self, chunks: Iterable, *, also: tuple[Hierarchy, ...] = (), **attrs: object
+    ) -> HierarchyStats:
         """Validate and replay ``(addrs, writes)`` chunks under one span."""
-        with telemetry.span(tm.SPAN_HIERARCHY_RUN, line=self.line, **attrs) as sp:
+        group = (self, *also)
+        _check_group(group)
+        with telemetry.span(
+            tm.SPAN_HIERARCHY_RUN, line=self.line, hierarchies=len(group), **attrs
+        ) as sp:
+            before = self._interior_counts()
             total = 0
-            for addrs, writes in chunks:
-                arr, warr = _coerce_chunk(addrs, writes)
-                self._run_chunk(arr, warr)
-                total += int(arr.shape[0])
+            try:
+                for addrs, writes in chunks:
+                    arr, warr = _coerce_chunk(addrs, writes)
+                    self._run_chunk(arr, warr, group)
+                    total += int(arr.shape[0])
+            finally:
+                # Also on a bad chunk: every member stops where its solo
+                # replay would have.
+                for h in also:
+                    h._follow(self, before)
             sp.set_attr("refs", total)
-        self._publish_telemetry()
+        for h in group:
+            h._publish_telemetry()
         return self.stats()
 
     # -- internals ---------------------------------------------------------
@@ -222,7 +257,39 @@ class Hierarchy:
         """Sink for victims displaced out of the LLC by prefetch fills."""
         self._handle_eviction(len(self._stages) - 1, ev)
 
-    def _run_chunk(self, addrs: np.ndarray, writes: np.ndarray) -> None:
+    def _interior_shape(self) -> tuple:
+        """Line size, level count and the geometry of every level above
+        the LLC: what a replay group's members must share."""
+        return (
+            self.line,
+            len(self._stages),
+            [(s.cache.n_sets, s.cache.ways, s.cache.line) for s in self._stages[:-1]],
+        )
+
+    def _interior_contents(self) -> list:
+        """LRU order and dirty bits of every set above the LLC."""
+        return [[list(s.items()) for s in st.cache._sets] for st in self._stages[:-1]]
+
+    def _interior_counts(self) -> list[tuple[dict[str, int], dict[str, int]]]:
+        """Level stats and pass-advanced cache counters above the LLC."""
+        return [
+            (st.stats.counters(), {a: getattr(st.cache, a) for a in _PASS_COUNTERS})
+            for st in self._stages[:-1]
+        ]
+
+    def _follow(self, receiver: Hierarchy, before: list) -> None:
+        """Take ``receiver``'s contents above the LLC, and the counts its
+        levels there advanced by since ``before``, as this member's own."""
+        for mine, theirs, (stats0, cache0) in zip(self._stages[:-1], receiver._stages, before):
+            for k, v in theirs.stats.counters().items():
+                setattr(mine.stats, k, getattr(mine.stats, k) + v - stats0[k])
+            for a, v in cache0.items():
+                setattr(mine.cache, a, getattr(mine.cache, a) + getattr(theirs.cache, a) - v)
+            for dst, src in zip(mine.cache._sets, theirs.cache._sets):
+                dst.clear()
+                dst.update(src)
+
+    def _run_chunk(self, addrs: np.ndarray, writes: np.ndarray, group: tuple) -> None:
         # The batched inner loop: set-bucketed, level-by-level replay.
         #
         # Each sub-block makes one pass per cache level over an *event*
@@ -244,7 +311,10 @@ class Hierarchy:
         # Prefetchers only insert into the LLC, and LLC evictions never
         # travel back up, so L1/L2 state does not depend on them. Each
         # reference's prefetch *observation* joins the LLC pass as a
-        # third event kind (see _observation_stream).
+        # third event kind (see _observation_stream). For the same
+        # reason a replay group (this hierarchy first) runs the levels
+        # above the LLC once, and each member's LLC pass starts from
+        # that one residue.
         #
         # Adaptive sub-blocks: grow while the first level resolves
         # (almost) everything vectorized, shrink back the moment it
@@ -255,33 +325,54 @@ class Hierarchy:
         start = 0
         while start < n:
             end = start + block
-            mostly_fast = self._run_block(addrs[start:end], writes[start:end])
+            mostly_fast = self._run_block(addrs[start:end], writes[start:end], group)
             start = end
             block = min(block * 2, _BLOCK_MAX) if mostly_fast else _BLOCK_MIN
 
-    def _run_block(self, lines: np.ndarray, flags: np.ndarray) -> bool:
-        """Replay one sub-block through every level; returns whether the
-        first level handled (nearly) all of it on the vectorized path."""
-        pf = self._prefetcher
-        last = len(self._stages) - 1
+    def _run_block(self, lines: np.ndarray, flags: np.ndarray, group: tuple) -> bool:
+        """Replay one sub-block through every level of every group member;
+        returns whether the first level handled (nearly) all of it on the
+        vectorized path."""
+        llc = len(self._stages) - 1
         refs = lines
-        idx = None if pf is None else np.arange(lines.shape[0])
+        prefetching = any(h._prefetcher is not None for h in group)
+        idx = np.arange(lines.shape[0]) if prefetching else None
         ins: np.ndarray | None = None
         first_fast = False
-        for i in range(last + 1):
-            if i == last and pf is not None:
-                # Every reference is observed, even in a block the levels
-                # above resolved wholesale, unless that changes nothing.
-                strides = pf.issue_strides(refs)
-                if lines is None and pf.idle(refs, strides):
-                    break
-                lines, ins, flags = _observation_stream(refs, strides, lines, ins, flags, idx)
-            if lines is None:
-                continue
+        for i in range(llc):
             lines, ins, flags, idx, fast = self._level_pass(i, lines, ins, flags, idx)
             if i == 0:
                 first_fast = fast
+            if lines is None:
+                break
+        for h in group:
+            fast = h._llc_pass(refs, lines, ins, flags, idx)
+            if llc == 0 and h is self:
+                first_fast = fast
         return first_fast
+
+    def _llc_pass(
+        self,
+        refs: np.ndarray,
+        lines: np.ndarray | None,
+        ins: np.ndarray | None,
+        flags: np.ndarray | None,
+        idx: np.ndarray | None,
+    ) -> bool:
+        """Run the LLC, and everything below it, on the events the levels
+        above left over from the block ``refs``; returns the pass's
+        mostly-vectorized flag."""
+        pf = self._prefetcher
+        if pf is not None:
+            # Every reference is observed, even in a block the levels
+            # above resolved wholesale, unless that changes nothing.
+            strides = pf.issue_strides(refs)
+            if lines is None and pf.idle(refs, strides):
+                return False
+            lines, ins, flags = _observation_stream(refs, strides, lines, ins, flags, idx)
+        if lines is None:
+            return False
+        return self._level_pass(len(self._stages) - 1, lines, ins, flags, None)[-1]
 
     def _level_pass(
         self,
@@ -296,9 +387,10 @@ class Hierarchy:
         ``lines`` holds the event line addresses in order; ``ins`` marks
         which events are dirty-victim inserts (None = pure access
         stream); ``flags`` carries the write bit for accesses and the
-        dirty bit (always True) for inserts. ``idx`` (None without a
-        prefetcher) holds each event's origin: the index of the block
-        reference that caused it. A prefetching hierarchy's LLC pass
+        dirty bit (always True) for inserts. ``idx`` (None unless a
+        member of the replay group prefetches) holds each event's origin:
+        the index of the block reference that caused it; the LLC pass
+        gets None. A prefetching hierarchy's LLC pass
         gets event kinds in ``ins`` (see :func:`_observation_stream`).
         Returns ``(lines, ins, flags, idx, mostly_fast)`` for the next
         level, with ``lines is None`` when nothing propagates deeper.
@@ -923,6 +1015,22 @@ def _coerce_chunk(
                 )
             warr = warr.astype(bool)
     return arr, warr
+
+
+def _check_group(group: tuple[Hierarchy, ...]) -> None:
+    """Reject a replay group whose members cannot share the levels
+    above the LLC; raises before any member is touched."""
+    if len({id(h) for h in group}) != len(group):
+        raise ValueError("a replay group lists one hierarchy twice")
+    receiver, *others = group
+    for h in others:
+        if h._interior_shape() != receiver._interior_shape():
+            raise ValueError(
+                "replay group members differ above the LLC: (line, levels, "
+                f"[(sets, ways, line)]) {h._interior_shape()} vs {receiver._interior_shape()}"
+            )
+        if h._interior_contents() != receiver._interior_contents():
+            raise ValueError("replay group members start with different contents above the LLC")
 
 
 def _observation_stream(refs, strides, lines, ins, flags, idx):

@@ -47,6 +47,22 @@ class LevelSchedule:
         return self.order[lo:hi]
 
 
+def row_dependencies(lower: CSRMatrix) -> list[list[int]]:
+    """Each row's strictly-lower column indices: the rows it waits for.
+
+    One walk over ``indptr``/``indices`` as Python lists; slicing the
+    NumPy arrays once per row costs more than the whole walk.
+    """
+    if not lower.is_square:
+        raise ValueError("level scheduling requires a square matrix")
+    indptr = lower.indptr.tolist()
+    indices = lower.indices.tolist()
+    return [
+        [j for j in indices[lo:hi] if j < i]
+        for i, (lo, hi) in enumerate(zip(indptr, indptr[1:]))
+    ]
+
+
 def build_levels(lower: CSRMatrix) -> LevelSchedule:
     """Compute the level schedule of a lower-triangular CSR matrix.
 
@@ -55,20 +71,13 @@ def build_levels(lower: CSRMatrix) -> LevelSchedule:
     order, which is a valid topological order for a lower-triangular
     system.
     """
-    n = lower.n_rows
-    if not lower.is_square:
-        raise ValueError("level scheduling requires a square matrix")
-    level = np.zeros(n, dtype=np.int32)
-    indptr = lower.indptr
-    indices = lower.indices
-    for i in range(n):
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        deps = indices[lo:hi]
-        deps = deps[deps < i]  # strictly-lower dependencies
-        if len(deps):
-            level[i] = int(level[deps].max()) + 1
+    levels: list[int] = []
+    level_at = levels.__getitem__
+    for deps in row_dependencies(lower):
+        levels.append(max(map(level_at, deps)) + 1 if deps else 0)
+    level = np.array(levels, dtype=np.int32)
     order = np.argsort(level, kind="stable").astype(np.int32)
-    n_levels = int(level.max()) + 1 if n else 0
+    n_levels = int(level.max()) + 1 if levels else 0
     counts = np.bincount(level, minlength=n_levels)
     offsets = np.zeros(n_levels + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import operator
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.levels import build_levels
+from repro.sparse.levels import row_dependencies
 
 
 def solve_syncfree(lower: CSRMatrix, b: np.ndarray) -> np.ndarray:
@@ -124,44 +125,49 @@ def simulate_schedule(
         raise ValueError("discipline must be 'level' or 'sync-free'")
     n = lower.n_rows
     costs = _row_costs(lower, per_nnz_cost, base_cost)
-    schedule = build_levels(lower)
-    # Critical path: longest cost-weighted dependency chain.
-    depth = np.zeros(n)
-    indptr, indices = lower.indptr, lower.indices
-    for i in range(n):
-        deps = indices[int(indptr[i]) : int(indptr[i + 1])]
-        deps = deps[deps < i]
-        longest = float(depth[deps].max()) if len(deps) else 0.0
-        depth[i] = longest + costs[i]
-    critical = float(depth.max()) if n else 0.0
+    cost = costs.tolist()
+    deps_of = row_dependencies(lower)
+    # One pass in row order (a topological order): each row's wavefront
+    # level and its cost-weighted depth, the longest dependency chain
+    # ending in it.
+    level: list[int] = []
+    depth: list[float] = []
+    level_at, depth_at = level.__getitem__, depth.__getitem__
+    for deps, c in zip(deps_of, cost):
+        level.append(max(map(level_at, deps)) + 1 if deps else 0)
+        depth.append((max(map(depth_at, deps)) if deps else 0.0) + c)
+    critical = max(depth) if n else 0.0
     busy = float(costs.sum())
 
     if discipline == "level":
+        waves: list[list[float]] = [[] for _ in range(max(level) + 1 if n else 0)]
+        for lvl, c in zip(level, cost):
+            waves[lvl].append(c)
         makespan = 0.0
-        for lvl in range(schedule.n_levels):
-            rows = schedule.rows_in_level(lvl)
-            lvl_costs = np.sort(costs[rows])[::-1]
-            workers = np.zeros(cores)
-            for c in lvl_costs:  # LPT list scheduling
-                idx = int(np.argmin(workers))
-                workers[idx] += c
-            makespan += float(workers.max()) + barrier_cost
-        makespan -= barrier_cost if schedule.n_levels else 0.0
+        for wave in waves:
+            # LPT list scheduling: longest row first onto the least-loaded
+            # core. Equal loads are interchangeable, so which one a heap
+            # picks changes nothing.
+            wave.sort(reverse=True)
+            loads = [0.0] * cores
+            for c in wave:
+                heapq.heapreplace(loads, loads[0] + c)
+            makespan += max(loads) + barrier_cost
+        makespan -= barrier_cost if waves else 0.0
     else:
-        # Sync-free: rows finish when (ready time + queueing) + cost.
-        finish = np.zeros(n)
+        # Sync-free: rows finish when (ready time + queueing) + cost,
+        # processed in order of readiness (ties by row index).
+        finish = [0.0] * n
+        finish_at = finish.__getitem__
         core_free = [0.0] * cores
-        heapq.heapify(core_free)
-        # Process rows in a topological order by readiness time.
-        order = sorted(range(n), key=lambda i: (depth[i] - costs[i], i))
-        for i in order:
-            deps = indices[int(indptr[i]) : int(indptr[i + 1])]
-            deps = deps[deps < i]
-            ready = float(finish[deps].max()) if len(deps) else 0.0
-            start = max(ready, heapq.heappop(core_free))
-            finish[i] = start + costs[i]
-            heapq.heappush(core_free, float(finish[i]))
-        makespan = float(finish.max()) if n else 0.0
+        ready_at = list(map(operator.sub, depth, cost))
+        for i in sorted(range(n), key=ready_at.__getitem__):
+            deps = deps_of[i]
+            ready = max(map(finish_at, deps)) if deps else 0.0
+            done = max(ready, core_free[0]) + cost[i]
+            heapq.heapreplace(core_free, done)
+            finish[i] = done
+        makespan = max(finish) if n else 0.0
 
     utilization = busy / (makespan * cores) if makespan else 0.0
     return ScheduleResult(

@@ -329,6 +329,46 @@ class TestIntegration:
         if prefetch is not None:
             assert replay("L3", "wholesale") == 0  # every reference is observed
 
+    def test_group_replay_counts_shared_work_once(self):
+        """A replay group publishes each member's level and cache counts
+        exactly as solo replays do, but the work above the LLC once."""
+        import numpy as np
+
+        from repro.memory import for_broadwell
+        from repro.platforms import broadwell
+
+        rng = np.random.default_rng(6)
+        addrs = np.concatenate(
+            [np.tile(np.arange(6), 3000), np.arange(0, 30_000, 3), rng.integers(0, 9000, 6000)]
+        )
+        writes = rng.random(addrs.size) < 0.3
+        kinds = ("next-line", None, "stride")
+
+        def replay(grouped):
+            telemetry.reset()
+            telemetry.configure(enabled=True)
+            hs = [for_broadwell(broadwell(), scale=0.001, prefetch=k) for k in kinds]
+            if grouped:
+                hs[0].run_batched([(addrs, writes)], also=hs[1:])
+            else:
+                for h in hs:
+                    h.run_batched([(addrs, writes)])
+            spans = telemetry.get_tracer().iter_finished("hierarchy.run")
+            counts = {k: v["value"] for k, v in telemetry.get_registry().snapshot().items()}
+            return counts, [(sp.attrs["hierarchies"], sp.attrs["refs"]) for sp in spans]
+
+        solo, solo_spans = replay(grouped=False)
+        group, group_spans = replay(grouped=True)
+        assert solo_spans == [(1, addrs.size)] * 3
+        assert group_spans == [(3, addrs.size)]
+        assert solo.keys() == group.keys()
+        for name, value in solo.items():
+            if name.startswith(("memory.L1.replay.", "memory.L2.replay.")):
+                assert group[name] * 3 == value, name
+            else:
+                assert group[name] == value, name
+        assert group["memory.L1.replay.walked"] > 0 and group["memory.L3.replay.walked"] > 0
+
     def test_kernel_trace_and_simulate_spans(self):
         from repro.kernels import StreamKernel
         from repro.memory import for_broadwell

@@ -10,6 +10,7 @@ replayed through ``Hierarchy.access`` one reference at a time.
 import numpy as np
 import pytest
 
+from repro.experiments.ext04_prefetch import _workloads as ext4_workloads
 from repro.kernels import (
     CholeskyKernel,
     FftKernel,
@@ -350,6 +351,38 @@ class TestKernelTraceChunks:
 PREFETCH_FUZZ_SHAPES = ("random", "strided", "hot")
 
 
+def _fuzz_trace(rng, shape):
+    """A random, piecewise-strided or L1-hot trace, and a cache scale."""
+    n = int(rng.integers(6_000, 12_000))
+    scale = float(rng.choice([SCALE, 0.01, 1.0]))
+    if shape == "random":
+        addrs = rng.integers(0, int(rng.integers(50, 6000)), size=n)
+    else:
+        # Piecewise-strided runs, incl. zero and negative strides.
+        runs = []
+        while sum(map(len, runs)) < n:
+            stride = int(rng.choice([0, 1, 3, -2, 7]))
+            start = int(rng.integers(0, 5000))
+            runs.append(np.abs(start + stride * np.arange(rng.integers(1, 400))))
+        addrs = np.concatenate(runs)[:n]
+        if shape == "hot":
+            addrs %= int(rng.integers(2, 9))
+            scale = SCALE
+    writes = rng.random(n) < float(rng.random())
+    return addrs.astype(np.int64), writes, scale
+
+
+def _random_splits(rng, addrs, writes):
+    """``(addrs, writes)`` cut into chunks of 1..9000 references."""
+    chunks = []
+    pos = 0
+    while pos < addrs.shape[0]:
+        size = int(rng.integers(1, 9001))
+        chunks.append((addrs[pos : pos + size], writes[pos : pos + size]))
+        pos += size
+    return chunks
+
+
 class TestFuzzDifferential:
     """Seeded fuzz: randomized chunk sizes and degenerate shapes must
     stay byte-identical to the scalar oracle (satellite for the
@@ -410,32 +443,13 @@ class TestFuzzDifferential:
         resolve above the LLC and only their observations remain."""
         shape_id = PREFETCH_FUZZ_SHAPES.index(shape)
         rng = np.random.default_rng([seed, edram, prefetch == "stride", shape_id])
-        n = int(rng.integers(6_000, 12_000))
-        scale = float(rng.choice([SCALE, 0.01, 1.0]))
-        if shape == "random":
-            addrs = rng.integers(0, int(rng.integers(50, 6000)), size=n)
-        else:
-            # Piecewise-strided runs, incl. zero and negative strides.
-            runs = []
-            while sum(map(len, runs)) < n:
-                stride = int(rng.choice([0, 1, 3, -2, 7]))
-                start = int(rng.integers(0, 5000))
-                runs.append(np.abs(start + stride * np.arange(rng.integers(1, 400))))
-            addrs = np.concatenate(runs)[:n]
-            if shape == "hot":
-                addrs %= int(rng.integers(2, 9))
-                scale = SCALE
-        addrs = addrs.astype(np.int64)
-        writes = rng.random(n) < float(rng.random())
+        addrs, writes, scale = _fuzz_trace(rng, shape)
         scalar = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=prefetch)
         batched = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=prefetch)
         for a, w in zip(addrs.tolist(), writes.tolist()):
             scalar.access(a, write=w)
-        pos = 0
-        while pos < n:
-            size = int(rng.integers(1, 9001))
-            batched.run_array(addrs[pos : pos + size], writes[pos : pos + size])
-            pos += size
+        for chunk_a, chunk_w in _random_splits(rng, addrs, writes):
+            batched.run_array(chunk_a, chunk_w)
         assert _full_state(batched) == _full_state(scalar)
 
     def test_prefetch_observes_blocks_resolved_above_the_llc(self):
@@ -477,6 +491,106 @@ class TestFuzzDifferential:
             batched.run_array(addrs[pos : pos + s], writes[pos : pos + s])
             pos += s
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
+
+
+class TestGroupReplay:
+    """``run_batched(also=...)``: the levels above the LLC replay once for
+    the whole group, and every member must still end exactly as its own
+    solo replay, on the whole simulator state."""
+
+    @pytest.mark.parametrize("name", list(ext4_workloads(quick=True)))
+    def test_ext4_members_match_solo_replays(self, name):
+        kernel = ext4_workloads(quick=True)[name]
+        kinds = ("next-line", None, "stride")
+        group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in kinds]
+        group[0].run_batched(kernel_trace_chunks(kernel, reps=2), also=group[1:])
+        for h, kind in zip(group, kinds):
+            solo = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
+            solo.run_batched(kernel_trace_chunks(kernel, reps=2))
+            assert _full_state(h) == _full_state(solo), kind
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", PREFETCH_FUZZ_SHAPES)
+    def test_mixed_group_matches_access(self, shape, seed):
+        """Every prefetcher with eDRAM on and off in one group, the receiver
+        drawn at random, over random chunk splits and two calls."""
+        rng = np.random.default_rng([seed, PREFETCH_FUZZ_SHAPES.index(shape), 16])
+        addrs, writes, scale = _fuzz_trace(rng, shape)
+        configs = [(k, e) for k in (None, "next-line", "stride") for e in (True, False)]
+        configs = [configs[i] for i in rng.permutation(len(configs))]
+        group = [for_broadwell(broadwell(), edram=e, scale=scale, prefetch=k) for k, e in configs]
+        chunks = _random_splits(rng, addrs, writes)
+        cut = len(chunks) // 2
+        for part in (chunks[:cut], chunks[cut:]):
+            group[0].run_batched(part, also=group[1:])
+        for h, (kind, edram) in zip(group, configs):
+            scalar = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=kind)
+            replay(scalar, zip(addrs.tolist(), writes.tolist()))
+            assert _full_state(h) == _full_state(scalar)
+
+    def test_knl_modes_share_l1_only(self):
+        """L2 is the LLC on KNL: the group shares L1, and each MCDRAM
+        mode replays its own L2 and memory side."""
+        addrs, writes = _random_trace(31)
+        modes = list(McdramMode)
+        group = [for_knl(knl(m), m, scale=SCALE) for m in modes]
+        group[0].run_batched(chunk_arrays(addrs, writes, chunk=1500), also=group[1:])
+        for h, mode in zip(group, modes):
+            scalar = for_knl(knl(mode), mode, scale=SCALE)
+            replay(scalar, zip(addrs.tolist(), writes.tolist()))
+            assert _full_state(h) == _full_state(scalar)
+            l1, l2 = h._stages
+            assert (l1.wholesale + l1.walked > 0) == (h is group[0])
+            assert l2.wholesale + l2.walked > 0
+
+    def test_follower_with_history_matches_solo_twin(self):
+        warm_a, warm_w = _random_trace(32, n=3_000)
+        addrs, writes = _random_trace(33)
+        kinds = ("stride", None, "next-line")
+        group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in kinds]
+        twins = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in kinds]
+        for h in group + twins:
+            h.run_array(warm_a, warm_w)
+        # A new epoch for one member: the same contents as the receiver
+        # again, but other monotone counters and a ledger baseline.
+        for h in (group[1], twins[1]):
+            h.reset()
+            h.run_array(warm_a, warm_w)
+        assert group[1]._stages[0].cache.n_evictions != group[0]._stages[0].cache.n_evictions
+        group[0].run_batched(chunk_arrays(addrs, writes, chunk=2000), also=group[1:])
+        for h, twin in zip(group, twins):
+            twin.run_batched(chunk_arrays(addrs, writes, chunk=2000))
+            assert h.conservation_violations() == []
+            assert _full_state(h) == _full_state(twin)
+
+    def test_bad_chunk_stops_every_member_where_solo_stops(self):
+        addrs, writes = _random_trace(34)
+        chunks = list(chunk_arrays(addrs, writes, chunk=3000))
+        chunks.insert(2, (np.array([5, -1], dtype=np.int64), None))
+        kinds = ("next-line", None, "stride")
+        group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in kinds]
+        with pytest.raises(ValueError, match="non-negative"):
+            group[0].run_batched(chunks, also=group[1:])
+        for h, kind in zip(group, kinds):
+            solo = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
+            with pytest.raises(ValueError, match="non-negative"):
+                solo.run_batched(chunks)
+            assert solo.stats()["L1"].accesses == 6000
+            assert _full_state(h) == _full_state(solo)
+
+    @pytest.mark.parametrize("case", ["scale", "l1-order", "receiver", "duplicate"])
+    def test_rejected_group_mutates_nothing(self, case):
+        receiver = for_broadwell(broadwell(), scale=SCALE, prefetch="next-line")
+        other = for_broadwell(broadwell(), scale=0.01 if case == "scale" else SCALE)
+        also = {"receiver": (other, receiver), "duplicate": (other, other)}.get(case, (other,))
+        if case == "l1-order":
+            # The same four lines everywhere, in another LRU order in L1.
+            receiver.run_array(np.array([0, 1, 2, 3]))
+            other.run_array(np.array([1, 0, 2, 3]))
+        before = [_full_state(h) for h in (receiver, other)]
+        with pytest.raises(ValueError, match="replay group"):
+            receiver.run_batched(chunk_arrays(*_random_trace(35), chunk=1000), also=also)
+        assert [_full_state(h) for h in (receiver, other)] == before
 
 
 class TestStackDistanceNdarray:
