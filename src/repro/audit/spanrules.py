@@ -1,6 +1,6 @@
 """SPAN rules: telemetry names stay canonical, spans always close.
 
-``report.py``, ``telemetry.summary`` and the CI assertions key on span
+``report.py``, ``telemetry.analyze`` and the CI assertions key on span
 and metric *names*; a typo'd name silently vanishes from every consumer.
 SPAN001 therefore requires each literal name passed to ``span()`` /
 ``counter()`` / ``gauge()`` / ``histogram()`` to come from the canonical

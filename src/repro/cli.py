@@ -18,12 +18,12 @@ Usage::
     opm-repro serve-bench -o BENCH_serve.json
     python -m repro run table4
 
-Batch runs (``run all``, or any ``run`` with ``--jobs``/``--journal``/
-``--resume``) go through the :mod:`repro.runtime` scheduler: experiments
-fan out across ``--jobs`` worker processes and, unless ``--no-cache`` is
-given, unchanged results replay from the content-addressed cache in
+Every ``run``, ``report`` and ``profile`` goes through the
+:mod:`repro.runtime` scheduler: experiments fan out across ``--jobs``
+worker processes and, for ``run`` and ``report`` unless ``--no-cache``
+is given, unchanged results replay from the content-addressed cache in
 milliseconds. Parallel, serial, and cached paths print byte-identical
-tables.
+tables; a batch summary goes to stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.experiments import all_experiments
-from repro.experiments import run as run_experiment
 
 
 def _positive(cast):
@@ -104,15 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         default=1,
         metavar="N",
-        help=(
-            "run experiments through the parallel scheduler with N worker "
-            "processes; the report gains a 'Batch execution' section"
-        ),
+        help="worker processes (default: 1 = in-process)",
     )
     reportp.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read or write the result cache (scheduler runs only)",
+        help="do not read or write the result cache",
     )
     reportp.add_argument(
         "--cache-dir",
@@ -144,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "enable telemetry and stream spans + run manifests to PATH "
-            "as JSONL (results also gain a 'telemetry' summary table)"
+            "as JSONL; a cache hit records only its lookup, so add "
+            "--no-cache (or use 'profile') to trace the computation"
         ),
     )
     runp.add_argument(
@@ -157,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         default=1,
         metavar="N",
-        help="worker processes for batch runs (default: 1 = in-process)",
+        help="worker processes (default: 1 = in-process)",
     )
     runp.add_argument(
         "--no-cache",
         action="store_true",
-        help="do not read or write the result cache (batch runs only)",
+        help="do not read or write the result cache",
     )
     runp.add_argument(
         "--cache-dir",
@@ -244,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     profilep = sub.add_parser(
         "profile",
         help=(
-            "run one experiment with telemetry enabled and print the "
-            "per-phase wall/self-time breakdown"
+            "run experiments with telemetry enabled and without the "
+            "cache, and print the per-phase wall/self-time breakdown"
         ),
     )
     profilep.add_argument("experiment", help="experiment id (or 'all')")
@@ -266,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "profile through the parallel scheduler with N worker "
-            "processes; worker-side spans merge into the breakdown"
+            "worker processes (default: 1 = in-process); worker-side "
+            "spans merge into the breakdown"
         ),
     )
     tracep = sub.add_parser(
@@ -470,32 +467,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if out_dir:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
     from repro import telemetry
-
-    # Batch invocations go through the runtime scheduler; a bare
-    # single-experiment `run` keeps the legacy in-process path (which
-    # attaches per-run telemetry tables under --trace).
-    batch = (
-        args.experiment == "all"
-        or args.jobs > 1
-        or args.journal is not None
-        or args.resume is not None
-    )
-    if args.trace:
-        telemetry.configure(enabled=True, trace_path=args.trace)
-    try:
-        if batch:
-            return _run_batch(ids, args)
-        for exp_id in ids:
-            result = run_experiment(exp_id, quick=not args.full)
-            _emit_result(result, args)
-    finally:
-        if args.trace:
-            telemetry.disable()
-            print(f"wrote trace {args.trace}", file=sys.stderr)
-    return 0
-
-
-def _run_batch(ids: list[str], args: argparse.Namespace) -> int:
     from repro.report import batch_summary_section
     from repro.runtime import (
         RunJournal,
@@ -512,6 +483,8 @@ def _run_batch(ids: list[str], args: argparse.Namespace) -> int:
         journal = RunJournal(args.resume, append=True)
     elif args.journal:
         journal = RunJournal(args.journal)
+    if args.trace:
+        telemetry.configure(enabled=True, trace_path=args.trace)
     try:
         summary = run_batch(
             ids,
@@ -528,10 +501,14 @@ def _run_batch(ids: list[str], args: argparse.Namespace) -> int:
     finally:
         if journal is not None:
             journal.close()
+        if args.trace:
+            telemetry.disable()
     for outcome in summary.outcomes:
         if outcome.result is not None:
             _emit_result(outcome.result, args)
     print(batch_summary_section(summary), file=sys.stderr)
+    if args.trace:
+        print(f"wrote trace {args.trace}", file=sys.stderr)
     return 1 if summary.failed or summary.timed_out else 0
 
 
@@ -552,19 +529,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if ids is None:
         return 2
     from repro import telemetry
+    from repro.runtime import run_batch
     from repro.telemetry.summary import render_profile
 
-    with telemetry.session(trace_path=args.trace, attach_summary=False):
-        if args.jobs > 1:
-            # The scheduler path merges worker-side spans back into this
-            # process's tracer, so the breakdown below covers them too.
-            # Cache disabled: a cache hit would profile deserialization.
-            from repro.runtime import run_batch
-
-            run_batch(ids, quick=not args.full, jobs=args.jobs, cache=None)
-        else:
-            for exp_id in ids:
-                run_experiment(exp_id, quick=not args.full)
+    with telemetry.session(trace_path=args.trace):
+        # No cache: a hit would profile the lookup, not the computation.
+        # Pool workers ship their spans home, so --jobs N profiles the
+        # same phases as a serial run.
+        summary = run_batch(ids, quick=not args.full, jobs=args.jobs, cache=None)
         print(f"== profile: {', '.join(ids)} ==")
         print()
         print(
@@ -587,6 +559,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             )
     if args.trace:
         print(f"wrote trace {args.trace}", file=sys.stderr)
+    if summary.failed or summary.timed_out:
+        print(summary.render(), file=sys.stderr)
+        return 1
     return 0
 
 
@@ -873,12 +848,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("valid ids: " + " ".join(specs), file=sys.stderr)
             return 2
         from repro import report as report_mod
+        from repro.runtime import SharedResultCache
 
-        cache = None
-        if args.jobs > 1 and not args.no_cache:
-            from repro.runtime import SharedResultCache
-
-            cache = SharedResultCache(args.cache_dir)
+        cache = None if args.no_cache else SharedResultCache(args.cache_dir)
         path = report_mod.write(
             args.output,
             quick=not args.full,

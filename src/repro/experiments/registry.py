@@ -17,7 +17,6 @@ import importlib
 from typing import Callable, Protocol
 
 from repro.experiments.results import ExperimentResult
-from repro.telemetry import names as tm
 
 
 class ExperimentRunner(Protocol):  # pragma: no cover - typing only
@@ -142,48 +141,13 @@ def get(experiment_id: str) -> ExperimentSpec:
 
 
 def run(experiment_id: str, *, quick: bool = True) -> ExperimentResult:
-    """Resolve and execute one experiment.
+    """Resolve and execute one experiment's driver in-process.
 
-    With telemetry enabled, the driver runs inside an ``experiment`` root
-    span, gets a provenance manifest (streamed to the JSONL sink when one
-    is attached), and — unless summaries are suppressed — the result
-    carries a ``telemetry`` table with the per-phase wall/self-time
-    breakdown of exactly this invocation.
+    The library call for tests, examples and benchmarks. The CLI runs
+    experiments through :func:`repro.runtime.run_batch`, which adds the
+    result cache, the ``task``/``experiment`` spans and the manifest.
     """
-    from repro import telemetry
-
-    spec = get(experiment_id)
-    if not telemetry.enabled():
-        return spec.runner(quick=quick)
-
-    from repro.telemetry import summary as telemetry_summary
-
-    tracer = telemetry.get_tracer()
-    seen_ids = {sp.span_id for sp in tracer.finished()}
-    manifest = telemetry.start_manifest(experiment_id, quick=quick)
-    telemetry.counter(tm.METRIC_EXPERIMENT_RUNS).inc()
-    status = "ok"
-    try:
-        with telemetry.span(tm.SPAN_EXPERIMENT, id=experiment_id, quick=quick):
-            result = spec.runner(quick=quick)
-    except Exception:
-        status = "error"
-        raise
-    finally:
-        telemetry.finish_manifest(manifest, status=status)
-    if telemetry.attach_summary_enabled():
-        spans = [
-            sp for sp in tracer.finished() if sp.span_id not in seen_ids
-        ]
-        columns, rows = telemetry_summary.phase_table(spans)
-        result.add_table("telemetry", columns, rows)
-        if manifest is not None:
-            result.notes.append(
-                f"telemetry: manifest {manifest.run_id} "
-                f"(wall {manifest.wall_time_s:.3f} s, "
-                f"{len(spans)} spans recorded)"
-            )
-    return result
+    return get(experiment_id).runner(quick=quick)
 
 
 def _sort_key(exp_id: str) -> tuple[int, int]:

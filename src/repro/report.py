@@ -8,20 +8,16 @@ configuration — the file you attach to a reproduction claim.
 
 from __future__ import annotations
 
-import contextlib
 import io
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro import telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.cache import SharedResultCache
-    from repro.runtime.scheduler import BatchSummary
 from repro._version import __version__
-from repro.experiments import all_experiments, run
+from repro.experiments import all_experiments
 from repro.experiments.results import DataTable, ExperimentResult
-from repro.telemetry.summary import aggregate_phases
+from repro.runtime import BatchSummary, SharedResultCache, run_batch
+from repro.telemetry.summary import render_profile
 
 #: Keep per-table Markdown output readable.
 MAX_ROWS = 16
@@ -66,17 +62,15 @@ def render_experiment(result: ExperimentResult, artifact: str) -> str:
 
 
 def _telemetry_section(
-    manifests: Sequence[telemetry.RunManifest],
-    spans: Sequence[telemetry.Span],
-    *,
-    top_phases: int = 10,
+    manifests: Sequence[telemetry.RunManifest], spans: Sequence[telemetry.Span]
 ) -> str:
     """Provenance + wall-time appendix built from this report's own run."""
     out = io.StringIO()
     out.write("## Telemetry\n\n")
     out.write(
-        "Every result row above can be tied back to one of these run "
-        "manifests (also available as JSONL via `opm-repro run --trace`).\n\n"
+        "Every result this report computed in-process has a run manifest "
+        "here (also available as JSONL via `opm-repro run --no-cache "
+        "--trace`); a result served from the cache has none.\n\n"
     )
     out.write(
         "| experiment | manifest | sweep | wall_s | peak_rss_mib | "
@@ -96,19 +90,12 @@ def _telemetry_section(
             f"{'quick' if m.quick else 'full'} | "
             f"{m.wall_time_s:.3f} | {rss} | {platforms} | {m.status} |\n"
         )
-    rows = aggregate_phases(spans)[:top_phases]
-    if rows:
-        out.write("\nTop phases by total wall time:\n\n")
-        out.write("| phase | count | total_s | self_s |\n|---|---|---|---|\n")
-        for r in rows:
-            out.write(
-                f"| {r.name} | {r.count} | {r.total_s:.4f} | {r.self_s:.4f} |\n"
-            )
-    out.write("\n")
+    out.write("\nPhases by total wall time:\n\n```\n")
+    out.write(render_profile(spans) + "\n```\n\n")
     return out.getvalue()
 
 
-def batch_summary_section(summary: "BatchSummary") -> str:
+def batch_summary_section(summary: BatchSummary) -> str:
     """Markdown "Batch execution" section for a scheduler run.
 
     One row per task (status, result source, wall time, attempts) under a
@@ -155,22 +142,17 @@ def generate(
     *,
     quick: bool = True,
     experiment_ids: Sequence[str] | None = None,
-    with_telemetry: bool = True,
     jobs: int = 1,
-    cache: "SharedResultCache | None" = None,
+    cache: SharedResultCache | None = None,
 ) -> str:
     """Build the full Markdown report (all experiments by default).
 
-    Unless ``with_telemetry`` is False, the runs execute inside a
-    telemetry session and the report ends with a provenance section: one
-    run manifest per experiment plus the top wall-time phases.
-
-    With ``jobs > 1`` or a ``cache``, the experiments run through the
-    :mod:`repro.runtime` scheduler instead of inline, and the report
-    gains a "Batch execution" section (per-task status, result source,
-    wall time). Results served from the cache or a worker process carry
-    no per-experiment telemetry, so the manifest table only lists tasks
-    computed inline.
+    The experiments run through the :mod:`repro.runtime` scheduler
+    inside a telemetry session, so the report ends with a "Batch
+    execution" section (per-task status, result source, wall time) and
+    a provenance section: one run manifest per task computed inline,
+    and the phases by wall time. A ``cache`` hit or a pool worker leaves
+    no manifest.
     """
     specs = all_experiments()
     ids = list(experiment_ids) if experiment_ids else list(specs)
@@ -184,49 +166,29 @@ def generate(
         "On-Package Memory on HPC Scientific Kernels*, SC '17.\n\n"
     )
     out.write("Contents: " + ", ".join(ids) + "\n\n")
-    scope = (
-        telemetry.session(attach_summary=False)
-        if with_telemetry
-        else contextlib.nullcontext()
-    )
-    summary = None
-    with scope:
-        if jobs > 1 or cache is not None:
-            from repro.runtime import run_batch
-
-            summary = run_batch(ids, quick=quick, jobs=jobs, cache=cache)
-            for outcome in summary.outcomes:
-                if outcome.result is None:
-                    continue
-                out.write(
-                    render_experiment(
-                        outcome.result,
-                        specs[outcome.experiment_id].paper_artifact,
-                    )
-                )
-                out.write("\n---\n\n")
-        else:
-            for exp_id in ids:
-                result = run(exp_id, quick=quick)
-                out.write(
-                    render_experiment(result, specs[exp_id].paper_artifact)
-                )
-                out.write("\n---\n\n")
-        if summary is not None:
-            out.write(batch_summary_section(summary))
-        if with_telemetry:
+    with telemetry.session():
+        summary = run_batch(ids, quick=quick, jobs=jobs, cache=cache)
+        for outcome in summary.outcomes:
+            if outcome.result is None:
+                continue
             out.write(
-                _telemetry_section(
-                    telemetry.manifests(),
-                    telemetry.get_tracer().finished(),
+                render_experiment(
+                    outcome.result, specs[outcome.experiment_id].paper_artifact
                 )
             )
+            out.write("\n---\n\n")
+        out.write(batch_summary_section(summary))
+        out.write(
+            _telemetry_section(
+                telemetry.manifests(), telemetry.get_tracer().finished()
+            )
+        )
     return out.getvalue()
 
 
 def write(path: str | Path, *, quick: bool = True,
           experiment_ids: Sequence[str] | None = None,
-          jobs: int = 1, cache: "SharedResultCache | None" = None) -> Path:
+          jobs: int = 1, cache: SharedResultCache | None = None) -> Path:
     """Generate and write the report; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

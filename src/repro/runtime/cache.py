@@ -1,13 +1,18 @@
 """Content-addressed result cache.
 
-Serialized :class:`~repro.experiments.results.ExperimentResult` payloads
-are stored one JSON file per task key under
-``<cache-dir>/objects/<key[:2]>/<key>.json``; the key (see
-:mod:`repro.runtime.fingerprint`) covers the experiment id, sweep mode,
-package version, and the source digest of everything the experiment can
-execute, so a lookup either misses or returns exactly what a fresh run
-would print. The default location is ``~/.cache/opm-repro``, overridable
-via ``--cache-dir`` or the ``OPM_REPRO_CACHE_DIR`` environment variable.
+JSON payloads are stored one file per key under
+``<cache-dir>/objects/<key[:2]>/<key>.json``. An experiment's task key
+(see :mod:`repro.runtime.fingerprint`) covers the experiment id, sweep
+mode, package version, and the source digest of everything the
+experiment can execute, so a lookup either misses or returns exactly
+what a fresh run would print. The default location is
+``~/.cache/opm-repro``, overridable via ``--cache-dir`` or the
+``OPM_REPRO_CACHE_DIR`` environment variable.
+
+``put`` and ``put_payload`` write one layout, and lookups read only its
+``schema`` and ``payload``; an experiment's payload is its
+``ExperimentResult.as_dict()``. So a result a batch cached is a hit for
+the serve app, and a serve fill is a hit for the next batch.
 
 Alongside the objects the cache keeps ``stats.json`` with lifetime and
 last-run hit/miss counts; ``opm-repro cache stats`` renders it and CI
@@ -51,8 +56,8 @@ from repro.experiments.results import ExperimentResult
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "OPM_REPRO_CACHE_DIR"
 
-#: Bump when the payload layout changes; older entries read as misses.
-SCHEMA_VERSION = 1
+#: Bump when the object layout changes; older entries read as misses.
+SCHEMA_VERSION = 2
 
 
 def default_cache_dir() -> Path:
@@ -124,18 +129,14 @@ class SharedResultCache:
 
     def get(self, key: str) -> ExperimentResult | None:
         """The cached result for ``key``, or None on miss/corruption."""
-        return self._lookup(key, "result", _decode_result)
+        return self._lookup(key, _decode_result)
 
     def get_payload(self, key: str) -> dict[str, Any] | None:
-        """A generic JSON payload stored under ``key``, or None."""
-        return self._lookup(
-            key, "payload", lambda v: v if isinstance(v, dict) else None
-        )
+        """The JSON payload stored under ``key``, or None."""
+        return self._lookup(key, lambda v: v if isinstance(v, dict) else None)
 
-    def _lookup(
-        self, key: str, field: str, decode: Callable[[Any], Any]
-    ) -> Any | None:
-        """``decode`` of the object's ``field``: hot tier, then disk."""
+    def _lookup(self, key: str, decode: Callable[[Any], Any]) -> Any | None:
+        """``decode`` of the object's payload: hot tier, then disk."""
         hot = self._hot.get(key)
         if hot is not None:
             value = decode(hot)
@@ -147,7 +148,7 @@ class SharedResultCache:
         except (OSError, ValueError):
             doc = None
         raw = (
-            doc.get(field)
+            doc.get("payload")
             if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION
             else None
         )
@@ -188,29 +189,27 @@ class SharedResultCache:
         quick: bool,
         wall_time_s: float | None = None,
     ) -> Path:
-        """Store ``result`` under ``key`` atomically; returns the path."""
-        value = result.as_dict()
-        path = self._object_path(key)
-        with file_lock(self._lock_path):
-            _atomic_write_json(
-                path,
-                {
-                    "schema": SCHEMA_VERSION,
-                    "key": key,
-                    "experiment_id": result.experiment_id,
-                    "quick": quick,
-                    "created_unix_s": time.time(),
-                    "wall_time_s": wall_time_s,
-                    "result": value,
-                },
-            )
-            self._hot.put(key, value)
-        return path
+        """Store ``result`` under ``key`` as its ``as_dict()`` payload."""
+        return self._write(
+            key,
+            result.as_dict(),
+            kind="experiment",
+            meta={
+                "experiment_id": result.experiment_id,
+                "quick": quick,
+                "wall_time_s": wall_time_s,
+            },
+        )
 
     def put_payload(
         self, key: str, payload: dict[str, Any], *, kind: str = "payload"
     ) -> Path:
-        """Store an arbitrary JSON document under ``key`` atomically."""
+        """Store a JSON payload under ``key`` atomically; returns the path."""
+        return self._write(key, payload, kind=kind, meta={})
+
+    def _write(
+        self, key: str, payload: dict[str, Any], *, kind: str, meta: dict
+    ) -> Path:
         path = self._object_path(key)
         with file_lock(self._lock_path):
             _atomic_write_json(
@@ -220,6 +219,7 @@ class SharedResultCache:
                     "key": key,
                     "kind": kind,
                     "created_unix_s": time.time(),
+                    "meta": meta,
                     "payload": payload,
                 },
             )

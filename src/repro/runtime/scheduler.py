@@ -23,9 +23,10 @@ consuming an extra attempt. Timed-out tasks participate in the same
 bounded-retry/backoff path as crashed tasks and are journaled with a
 distinct ``timeout`` status, which ``--resume`` treats as re-runnable.
 
-Every computed result is normalized through the ``as_dict``/``from_dict``
-round-trip before it is rendered or cached, so serial runs, parallel
-runs, and cache hits all print byte-identical tables.
+Every execution, inline or pool, runs :func:`_worker_run`, whose
+result comes back through the ``as_dict``/``from_dict`` round trip, so
+serial runs, parallel runs, served runs and cache hits all print
+byte-identical tables.
 
 With telemetry enabled the scheduler opens a ``batch`` span (tagged
 with a fresh ``trace_id``) with one ``task`` child per executed
@@ -146,11 +147,6 @@ class BatchSummary:
         return "\n".join(parts)
 
 
-def _normalize(result: ExperimentResult) -> ExperimentResult:
-    """Round-trip through the dict form so every path prints the same."""
-    return ExperimentResult.from_dict(result.as_dict())
-
-
 def _package_parent() -> str:
     """Directory to prepend to ``sys.path`` in spawned workers."""
     import repro
@@ -168,7 +164,7 @@ def _worker_run(
     quick: bool,
     ctx: "collect.TraceContext | None" = None,
 ) -> dict[str, Any]:
-    """Executed in a worker process; returns a picklable payload.
+    """Run one experiment, inline or in a worker; returns a picklable payload.
 
     With a :class:`~repro.telemetry.collect.TraceContext`, the task runs
     under a process-local tracer/metrics registry whose spans (rooted at
@@ -336,33 +332,26 @@ def run_batch(
 def _run_with_manifest(
     exp_id: str, *, quick: bool
 ) -> tuple[ExperimentResult, float]:
-    """Execute one task in-process under a span + provenance manifest.
+    """Execute one task in-process under a ``task`` span + manifest.
 
-    Calls the driver directly (not :func:`repro.experiments.registry.run`)
-    so no invocation-specific telemetry table ends up inside a result that
-    may be cached and replayed later.
+    The body is the pool's :func:`_worker_run`, so inline, pool and
+    served executions share one span vocabulary (``task`` →
+    ``experiment`` → driver spans) and one ``as_dict``/``from_dict``
+    round trip, and print byte-identical tables.
     """
     from repro import telemetry
-    from repro.experiments import registry
 
-    faults.apply(exp_id)
-    spec = registry.get(exp_id)
     manifest = telemetry.start_manifest(exp_id, quick=quick)
     status = "ok"
-    start = time.perf_counter()
     try:
-        # Same span vocabulary as the pool path: a `task` wrapper with an
-        # `experiment` root for the driver's own spans, so serial and
-        # parallel traces differ only in scheduler plumbing.
         with telemetry.span(tm.SPAN_TASK, id=exp_id, quick=quick):
-            with telemetry.span(tm.SPAN_EXPERIMENT, id=exp_id, quick=quick):
-                result = spec.runner(quick=quick)
+            payload = _worker_run(exp_id, quick)
     except Exception:
         status = "error"
         raise
     finally:
         telemetry.finish_manifest(manifest, status=status)
-    return _normalize(result), time.perf_counter() - start
+    return ExperimentResult.from_dict(payload["result"]), payload["duration_s"]
 
 
 def _execute_inline(

@@ -19,7 +19,7 @@ ordinary runs. Enable per-process with :func:`configure` or scoped with
 :func:`session`::
 
     with telemetry.session(trace_path="run.jsonl"):
-        run("fig6")
+        run_batch(["fig6"])
 
 Thread-safety: the span stack is thread-local (each thread nests its own
 spans); the ring buffer, registry, and JSONL sink are lock-protected.
@@ -79,7 +79,6 @@ class _State:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.attach_summary = True
         self.tracer = Tracer()
         self.registry = MetricsRegistry()
         self.sink: JsonlSink | None = None
@@ -120,16 +119,9 @@ def _state() -> _State:
 # -- configuration -----------------------------------------------------------
 
 
-def configure(
-    *,
-    enabled: bool = True,
-    trace_path: str | None = None,
-    attach_summary: bool | None = None,
-) -> None:
+def configure(*, enabled: bool = True, trace_path: str | None = None) -> None:
     """Turn telemetry on/off; optionally stream spans/manifests as JSONL."""
     _STATE.enabled = enabled
-    if attach_summary is not None:
-        _STATE.attach_summary = attach_summary
     if _STATE.sink is not None:
         _STATE.sink.close()
         _STATE.sink = None
@@ -154,18 +146,15 @@ def reset() -> None:
 
 
 @contextlib.contextmanager
-def session(
-    *, trace_path: str | None = None, attach_summary: bool | None = None
-) -> Iterator[_State]:
+def session(*, trace_path: str | None = None) -> Iterator[_State]:
     """Scoped enablement: fresh spans/metrics inside, prior state after."""
     prev_enabled = _STATE.enabled
-    prev_attach = _STATE.attach_summary
     reset()
-    configure(enabled=True, trace_path=trace_path, attach_summary=attach_summary)
+    configure(enabled=True, trace_path=trace_path)
     try:
         yield _STATE
     finally:
-        configure(enabled=prev_enabled, attach_summary=prev_attach)
+        configure(enabled=prev_enabled)
 
 
 # -- spans -------------------------------------------------------------------
@@ -248,7 +237,3 @@ def note_platform(spec: Any) -> None:
     if m.status == "running" and getattr(spec, "name", None):
         m.add_platform(spec.name, spec)
 
-
-def attach_summary_enabled() -> bool:
-    """Whether experiment results should carry a telemetry summary table."""
-    return _STATE.enabled and _STATE.attach_summary

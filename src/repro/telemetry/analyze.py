@@ -1,16 +1,19 @@
 """Trace-analysis toolkit: mine a JSONL span trace offline.
 
 The JSONL sink (:mod:`repro.telemetry.export`) streams spans in close
-order; this module rebuilds the forest and answers the questions the
-paper's methodology keeps asking of hardware — *where did the time go*
-— about the pipeline itself:
+order; this module rebuilds the forest — from a trace file
+(:func:`load_trace`) or from a live tracer's finished spans
+(:func:`from_spans`) — and answers the questions the paper's
+methodology keeps asking of hardware — *where did the time go* — about
+the pipeline itself:
 
 * :func:`render_tree` — indented waterfall of every span with start
   offsets, durations, and attributes;
-* :func:`critical_path` — the longest parent→child chain under a root,
+* :func:`critical_path` — the chain of spans that gated a root's close,
   the direct lever for shaving batch wall time;
-* :func:`aggregate_spans` — per-name count / total / p50 / p99, the
-  shape CI assertions and SLO gates consume;
+* :func:`aggregate_spans` — per-name count / total / self / p50 / p99,
+  the one aggregator behind ``profile``, ``report``'s Telemetry section
+  and ``trace top``, all printed by :func:`render_top`;
 * :func:`fold_stacks` — folded-stack lines (``a;b;c <µs>``) consumable
   by standard flamegraph tooling.
 
@@ -23,6 +26,7 @@ mid-write) are counted, not fatal — ``repro trace`` surfaces the count.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -30,6 +34,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.telemetry.export import scan_jsonl
+from repro.telemetry.spans import Span
 
 
 @dataclasses.dataclass
@@ -69,20 +74,43 @@ class TraceFile:
 
 
 def load_trace(path: str | Path) -> TraceFile:
-    """Parse a JSONL trace into a rooted forest.
+    """Parse a JSONL trace into a rooted forest."""
+    records, n_skipped = scan_jsonl(path)
+    return _forest(
+        [r for r in records if r.get("type") == "span"],
+        path=str(path),
+        n_records=len(records),
+        n_manifests=sum(1 for r in records if r.get("type") == "manifest"),
+        n_skipped_lines=n_skipped,
+    )
+
+
+def from_spans(spans: Sequence[Span]) -> TraceFile:
+    """The forest of a live tracer's finished spans (``tracer.finished()``).
+
+    A span whose parent is not among ``spans`` (still open, or dropped
+    by the ring buffer) becomes a root.
+    """
+    return _forest(
+        [sp.as_dict() for sp in spans],
+        path="",
+        n_records=len(spans),
+        n_manifests=0,
+        n_skipped_lines=0,
+    )
+
+
+def _forest(records: Sequence[dict[str, Any]], **bookkeeping: Any) -> TraceFile:
+    """Link span records into a forest.
 
     Records stream in close order (children before parents), so linking
     happens after all of a generation's nodes exist. A repeated span id
     starts a new generation: ids are monotone within one process, so a
     repeat can only mean another run appended to the same file.
     """
-    records, n_skipped = scan_jsonl(path)
-    n_manifests = sum(1 for r in records if r.get("type") == "manifest")
     generations: list[dict[int, SpanNode]] = []
     current: dict[int, SpanNode] = {}
     for rec in records:
-        if rec.get("type") != "span":
-            continue
         sid = rec["span_id"]
         if sid in current:
             generations.append(current)
@@ -97,7 +125,6 @@ def load_trace(path: str | Path) -> TraceFile:
         )
     if current:
         generations.append(current)
-
     spans: list[SpanNode] = []
     roots: list[SpanNode] = []
     for generation in generations:
@@ -115,14 +142,7 @@ def load_trace(path: str | Path) -> TraceFile:
         for node in generation.values():
             node.children.sort(key=lambda c: (c.start_s, c.span_id))
     roots.sort(key=lambda r: (r.start_s, r.span_id))
-    return TraceFile(
-        path=str(path),
-        spans=spans,
-        roots=roots,
-        n_records=len(records),
-        n_manifests=n_manifests,
-        n_skipped_lines=n_skipped,
-    )
+    return TraceFile(spans=spans, roots=roots, **bookkeeping)
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -174,19 +194,22 @@ def _walk(
 
 @dataclasses.dataclass
 class PathStep:
-    """One hop of a critical path with its own on-path contribution."""
+    """One span on a critical path with its own on-path contribution."""
 
     node: SpanNode
-    self_on_path_s: float  # duration minus the on-path child's duration
+    self_on_path_s: float  # duration minus the chain of children below it
+    depth: int  # the root is 0
 
 
 def critical_path(trace: TraceFile, root: SpanNode | None = None) -> list[PathStep]:
-    """Longest parent→child chain under ``root`` (default: longest root).
+    """The spans that gated ``root``'s close (default: longest batch root).
 
-    From the root, repeatedly descend into the child that *finishes
-    last* — the child gating the parent's close. Each step reports how
-    much of its duration is its own (not covered by the next hop), i.e.
-    where shaving time actually shortens the batch.
+    The child that *finishes last* gates its parent; its predecessor is
+    the latest-ending sibling that ended before it started, and so on
+    back, so children that ran one after another (a serial batch's
+    tasks) form one chain. The parent's on-path self time is its
+    duration minus the chain's; each chain member is a step one level
+    deeper, and the path descends into the longest member.
     """
     if root is None:
         batches = [r for r in trace.roots if r.name == "batch"]
@@ -195,17 +218,43 @@ def critical_path(trace: TraceFile, root: SpanNode | None = None) -> list[PathSt
             return []
         root = max(candidates, key=lambda r: r.duration_s)
     steps: list[PathStep] = []
-    node = root
-    while True:
-        if not node.children:
-            steps.append(PathStep(node, node.duration_s))
-            break
-        gating = max(node.children, key=lambda c: (c.end_s, c.duration_s))
-        steps.append(
-            PathStep(node, max(0.0, node.duration_s - gating.duration_s))
-        )
-        node = gating
+    _descend(root, 0, steps)
     return steps
+
+
+def _descend(node: SpanNode, depth: int, steps: list[PathStep]) -> None:
+    if not node.children:
+        steps.append(PathStep(node, node.duration_s, depth))
+        return
+    chain = _gating_chain(node.children)
+    steps.append(
+        PathStep(
+            node,
+            max(0.0, node.duration_s - sum(c.duration_s for c in chain)),
+            depth,
+        )
+    )
+    longest = max(chain, key=lambda c: c.duration_s)
+    for member in chain:
+        if member is longest:
+            _descend(member, depth + 1, steps)
+        else:
+            steps.append(PathStep(member, member.duration_s, depth + 1))
+
+
+def _gating_chain(children: Sequence[SpanNode]) -> list[SpanNode]:
+    """Back-to-back siblings ending with the one that finishes last."""
+    by_end = sorted(children, key=lambda c: (c.end_s, c.duration_s))
+    ends = [c.end_s for c in by_end]
+    chain: list[SpanNode] = []
+    i = len(by_end) - 1
+    while i >= 0:
+        node = by_end[i]
+        chain.append(node)
+        # Latest-ending sibling that ended by this one's start; the
+        # bound keeps a zero-length span from choosing itself.
+        i = min(bisect.bisect_right(ends, node.start_s), i) - 1
+    return chain[::-1]
 
 
 def render_critical_path(steps: Sequence[PathStep]) -> str:
@@ -216,12 +265,12 @@ def render_critical_path(steps: Sequence[PathStep]) -> str:
         f"critical path: {len(steps)} span(s), "
         f"{_fmt_duration(steps[0].node.duration_s)} end to end"
     ]
-    for depth, step in enumerate(steps):
+    for step in steps:
         share = step.self_on_path_s / total_s
         lines.append(
             f"{_fmt_duration(step.node.duration_s):>9}  "
             f"{_fmt_duration(step.self_on_path_s):>9} self ({share:>5.1%})  "
-            f"{'  ' * depth}{step.node.name}"
+            f"{'  ' * step.depth}{step.node.name}"
             + (
                 f"  [{_fmt_attrs(step.node.attrs)}]"
                 if step.node.attrs
@@ -241,6 +290,7 @@ class AggRow:
     name: str
     count: int
     total_s: float
+    self_s: float  # summed durations minus direct children's durations
     p50_s: float
     p99_s: float
     max_s: float
@@ -259,18 +309,19 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def aggregate_spans(trace: TraceFile) -> list[AggRow]:
-    """Per-name count/total/p50/p99/max, ordered by total wall time."""
-    by_name: dict[str, list[float]] = {}
+    """Per-name count/total/self/p50/p99/max, ordered by total wall time."""
+    by_name: dict[str, list[SpanNode]] = {}
     for node in trace.spans:
-        by_name.setdefault(node.name, []).append(node.duration_s)
+        by_name.setdefault(node.name, []).append(node)
     rows = []
-    for name, durations in by_name.items():
-        durations.sort()
+    for name, nodes in by_name.items():
+        durations = sorted(n.duration_s for n in nodes)
         rows.append(
             AggRow(
                 name=name,
                 count=len(durations),
                 total_s=sum(durations),
+                self_s=sum(n.self_s for n in nodes),
                 p50_s=_percentile(durations, 0.50),
                 p99_s=_percentile(durations, 0.99),
                 max_s=durations[-1],
@@ -280,19 +331,27 @@ def aggregate_spans(trace: TraceFile) -> list[AggRow]:
 
 
 def render_top(rows: Sequence[AggRow]) -> str:
+    """The per-name table that ``profile``, ``report`` and ``trace top`` print.
+
+    The bar is each name's share of all recorded self time.
+    """
+    from repro.viz.ascii import hbar
+
     if not rows:
         return "(no spans in trace)"
-    name_w = max(len(r.name) for r in rows)
+    self_total = sum(r.self_s for r in rows) or 1.0
+    name_w = max(len("phase"), *(len(r.name) for r in rows))
     lines = [
-        f"{'span':<{name_w}}  {'count':>6}  {'total':>9}  {'mean':>9}  "
-        f"{'p50':>9}  {'p99':>9}  {'max':>9}"
+        f"{'phase':<{name_w}}  {'count':>6}  {'total_s':>9}  {'self_s':>9}  "
+        f"{'mean_ms':>9}  {'p50_ms':>9}  {'p99_ms':>9}  self-time"
     ]
     for r in rows:
+        share = r.self_s / self_total
         lines.append(
-            f"{r.name:<{name_w}}  {r.count:>6}  "
-            f"{_fmt_duration(r.total_s):>9}  {_fmt_duration(r.mean_s):>9}  "
-            f"{_fmt_duration(r.p50_s):>9}  {_fmt_duration(r.p99_s):>9}  "
-            f"{_fmt_duration(r.max_s):>9}"
+            f"{r.name:<{name_w}}  {r.count:>6}  {r.total_s:>9.4f}  "
+            f"{r.self_s:>9.4f}  {r.mean_s * 1e3:>9.3f}  "
+            f"{r.p50_s * 1e3:>9.3f}  {r.p99_s * 1e3:>9.3f}  "
+            f"{hbar(share, 20)} {share:>6.1%}"
         )
     return "\n".join(lines)
 
@@ -307,6 +366,7 @@ def top_as_json(trace: TraceFile, rows: Sequence[AggRow]) -> str:
                 "name": r.name,
                 "count": r.count,
                 "total_s": r.total_s,
+                "self_s": r.self_s,
                 "mean_s": r.mean_s,
                 "p50_s": r.p50_s,
                 "p99_s": r.p99_s,
@@ -328,6 +388,7 @@ def critical_path_as_json(
             {
                 "name": s.node.name,
                 "attrs": s.node.attrs,
+                "depth": s.depth,
                 "duration_s": s.node.duration_s,
                 "self_on_path_s": s.self_on_path_s,
             }

@@ -2,7 +2,7 @@
 
 Every span opened and every counter/gauge/histogram published by the
 pipeline takes its name from this module, so the names that
-``report.py``, ``telemetry.summary``, CI assertions, and external trace
+``report.py``, ``telemetry.analyze``, CI assertions, and external trace
 consumers key on cannot silently drift from the names the code emits.
 ``repro audit`` rule SPAN001 enforces the contract statically: a span or
 metric opened with a string literal must use one of the names registered
@@ -97,8 +97,6 @@ METRIC_TELEMETRY_DROPPED = "runtime.telemetry.dropped"
 METRIC_TASK_WALL_S = "runtime.task_wall_s"
 #: Counter: points evaluated by the stepping engine.
 METRIC_STEPPING_POINTS = "engine.stepping.points"
-#: Counter: experiment driver invocations through the registry.
-METRIC_EXPERIMENT_RUNS = "experiments.runs"
 #: Counter: sweep points evaluated (Broadwell + KNL sweeps).
 METRIC_SWEEP_POINTS = "sweep.points"
 #: Counter: HTTP requests accepted by the advisor service.
@@ -141,7 +139,6 @@ METRIC_NAMES = frozenset(
         METRIC_TELEMETRY_DROPPED,
         METRIC_TASK_WALL_S,
         METRIC_STEPPING_POINTS,
-        METRIC_EXPERIMENT_RUNS,
         METRIC_SWEEP_POINTS,
         METRIC_SERVE_REQUESTS,
         METRIC_SERVE_ERRORS,

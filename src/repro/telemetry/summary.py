@@ -1,139 +1,41 @@
-"""Aggregate spans and metrics into human-readable breakdown tables.
+"""The per-phase view of a live tracer that ``profile`` and ``report`` print.
 
-The profile view groups finished spans by name and reports wall time and
-*self* time (wall minus time spent in direct children), the numbers that
-actually say where an ``opm-repro run`` spent its life. Tables come back
-as (columns, rows) pairs so the experiments layer can wrap them in
-:class:`~repro.experiments.results.DataTable` without a circular import.
+Spans go through the one aggregator,
+:func:`repro.telemetry.analyze.aggregate_spans`, and its table renderer
+— the same rows ``trace top`` prints for a trace file — optionally
+followed by the registry snapshot, one metric per line.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
+from repro.telemetry import analyze
 from repro.telemetry.spans import Span
 
-PHASE_COLUMNS = (
-    "phase", "count", "total_s", "self_s", "mean_ms", "share", "attrs"
-)
 
-METRIC_COLUMNS = ("metric", "value")
-
-
-@dataclasses.dataclass
-class PhaseRow:
-    """Aggregated timings for all spans sharing one name."""
-
-    name: str
-    count: int = 0
-    total_s: float = 0.0
-    self_s: float = 0.0
-    example_attrs: str = ""
-
-    @property
-    def mean_ms(self) -> float:
-        return (self.total_s / self.count) * 1e3 if self.count else 0.0
-
-
-def _self_times(spans: Sequence[Span]) -> dict[int, float]:
-    """span_id -> duration minus direct children's durations."""
-    self_s = {sp.span_id: sp.duration_s for sp in spans}
-    for sp in spans:
-        if sp.parent_id is not None and sp.parent_id in self_s:
-            self_s[sp.parent_id] -= sp.duration_s
-    return {sid: max(0.0, t) for sid, t in self_s.items()}
-
-
-def aggregate_phases(spans: Sequence[Span]) -> list[PhaseRow]:
-    """Group finished spans by name, ordered by total wall time."""
-    self_s = _self_times(spans)
-    rows: dict[str, PhaseRow] = {}
-    for sp in spans:
-        row = rows.setdefault(sp.name, PhaseRow(name=sp.name))
-        row.count += 1
-        row.total_s += sp.duration_s
-        row.self_s += self_s.get(sp.span_id, 0.0)
-        if not row.example_attrs and sp.attrs:
-            row.example_attrs = _fmt_attrs(sp.attrs)
-    return sorted(rows.values(), key=lambda r: r.total_s, reverse=True)
-
-
-def _fmt_attrs(attrs: dict) -> str:
-    parts = [f"{k}={v}" for k, v in sorted(attrs.items()) if k != "error"]
-    text = " ".join(parts)
-    return text if len(text) <= 48 else text[:45] + "..."
-
-
-def phase_table(spans: Sequence[Span]) -> tuple[tuple[str, ...], list[tuple]]:
-    """(columns, rows) of the per-phase wall/self-time breakdown."""
-    rows = aggregate_phases(spans)
-    # Share of the run is measured against root-span wall time so nested
-    # phases do not push the denominator past 100%.
-    root_total = sum(sp.duration_s for sp in spans if sp.parent_id is None)
-    denom = root_total or sum(r.self_s for r in rows) or 1.0
-    out = [
-        (
-            r.name,
-            r.count,
-            round(r.total_s, 6),
-            round(r.self_s, 6),
-            round(r.mean_ms, 4),
-            f"{r.self_s / denom:.1%}",
-            r.example_attrs,
+def _metric_value(record: dict) -> object:
+    """One registry snapshot record as text; histograms summarize."""
+    if record["type"] == "histogram":
+        return (
+            f"n={record['count']} sum={record['sum']:.4g} "
+            f"min={record['min']} max={record['max']}"
         )
-        for r in rows
-    ]
-    return PHASE_COLUMNS, out
-
-
-def metrics_table(snapshot: dict[str, dict]) -> tuple[tuple[str, ...], list[tuple]]:
-    """(columns, rows) for a registry snapshot; histograms summarize."""
-    rows: list[tuple] = []
-    for name, record in snapshot.items():
-        if record["type"] == "histogram":
-            rows.append(
-                (
-                    name,
-                    f"n={record['count']} sum={record['sum']:.4g} "
-                    f"min={record['min']} max={record['max']}",
-                )
-            )
-        else:
-            value = record["value"]
-            rows.append((name, f"{value:.6g}" if isinstance(value, float) else value))
-    return METRIC_COLUMNS, rows
+    value = record["value"]
+    return f"{value:.6g}" if isinstance(value, float) else value
 
 
 def render_profile(
-    spans: Sequence[Span],
-    snapshot: dict[str, dict] | None = None,
-    *,
-    width: int = 24,
+    spans: Sequence[Span], snapshot: dict[str, dict] | None = None
 ) -> str:
-    """Terminal rendering of the phase breakdown with self-time bars."""
-    from repro.viz.ascii import hbar
-
-    rows = aggregate_phases(spans)
-    if not rows:
-        return "(no spans recorded)"
-    root_total = sum(sp.duration_s for sp in spans if sp.parent_id is None)
-    denom = root_total or max(r.self_s for r in rows) or 1.0
-    name_w = max(len(r.name) for r in rows)
-    lines = [
-        f"{'phase':<{name_w}}  {'count':>6}  {'total_s':>9}  {'self_s':>9}  "
-        f"{'mean_ms':>9}  self-time"
-    ]
-    for r in rows:
-        frac = min(1.0, r.self_s / denom)
-        lines.append(
-            f"{r.name:<{name_w}}  {r.count:>6}  {r.total_s:>9.4f}  "
-            f"{r.self_s:>9.4f}  {r.mean_ms:>9.3f}  {hbar(frac, width)} {frac:>6.1%}"
-        )
+    """Per-phase wall/self-time table with self-time bars, then metrics."""
+    rows = analyze.aggregate_spans(analyze.from_spans(spans))
+    lines = [analyze.render_top(rows)]
     if snapshot:
-        lines.append("")
-        lines.append("metrics:")
-        _, metric_rows = metrics_table(snapshot)
-        metric_w = max(len(str(m)) for m, _ in metric_rows)
-        lines.extend(f"  {m:<{metric_w}}  {v}" for m, v in metric_rows)
+        metric_w = max(len(name) for name in snapshot)
+        lines += ["", "metrics:"]
+        lines.extend(
+            f"  {name:<{metric_w}}  {_metric_value(record)}"
+            for name, record in snapshot.items()
+        )
     return "\n".join(lines)

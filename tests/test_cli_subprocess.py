@@ -44,7 +44,9 @@ class TestListAndRun:
         assert proc.stdout.strip() == ""  # --quiet suppresses rendering
         csvs = sorted(p.name for p in (tmp_path / "fig6").glob("*.csv"))
         assert csvs, "no CSVs written"
-        assert all("wrote" in line for line in proc.stderr.splitlines())
+        wrote, summary = proc.stderr.split("## Batch execution\n")
+        assert all("wrote" in line for line in wrote.splitlines())
+        assert "| fig6 | done | computed |" in summary
 
     def test_unknown_id_exit_2(self):
         proc = run_cli("run", "fig99")
@@ -121,12 +123,6 @@ class TestTraceFlag:
         assert manifest["experiment_id"] == "fig6"
         assert manifest["status"] == "ok"
         assert manifest["wall_time_s"] > 0
-
-    def test_trace_result_carries_telemetry_table(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        proc = run_cli("run", "fig6", "--trace", str(path))
-        assert proc.returncode == 0
-        assert "telemetry" in proc.stdout
 
 
 class TestProfileSubcommand:

@@ -150,7 +150,7 @@ class TestWorkerCollection:
             with telemetry.span(tm.SPAN_EXPERIMENT, id="fig6"):
                 with telemetry.span(tm.SPAN_KERNEL_TRACE, kernel="spmv"):
                     pass
-            telemetry.counter(tm.METRIC_EXPERIMENT_RUNS).inc()
+            telemetry.counter(tm.METRIC_TASKS_COMPLETED).inc()
         payload = shipment.export()
         assert payload["trace_id"] == "t1"
         assert payload["experiment_id"] == "fig6"
@@ -159,7 +159,7 @@ class TestWorkerCollection:
             tm.SPAN_EXPERIMENT,
         ]
         assert payload["n_dropped"] == 0
-        assert payload["metrics"][tm.METRIC_EXPERIMENT_RUNS]["value"] == 1
+        assert payload["metrics"][tm.METRIC_TASKS_COMPLETED]["value"] == 1
 
     def test_restores_prior_state(self):
         tracer_before = telemetry.get_tracer()
@@ -235,7 +235,7 @@ class TestAbsorb:
 
     def test_absorb_merges_worker_metrics_and_dropped(self):
         telemetry.configure(enabled=True)
-        telemetry.counter(tm.METRIC_EXPERIMENT_RUNS).inc(1)
+        telemetry.counter(tm.METRIC_TASKS_COMPLETED).inc(1)
         shipment = {
             "trace_id": "t1",
             "experiment_id": "fig6",
@@ -243,16 +243,16 @@ class TestAbsorb:
             "spans": [],
             "n_dropped": 7,
             "metrics": {
-                tm.METRIC_EXPERIMENT_RUNS: {
+                tm.METRIC_TASKS_COMPLETED: {
                     "type": "counter",
-                    "name": tm.METRIC_EXPERIMENT_RUNS,
+                    "name": tm.METRIC_TASKS_COMPLETED,
                     "value": 2,
                 }
             },
         }
         assert absorb(shipment, task_span=None) == 0
         registry = telemetry.get_registry()
-        assert registry.counter(tm.METRIC_EXPERIMENT_RUNS).value == 3
+        assert registry.counter(tm.METRIC_TASKS_COMPLETED).value == 3
         assert (
             registry.counter(tm.METRIC_TELEMETRY_DROPPED).value == 7
         )

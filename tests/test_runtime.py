@@ -313,7 +313,6 @@ class TestReportBatchIntegration:
         text = generate(
             experiment_ids=["table2"],
             cache=SharedResultCache(tmp_path),
-            with_telemetry=False,
         )
         assert "## Batch execution" in text
         assert "table2" in text

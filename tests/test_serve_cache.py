@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.results import ExperimentResult
 from repro.runtime import file_lock
-from repro.runtime.cache import SharedResultCache
+from repro.runtime.cache import SCHEMA_VERSION, SharedResultCache
 
 PAYLOAD = {"schema": 1, "winner": {"platform": "knl", "mode": "cache"}}
 
@@ -250,7 +250,7 @@ class TestContention:
         # Every surviving object decodes cleanly.
         for path in cache.entries():
             doc = json.loads(path.read_text())
-            assert doc["schema"] == 1
+            assert doc["schema"] == SCHEMA_VERSION
             assert "winner" in doc["payload"]
         # stats.json survived interleaved writers (and clears, which
         # reset it) as valid JSON counts — never a corrupt partial write.

@@ -8,7 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.experiments import run as run_experiment
-from repro.runtime import faults
+from repro.runtime import SharedResultCache, faults, run_batch
 from repro.serve import advisor
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.batcher import Batcher
@@ -218,6 +218,41 @@ class TestRoutes:
         assert json.dumps(stripped, sort_keys=True) == json.dumps(
             offline, sort_keys=True
         )
+
+    def test_batch_fill_is_a_served_disk_hit(self, tmp_path):
+        """One stored form per key: an experiment a batch cached answers
+        the serve route from disk, with the offline result as its body."""
+        run_batch(["table2"], cache=SharedResultCache(tmp_path / "cache"))
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                return await s.client.request(
+                    "POST", "/v1/experiment", {"experiment": "table2"}
+                )
+
+        status, served = run(go())
+        assert (status, served["meta"]["cache"]) == (200, "disk")
+        offline = run_experiment("table2", quick=True).as_dict()
+        stripped = {k: v for k, v in served.items() if k != "meta"}
+        assert json.dumps(stripped, sort_keys=True) == json.dumps(
+            offline, sort_keys=True
+        )
+
+    def test_serve_fill_is_a_batch_cache_hit(self, tmp_path):
+        async def go():
+            async with _Server(tmp_path) as s:
+                return await s.client.request(
+                    "POST", "/v1/experiment", {"experiment": "table2"}
+                )
+
+        status, served = run(go())
+        assert (status, served["meta"]["cache"]) == (200, "miss")
+        (hit,) = run_batch(
+            ["table2"], cache=SharedResultCache(tmp_path / "cache")
+        ).outcomes
+        (fresh,) = run_batch(["table2"]).outcomes
+        assert hit.cache_hit and not fresh.cache_hit
+        assert hit.result.render() == fresh.result.render()
 
     def test_no_cache_mode_always_executes(self, tmp_path):
         async def go():

@@ -16,7 +16,8 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.spans import NOOP_SPAN, Tracer, traced
-from repro.telemetry.summary import aggregate_phases, phase_table, render_profile
+from repro.telemetry.analyze import aggregate_spans, from_spans
+from repro.telemetry.summary import render_profile
 
 
 @pytest.fixture(autouse=True)
@@ -245,16 +246,11 @@ class TestSummary:
         return t.finished()
 
     def test_aggregate_self_time(self):
-        rows = {r.name: r for r in aggregate_phases(self._spans())}
+        rows = {r.name: r for r in aggregate_spans(from_spans(self._spans()))}
         exp, sweep = rows["experiment"], rows["sweep.kernel"]
         assert sweep.count == 2
         assert exp.count == 1
         assert exp.self_s == pytest.approx(exp.total_s - sweep.total_s, abs=1e-9)
-
-    def test_phase_table_shape(self):
-        columns, rows = phase_table(self._spans())
-        assert columns[0] == "phase"
-        assert {r[0] for r in rows} == {"experiment", "sweep.kernel"}
 
     def test_render_profile_has_bars(self):
         text = render_profile(self._spans())
@@ -384,19 +380,6 @@ class TestIntegration:
         assert telemetry.get_registry().counter(
             "kernel.stream.trace_events"
         ).value == 3 * 512
-
-    def test_experiment_run_attaches_summary(self):
-        from repro.experiments import run
-
-        telemetry.configure(enabled=True)
-        result = run("fig6", quick=True)
-        table = result.table("telemetry")
-        phases = [row[0] for row in table.rows]
-        assert "experiment" in phases
-        assert "stepping.curve" in phases
-        (manifest,) = telemetry.manifests()
-        assert manifest.experiment_id == "fig6"
-        assert manifest.status == "ok"
 
     def test_disabled_run_untouched(self):
         from repro.experiments import run

@@ -115,6 +115,50 @@ class TestAnalysis:
         assert steps[1].self_on_path_s == pytest.approx(0.10)
         assert steps[2].self_on_path_s == pytest.approx(0.40)
 
+    def test_critical_path_chains_back_to_back_siblings(self, tmp_path, capsys):
+        """A serial batch: the path runs through every task in turn and
+        descends into the longest one, not the one that finished last."""
+        spans = [  # (id, parent, name, start, end)
+            (1, None, "batch", 0.00, 1.00),
+            (2, 1, "cache.lookup", 0.01, 0.02),
+            (3, 1, "task", 0.05, 0.25),
+            (4, 1, "task", 0.26, 0.86),
+            (5, 4, "experiment", 0.27, 0.85),
+            (6, 5, "kernel.trace", 0.28, 0.38),
+            (7, 5, "hierarchy.run", 0.40, 0.80),
+            (8, 1, "pool.reap", 0.30, 0.50),  # overlaps: not on the chain
+            (9, 1, "task", 0.87, 0.97),
+        ]
+        path = tmp_path / "serial.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps(
+                    {
+                        "type": "span",
+                        "span_id": sid,
+                        "parent_id": parent,
+                        "name": name,
+                        "attrs": {"n": sid},
+                        "start_s": start,
+                        "duration_s": end - start,
+                    }
+                )
+                + "\n"
+                for sid, parent, name, start, end in spans
+            )
+        )
+        steps = analyze.critical_path(analyze.load_trace(path))
+        assert [(s.node.attrs["n"], s.depth) for s in steps] == [
+            (1, 0), (2, 1), (3, 1), (4, 1), (5, 2), (6, 3), (7, 3), (9, 1),
+        ]
+        assert [s.self_on_path_s for s in steps] == pytest.approx(
+            [0.09, 0.01, 0.20, 0.02, 0.08, 0.10, 0.40, 0.10]
+        )
+        assert sum(s.self_on_path_s for s in steps) == pytest.approx(1.0)
+        assert main(["trace", "critical-path", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [s["depth"] for s in payload["steps"]] == [s.depth for s in steps]
+
     def test_aggregate_orders_by_total(self, trace_path):
         rows = analyze.aggregate_spans(analyze.load_trace(trace_path))
         assert [r.name for r in rows] == ["batch", "experiment", "task"]
