@@ -14,8 +14,7 @@ import pytest
 from repro.engine import DEFAULT_KNOBS, estimate
 from repro.engine.exectime import _noise_factor
 from repro.experiments.ext04_prefetch import _workloads as ext4_workloads
-from repro.experiments.sweeps import collection_for
-from repro.experiments.table05_mcdram_summary import knl_configs
+from repro.experiments.sweeps import SWEEP_KERNELS, collection_for, sweep_configs
 from repro.kernels import SpmvKernel, fft_3d, iso3dfd_step, tiled_cholesky, tiled_gemm
 from repro.kernels.traces import kernel_trace_chunks
 from repro.memory import SetAssociativeCache, for_broadwell
@@ -228,7 +227,11 @@ def _engine_calls():
     """The quick Table 5 KNL grid plus the quick-collection SpMV profiles at
     the sparse figures' noise, each under all four MCDRAM modes."""
     noisy = DEFAULT_KNOBS.replace(noise_sigma=0.06)
-    profiles = [(k.profile(), DEFAULT_KNOBS) for ks in knl_configs(quick=True).values() for k in ks]
+    profiles = [
+        (k.profile(), DEFAULT_KNOBS)
+        for name in SWEEP_KERNELS
+        for k in sweep_configs("knl", name, quick=True)
+    ]
     profiles += [(SpmvKernel(descriptor=d).profile(), noisy) for d in collection_for(quick=True)]
     machine = knl()
     return [

@@ -78,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validatep.add_argument(
         "--window",
-        type=int,
+        type=_checked(int, ">= 2", lambda value: value >= 2),
         default=4096,
         help="sampling window length in references (with --sampled)",
     )
     validatep.add_argument(
         "--period",
-        type=int,
+        type=_positive(int),
         default=4,
         help="analyze one in PERIOD windows (with --sampled)",
     )
@@ -362,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     sbenchp.add_argument(
         "-o", "--output", default="BENCH_serve.json", metavar="PATH"
     )
-    sbenchp.add_argument("--clients", type=int, default=8, metavar="N")
+    sbenchp.add_argument("--clients", type=_positive(int), default=8, metavar="N")
     sbenchp.add_argument(
-        "--requests", type=int, default=40, metavar="N",
+        "--requests", type=_positive(int), default=40, metavar="N",
         help="requests per client in the mixed phase (default 40)",
     )
     sbenchp.add_argument(
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct advise queries in the workload (default 24)",
     )
     sbenchp.add_argument(
-        "--identical", type=int, default=100, metavar="N",
+        "--identical", type=_positive(int), default=100, metavar="N",
         help="identical concurrent queries for the coalescing proof "
         "(default 100)",
     )
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sbenchp.add_argument("--seed", type=int, default=7)
     sbenchp.add_argument(
-        "--slo-p99-ms", type=float, default=250.0, metavar="MS",
+        "--slo-p99-ms", type=_positive(float), default=250.0, metavar="MS",
         help="advise-route p99 budget asserted by the verdict (default 250)",
     )
     energyp = sub.add_parser(
@@ -694,18 +694,15 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
     from repro.experiments.results import DataTable
     from repro.power.ledger import (
+        DEMO_KERNELS,
         ENERGY_CONFIGS,
         demo_kernel,
         pareto_front,
+        platform_pareto,
         price_config,
     )
 
-    kernel_names = (
-        ["stream", "gemm", "cholesky", "spmv", "sptrans", "sptrsv",
-         "stencil", "fft"]
-        if args.kernel == "all"
-        else [args.kernel]
-    )
+    kernel_names = DEMO_KERNELS if args.kernel == "all" else [args.kernel]
     configs = [
         (platform, mode)
         for platform, mode in ENERGY_CONFIGS
@@ -722,11 +719,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
             for platform, mode in configs
         ]
         flags = pareto_front(runs)
-        platform_flags: list[bool] = [False] * len(runs)
-        for platform in ("broadwell", "knl"):
-            sub = [(i, r) for i, r in enumerate(runs) if r.platform == platform]
-            for (i, _), flag in zip(sub, pareto_front([r for _, r in sub])):
-                platform_flags[i] = flag
+        platform_flags = platform_pareto(runs)
         for run_ in runs:
             violations.extend(
                 f"{name} {run_.platform}/{run_.mode}: {v}"

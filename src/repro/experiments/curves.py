@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import MODE_LABELS, run_broadwell_sweep, run_knl_sweep, speedups
+from repro.experiments.sweeps import SWEEP_MODES, run_sweep, speedups
 from repro.kernels.base import Kernel
 from repro.viz import line_chart
 
@@ -21,12 +21,8 @@ def curve_experiment(
 ) -> ExperimentResult:
     """Throughput-vs-size curves across OPM modes for one kernel."""
     result = ExperimentResult(experiment_id=experiment_id, title=title)
-    if platform == "broadwell":
-        points = run_broadwell_sweep(configs)
-        labels = ["w/o eDRAM", "w/ eDRAM"]
-    else:
-        points = run_knl_sweep(configs)
-        labels = list(MODE_LABELS.values())
+    points = run_sweep(configs, platform)
+    labels = list(SWEEP_MODES[platform])
     fps = np.asarray(list(footprints_mb), dtype=np.float64)
     series = {
         label: np.array([p.gflops(label) for p in points]) for label in labels

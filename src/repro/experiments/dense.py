@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweeps import (
-    MODE_LABELS,
+    SWEEP_MODES,
     dense_orders,
     dense_tiles,
-    run_broadwell_sweep,
-    run_knl_sweep,
+    run_sweep,
+    sweep_configs,
 )
-from repro.kernels.base import Kernel
 from repro.viz import heatmap
 
 
 def heatmap_experiment(
     experiment_id: str,
     title: str,
-    kernel_factory: Callable[[int, int], Kernel],
+    kernel: str,
     platform: str,
     *,
     quick: bool,
@@ -30,15 +27,9 @@ def heatmap_experiment(
     result = ExperimentResult(experiment_id=experiment_id, title=title)
     orders = dense_orders(platform, quick=quick)
     tiles = dense_tiles(quick=quick)
-    configs = [
-        kernel_factory(order, tile) for tile in tiles for order in orders
-    ]
-    if platform == "broadwell":
-        points = run_broadwell_sweep(configs)
-        mode_labels = ["w/o eDRAM", "w/ eDRAM"]
-    else:
-        points = run_knl_sweep(configs)
-        mode_labels = list(MODE_LABELS.values())
+    # sweep_configs lists the grid tile-major, one row of orders per tile.
+    points = run_sweep(sweep_configs(platform, kernel, quick=quick), platform)
+    mode_labels = list(SWEEP_MODES[platform])
     n_t, n_o = len(tiles), len(orders)
     rows = []
     grids = {label: np.zeros((n_t, n_o)) for label in mode_labels}

@@ -28,35 +28,14 @@ from __future__ import annotations
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
 from repro.power.ledger import (
+    DEMO_KERNELS,
     ENERGY_CONFIGS,
-    PricedRun,
     demo_kernel,
     pareto_front,
+    platform_pareto,
     price_config,
 )
 from repro.viz import bar_chart
-
-KERNELS = (
-    "stream",
-    "gemm",
-    "cholesky",
-    "spmv",
-    "sptrans",
-    "sptrsv",
-    "stencil",
-    "fft",
-)
-
-
-def _frontier_points(runs: list[PricedRun]) -> set[tuple[float, float]]:
-    """Distinct (seconds, energy) points on the per-platform frontiers."""
-    points: set[tuple[float, float]] = set()
-    for platform in ("broadwell", "knl"):
-        sub = [r for r in runs if r.platform == platform]
-        for run, optimal in zip(sub, pareto_front(sub)):
-            if optimal:
-                points.add((run.seconds, run.energy_j))
-    return points
 
 
 @register("ext8", "Energy/time Pareto frontiers", "Extension (Section 5)")
@@ -73,7 +52,7 @@ def run(quick: bool = True) -> ExperimentResult:
         f"{p}/{m}": [] for p, m in ENERGY_CONFIGS
     }
     degenerate = []
-    for name in KERNELS:
+    for name in DEMO_KERNELS:
         runs = [
             price_config(demo_kernel(name), platform, mode, reps=reps)
             for platform, mode in ENERGY_CONFIGS
@@ -86,13 +65,7 @@ def run(quick: bool = True) -> ExperimentResult:
                     f"do not close: {'; '.join(violations)}"
                 )
         global_flags = pareto_front(runs)
-        platform_flags: dict[int, bool] = {}
-        for platform in ("broadwell", "knl"):
-            sub = [
-                (i, r) for i, r in enumerate(runs) if r.platform == platform
-            ]
-            for (i, _), flag in zip(sub, pareto_front([r for _, r in sub])):
-                platform_flags[i] = flag
+        platform_flags = platform_pareto(runs)
         labels.append(name)
         for i, run_ in enumerate(runs):
             eff_by_config[f"{run_.platform}/{run_.mode}"].append(
@@ -112,11 +85,14 @@ def run(quick: bool = True) -> ExperimentResult:
                     int(platform_flags[i]),
                 )
             )
-        points = _frontier_points(runs)
+        # Distinct (seconds, energy) points on the per-platform frontiers.
+        points = {
+            (r.seconds, r.energy_j) for r, f in zip(runs, platform_flags) if f
+        }
         if len(points) < 2:
             degenerate.append(name)
         frontier_rows.append(
-            (name, sum(global_flags), sum(platform_flags.values()), len(points))
+            (name, sum(global_flags), sum(platform_flags), len(points))
         )
     result.add_table(
         "pareto",
@@ -164,7 +140,7 @@ def run(quick: bool = True) -> ExperimentResult:
     )
     result.notes.append(
         f"KNL flat mode sits on the global frontier for {knl_flat_wins} of "
-        f"{len(KERNELS)} kernels: on-package MCDRAM moves a byte cheaper "
+        f"{len(DEMO_KERNELS)} kernels: on-package MCDRAM moves a byte cheaper "
         "and faster than DDR, so cross-machine comparison favours it on "
         "both axes; the Broadwell-vs-eDRAM trade-off lives on the "
         "platform_pareto column (Eq. (1) regime)."

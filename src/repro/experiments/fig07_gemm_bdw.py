@@ -5,15 +5,10 @@ from __future__ import annotations
 from repro.experiments.dense import heatmap_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.kernels import GemmKernel
 
 
 @register("fig7", "GEMM on Broadwell (heatmaps)", "Figure 7")
 def run(quick: bool = True) -> ExperimentResult:
     return heatmap_experiment(
-        "fig7",
-        "GEMM on Broadwell (order x tile)",
-        lambda order, tile: GemmKernel(order=order, tile=tile),
-        "broadwell",
-        quick=quick,
+        "fig7", "GEMM on Broadwell (order x tile)", "GEMM", "broadwell", quick=quick
     )

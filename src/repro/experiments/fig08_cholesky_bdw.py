@@ -5,15 +5,10 @@ from __future__ import annotations
 from repro.experiments.dense import heatmap_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.kernels import CholeskyKernel
 
 
 @register("fig8", "Cholesky on Broadwell (heatmaps)", "Figure 8")
 def run(quick: bool = True) -> ExperimentResult:
     return heatmap_experiment(
-        "fig8",
-        "Cholesky on Broadwell (order x tile)",
-        lambda order, tile: CholeskyKernel(order=order, tile=tile),
-        "broadwell",
-        quick=quick,
+        "fig8", "Cholesky on Broadwell (order x tile)", "Cholesky", "broadwell", quick=quick
     )

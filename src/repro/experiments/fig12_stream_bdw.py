@@ -5,15 +5,11 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import stream_sizes
-from repro.kernels import StreamKernel
+from repro.experiments.sweeps import sweep_configs
 
 
 @register("fig12", "Stream on Broadwell", "Figure 12")
 def run(quick: bool = True) -> ExperimentResult:
-    sizes = stream_sizes("broadwell", quick=quick)
-    configs = [StreamKernel(n=n) for n in sizes]
-    fps = [3 * 8 * n / 2**20 for n in sizes]
-    return curve_experiment(
-        "fig12", "STREAM TRIAD on Broadwell", configs, fps, "broadwell"
-    )
+    configs = sweep_configs("broadwell", "Stream", quick=quick)
+    fps = [3 * 8 * k.n / 2**20 for k in configs]
+    return curve_experiment("fig12", "STREAM TRIAD on Broadwell", configs, fps, "broadwell")

@@ -5,16 +5,11 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import stencil_grids
-from repro.kernels import StencilKernel
+from repro.experiments.sweeps import sweep_configs
 
 
 @register("fig13", "Stencil on Broadwell", "Figure 13")
 def run(quick: bool = True) -> ExperimentResult:
-    grids = stencil_grids("broadwell", quick=quick)
-    grids = [g for g in grids if min(g) >= 32]
-    configs = [StencilKernel(*g, threads=8) for g in grids]
-    fps = [3 * 8 * g[0] * g[1] * g[2] / 2**20 for g in grids]
-    return curve_experiment(
-        "fig13", "iso3dfd stencil on Broadwell", configs, fps, "broadwell"
-    )
+    configs = sweep_configs("broadwell", "Stencil", quick=quick)
+    fps = [3 * 8 * k.nx * k.ny * k.nz / 2**20 for k in configs]
+    return curve_experiment("fig13", "iso3dfd stencil on Broadwell", configs, fps, "broadwell")

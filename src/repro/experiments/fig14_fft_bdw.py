@@ -5,15 +5,11 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import fft_sizes
-from repro.kernels import FftKernel
+from repro.experiments.sweeps import sweep_configs
 
 
 @register("fig14", "FFT on Broadwell", "Figure 14")
 def run(quick: bool = True) -> ExperimentResult:
-    sizes = fft_sizes("broadwell", quick=quick)
-    configs = [FftKernel(size=s) for s in sizes]
-    fps = [48 * s**3 / 2**20 for s in sizes]
-    return curve_experiment(
-        "fig14", "3-D FFT on Broadwell", configs, fps, "broadwell"
-    )
+    configs = sweep_configs("broadwell", "FFT", quick=quick)
+    fps = [48 * k.size**3 / 2**20 for k in configs]
+    return curve_experiment("fig14", "3-D FFT on Broadwell", configs, fps, "broadwell")

@@ -5,15 +5,10 @@ from __future__ import annotations
 from repro.experiments.dense import heatmap_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.kernels import CholeskyKernel
 
 
 @register("fig16", "Cholesky on KNL (4-mode heatmaps)", "Figure 16")
 def run(quick: bool = True) -> ExperimentResult:
     return heatmap_experiment(
-        "fig16",
-        "Cholesky on KNL (order x tile)",
-        lambda order, tile: CholeskyKernel(order=order, tile=tile),
-        "knl",
-        quick=quick,
+        "fig16", "Cholesky on KNL (order x tile)", "Cholesky", "knl", quick=quick
     )

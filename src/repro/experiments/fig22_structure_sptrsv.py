@@ -1,65 +1,22 @@
 """Figure 22: structure impact of SpTRSV on KNL.
 
-Speedup of the MCDRAM modes over DDR, binned by (rows, nonzeros). The
-paper draws one heatmap for all three modes since their structural
-impact coincides (Section 4.2.2); we follow suit using flat mode.
+Speedup of flat mode over DDR in the Figure 19 sweep, binned by
+(rows, nonzeros).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.engine.calibration import DEFAULT_KNOBS
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sparse_exp import (
-    SPARSE_NOISE_SIGMA,
-    structure_grid,
-    structure_rows,
-)
-from repro.experiments.sweeps import collection_for, run_knl_sweep, speedups
-from repro.kernels import SptrsvKernel
-from repro.sparse import MatrixDescriptor
-from repro.viz import heatmap
-
-
-def _factory(d: MatrixDescriptor) -> SptrsvKernel:
-    return SptrsvKernel(descriptor=d)
+from repro.experiments.sparse_exp import structure_experiment
 
 
 @register("fig22", "Structure impact of SpTRSV on KNL", "Figure 22")
 def run(quick: bool = True) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id="fig22",
-        title="Structure impact of SpTRSV on KNL (rows x nnz)",
+    return structure_experiment(
+        "fig22",
+        "Structure impact of SpTRSV on KNL (rows x nnz)",
+        "SpTRSV",
+        quick=quick,
+        note="few rows with moderate nonzeros keep the solve vector cached.",
     )
-    collection = collection_for(quick=quick)
-    knobs = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
-    points = run_knl_sweep([_factory(d) for d in collection], knobs=knobs)
-    rows = np.array([d.n_rows for d in collection])
-    nnz = np.array([d.nnz for d in collection])
-    flat = np.array([p.gflops("Flat") for p in points])
-    ddr = np.array([p.gflops("DDR") for p in points])
-    speedup = speedups(flat, ddr)
-    grid, row_edges, nnz_edges = structure_grid(rows, nnz, speedup)
-    result.figures.append(
-        heatmap(
-            grid[::-1],
-            row_labels=[f"2^{int(e)}" for e in row_edges[:-1][::-1]],
-            col_labels=[f"2^{int(e)}" for e in nnz_edges[:-1]],
-            title="SpTRSV on KNL: flat-mode speedup by (rows, nnz)",
-        )
-    )
-    result.add_table(
-        "structure",
-        ("log2_rows_bin", "log2_nnz_bin", "mean_speedup", "count"),
-        structure_rows(rows, nnz, speedup),
-    )
-    best = structure_rows(rows, nnz, speedup)
-    if best:
-        top = max(best, key=lambda r: r[2])
-        result.notes.append(
-            f"Hottest bin: rows ~2^{top[0]:.0f}, nnz ~2^{top[1]:.0f} "
-            f"(mean speedup {top[2]:.2f}x) — few rows with moderate nonzeros keep the solve vector cached."
-        )
-    return result

@@ -5,17 +5,14 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import stream_sizes
+from repro.experiments.sweeps import sweep_configs
 from repro.kernels import StreamKernel
 
 
 @register("fig23", "Stream on KNL", "Figure 23")
 def run(quick: bool = True) -> ExperimentResult:
-    sizes = stream_sizes("knl", quick=quick)
+    configs = sweep_configs("knl", "Stream", quick=quick)
     # Extend beyond MCDRAM capacity to expose the flat-mode cliff.
-    sizes = sizes + [sizes[-1] * 4, sizes[-1] * 16]
-    configs = [StreamKernel(n=n) for n in sizes]
-    fps = [3 * 8 * n / 2**20 for n in sizes]
-    return curve_experiment(
-        "fig23", "STREAM TRIAD on KNL", configs, fps, "knl"
-    )
+    configs += [StreamKernel(n=configs[-1].n * f) for f in (4, 16)]
+    fps = [3 * 8 * k.n / 2**20 for k in configs]
+    return curve_experiment("fig23", "STREAM TRIAD on KNL", configs, fps, "knl")

@@ -5,15 +5,11 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import stencil_grids
-from repro.kernels import StencilKernel
+from repro.experiments.sweeps import sweep_configs
 
 
 @register("fig24", "Stencil on KNL", "Figure 24")
 def run(quick: bool = True) -> ExperimentResult:
-    grids = stencil_grids("knl", quick=quick)
-    configs = [StencilKernel(*g, threads=256) for g in grids]
-    fps = [3 * 8 * g[0] * g[1] * g[2] / 2**20 for g in grids]
-    return curve_experiment(
-        "fig24", "iso3dfd stencil on KNL", configs, fps, "knl"
-    )
+    configs = sweep_configs("knl", "Stencil", quick=quick)
+    fps = [3 * 8 * k.nx * k.ny * k.nz / 2**20 for k in configs]
+    return curve_experiment("fig24", "iso3dfd stencil on KNL", configs, fps, "knl")

@@ -5,13 +5,11 @@ from __future__ import annotations
 from repro.experiments.curves import curve_experiment
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import fft_sizes
-from repro.kernels import FftKernel
+from repro.experiments.sweeps import sweep_configs
 
 
 @register("fig25", "FFT on KNL", "Figure 25")
 def run(quick: bool = True) -> ExperimentResult:
-    sizes = fft_sizes("knl", quick=quick)
-    configs = [FftKernel(size=s) for s in sizes]
-    fps = [48 * s**3 / 2**20 for s in sizes]
+    configs = sweep_configs("knl", "FFT", quick=quick)
+    fps = [48 * k.size**3 / 2**20 for k in configs]
     return curve_experiment("fig25", "3-D FFT on KNL", configs, fps, "knl")

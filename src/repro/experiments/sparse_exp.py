@@ -3,24 +3,27 @@
 The paper's layout per kernel: a raw-throughput scatter over memory
 footprint, a normalized-speedup scatter (OPM vs baseline), and a
 structure heatmap of speedup binned by (rows, nonzeros). Broadwell
-figures compare eDRAM on/off; KNL figures compare the four MCDRAM modes.
+figures compare eDRAM on/off and carry their heatmap inline; KNL
+figures compare the four MCDRAM modes, and their heatmaps are Figures
+20-22 (flat mode over DDR).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from repro.engine.calibration import DEFAULT_KNOBS
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweeps import (
+    SWEEP_MODES,
+    SweepPoint,
     collection_for,
-    run_broadwell_sweep,
-    run_knl_sweep,
+    run_sweep,
     speedups,
+    sweep_configs,
 )
-from repro.kernels.base import Kernel
 from repro.sparse import MatrixDescriptor
 from repro.viz import heatmap, line_chart
 
@@ -28,33 +31,27 @@ from repro.viz import heatmap, line_chart
 SPARSE_NOISE_SIGMA = 0.06
 
 
+def _sparse_sweep(kernel: str, platform: str, *, quick: bool) -> list[SweepPoint]:
+    knobs = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
+    return run_sweep(sweep_configs(platform, kernel, quick=quick), platform, knobs=knobs)
+
+
 def sparse_experiment(
     experiment_id: str,
     title: str,
-    kernel_factory: Callable[[MatrixDescriptor], Kernel],
+    kernel: str,
     platform: str,
     *,
     quick: bool,
-    structure_heatmap: bool = True,
 ) -> ExperimentResult:
     """Run one sparse kernel over the matrix collection on one platform."""
     result = ExperimentResult(experiment_id=experiment_id, title=title)
     collection = collection_for(quick=quick)
-    configs = [kernel_factory(d) for d in collection]
-    knobs = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
-    if platform == "broadwell":
-        points = run_broadwell_sweep(configs, knobs=knobs)
-        base_label, opm_labels = "w/o eDRAM", ["w/ eDRAM"]
-    else:
-        points = run_knl_sweep(configs, knobs=knobs)
-        base_label, opm_labels = "DDR", ["Flat", "Cache", "Hybrid"]
+    points = _sparse_sweep(kernel, platform, quick=quick)
+    labels = list(SWEEP_MODES[platform])
+    base_label, *opm_labels = labels
     footprints = np.array([d.footprint_bytes / 2**20 for d in collection])
-    rows_arr = np.array([d.n_rows for d in collection])
-    nnz_arr = np.array([d.nnz for d in collection])
-    mode_values = {
-        label: np.array([p.gflops(label) for p in points])
-        for label in (base_label, *opm_labels)
-    }
+    mode_values = {label: np.array([p.gflops(label) for p in points]) for label in labels}
     # Raw throughput scatter.
     result.figures.append(
         line_chart(
@@ -84,7 +81,7 @@ def sparse_experiment(
             "rows",
             "nnz",
             "footprint_mb",
-            *(label.replace(" ", "_") for label in (base_label, *opm_labels)),
+            *(label.replace(" ", "_") for label in labels),
         ),
         [
             (
@@ -93,7 +90,7 @@ def sparse_experiment(
                 d.n_rows,
                 d.nnz,
                 float(footprints[i]),
-                *(float(mode_values[label][i]) for label in (base_label, *opm_labels)),
+                *(float(mode_values[label][i]) for label in labels),
             )
             for i, d in enumerate(collection)
         ],
@@ -105,35 +102,87 @@ def sparse_experiment(
             f">1x on {np.mean(sp > 1.001):.0%} of matrices; effective "
             "region concentrates between the LLC valley and the OPM capacity."
         )
-    if structure_heatmap:
-        grid, row_edges, nnz_edges = structure_grid(
-            rows_arr, nnz_arr, ratios[opm_labels[0]]
-        )
-        result.figures.append(
-            heatmap(
-                grid[::-1],
-                row_labels=[f"2^{int(e)}" for e in row_edges[:-1][::-1]],
-                col_labels=[f"2^{int(e)}" for e in nnz_edges[:-1]],
-                title=f"{title}: {opm_labels[0]} speedup by (rows, nnz)",
-            )
-        )
-        result.add_table(
-            "structure",
-            ("log2_rows_bin", "log2_nnz_bin", "mean_speedup", "count"),
-            structure_rows(rows_arr, nnz_arr, ratios[opm_labels[0]]),
+    if platform == "broadwell":  # KNL's structure heatmaps are Figures 20-22.
+        _add_structure(
+            result,
+            collection,
+            ratios[opm_labels[0]],
+            f"{title}: {opm_labels[0]} speedup by (rows, nnz)",
         )
     return result
 
 
-def structure_grid(
+def structure_experiment(
+    experiment_id: str, title: str, kernel: str, *, quick: bool, note: str
+) -> ExperimentResult:
+    """Figures 20-22: the structure view of one KNL sparse sweep.
+
+    The MCDRAM modes' structural impact coincides (Section 4.2.2), so
+    like the paper this draws one heatmap, for flat mode over DDR.
+    """
+    result = ExperimentResult(experiment_id=experiment_id, title=title)
+    points = _sparse_sweep(kernel, "knl", quick=quick)
+    speedup = speedups(
+        np.array([p.gflops("Flat") for p in points]),
+        np.array([p.gflops("DDR") for p in points]),
+    )
+    cells = _add_structure(
+        result,
+        collection_for(quick=quick),
+        speedup,
+        f"{kernel} on KNL: flat-mode speedup by (rows, nnz)",
+    )
+    if cells:
+        top = max(cells, key=lambda r: r[2])
+        result.notes.append(
+            f"Hottest bin: rows ~2^{top[0]:.0f}, nnz ~2^{top[1]:.0f} "
+            f"(mean speedup {top[2]:.2f}x) — {note}"
+        )
+    return result
+
+
+def _add_structure(
+    result: ExperimentResult,
+    collection: Sequence[MatrixDescriptor],
+    speedup: np.ndarray,
+    title: str,
+) -> list[tuple]:
+    """Append the (rows, nnz) heatmap and ``structure`` table of ``speedup``."""
+    grid, row_edges, nnz_edges, cells = structure_bins(
+        np.array([d.n_rows for d in collection]),
+        np.array([d.nnz for d in collection]),
+        speedup,
+    )
+    result.figures.append(
+        heatmap(
+            grid[::-1],
+            row_labels=[f"2^{int(e)}" for e in row_edges[:-1][::-1]],
+            col_labels=[f"2^{int(e)}" for e in nnz_edges[:-1]],
+            title=title,
+        )
+    )
+    result.add_table(
+        "structure",
+        ("log2_rows_bin", "log2_nnz_bin", "mean_speedup", "count"),
+        cells,
+    )
+    return cells
+
+
+def structure_bins(
     rows: np.ndarray, nnz: np.ndarray, values: np.ndarray, *, bins: int = 8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean `values` binned on a log2 (rows x nnz) grid (NaN where empty)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple]]:
+    """Mean ``values`` binned on a log2 (rows x nnz) grid.
+
+    Returns the grid (NaN where empty), its row and nnz bin edges, and the
+    populated cells as ``(log2_rows_bin, log2_nnz_bin, mean, count)`` rows.
+    """
     lr = np.log2(np.maximum(rows, 2))
     ln = np.log2(np.maximum(nnz, 2))
     row_edges = np.linspace(lr.min(), lr.max() + 1e-9, bins + 1)
     nnz_edges = np.linspace(ln.min(), ln.max() + 1e-9, bins + 1)
     grid = np.full((bins, bins), np.nan)
+    cells = []
     for i in range(bins):
         for j in range(bins):
             mask = (
@@ -143,34 +192,8 @@ def structure_grid(
                 & (ln < nnz_edges[j + 1])
             )
             if mask.any():
-                grid[i, j] = float(values[mask].mean())
-    return grid, row_edges, nnz_edges
-
-
-def structure_rows(
-    rows: np.ndarray, nnz: np.ndarray, values: np.ndarray, *, bins: int = 8
-) -> list[tuple]:
-    """Tabular form of :func:`structure_grid` (only populated cells)."""
-    lr = np.log2(np.maximum(rows, 2))
-    ln = np.log2(np.maximum(nnz, 2))
-    row_edges = np.linspace(lr.min(), lr.max() + 1e-9, bins + 1)
-    nnz_edges = np.linspace(ln.min(), ln.max() + 1e-9, bins + 1)
-    out = []
-    for i in range(bins):
-        for j in range(bins):
-            mask = (
-                (lr >= row_edges[i])
-                & (lr < row_edges[i + 1])
-                & (ln >= nnz_edges[j])
-                & (ln < nnz_edges[j + 1])
-            )
-            if mask.any():
-                out.append(
-                    (
-                        float(row_edges[i]),
-                        float(nnz_edges[j]),
-                        float(values[mask].mean()),
-                        int(mask.sum()),
-                    )
+                grid[i, j] = mean = float(values[mask].mean())
+                cells.append(
+                    (float(row_edges[i]), float(nnz_edges[j]), mean, int(mask.sum()))
                 )
-    return out
+    return grid, row_edges, nnz_edges, cells

@@ -2,24 +2,37 @@
 
 The appendix of the paper fixes the exact parameter grids (matrix orders,
 tile sizes, grid/array/FFT sizes) per platform; this module encodes them
-once, with reduced "quick" variants used by tests and benchmarks.
+once, with reduced "quick" variants used by tests and benchmarks. It also
+decides, in one place, which configurations a (platform, kernel) sweep
+holds (:func:`sweep_configs`) and which OPM modes a platform sweeps
+(:data:`SWEEP_MODES`): Figures 7-25 and Tables 4-5 all reach the engine
+through :func:`run_sweep`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.engine.calibration import DEFAULT_KNOBS, ModelKnobs
 from repro.engine.exectime import RunResult, estimate
-from repro.kernels.base import Kernel
+from repro.kernels import (
+    CholeskyKernel,
+    FftKernel,
+    GemmKernel,
+    Kernel,
+    SpmvKernel,
+    SptransKernel,
+    SptrsvKernel,
+    StencilKernel,
+    StreamKernel,
+)
 from repro.platforms import MachineSpec, McdramMode, broadwell, knl
-from repro.platforms.tuning import ALL_MCDRAM_MODES
-from repro.sparse import MatrixDescriptor, build_collection
+from repro.sparse import MatrixDescriptor, build_collection, from_params
 from repro.telemetry import names as tm
 
 # -- parameter grids (appendix A.2) ------------------------------------------
@@ -50,7 +63,10 @@ def stream_sizes(platform: str, *, quick: bool) -> list[int]:
 
 
 def stencil_grids(platform: str, *, quick: bool) -> list[tuple[int, int, int]]:
-    """3-D grids (A.2.6), doubling from the platform minimum."""
+    """3-D grids (A.2.6), doubling from the platform minimum.
+
+    Broadwell starts at 32^3, so every Broadwell grid is >= 32 on each axis.
+    """
     grids: list[tuple[int, int, int]] = []
     if platform == "broadwell":
         g = (32, 32, 32)
@@ -84,7 +100,63 @@ def collection_for(*, quick: bool) -> tuple[MatrixDescriptor, ...]:
     return tuple(build_collection())
 
 
-# -- sweep runners -------------------------------------------------------------
+# -- sweeps -------------------------------------------------------------------
+
+#: The OPM modes each platform sweeps: result label -> ``estimate()``
+#: keywords, baseline first.
+SWEEP_MODES: dict[str, dict[str, dict[str, object]]] = {
+    "broadwell": {"w/o eDRAM": {"edram": False}, "w/ eDRAM": {"edram": True}},
+    "knl": {
+        "DDR": {"mcdram": McdramMode.OFF},
+        "Flat": {"mcdram": McdramMode.FLAT},
+        "Cache": {"mcdram": McdramMode.CACHE},
+        "Hybrid": {"mcdram": McdramMode.HYBRID},
+    },
+}
+
+#: The kernels every platform sweeps, in Table 4/5 row order.
+SWEEP_KERNELS = (
+    "GEMM", "Cholesky", "SpMV", "SpTRANS", "SpTRSV", "Stream", "Stencil", "FFT",
+)
+
+_MACHINES: dict[str, Callable[[], MachineSpec]] = {"broadwell": broadwell, "knl": knl}
+# Per-platform kernel variants: ScanTrans on Broadwell and MergeTrans on
+# KNL (Figures 10 and 18), and one stencil thread per hardware thread.
+_SPTRANS_ALGORITHM = {"broadwell": "scan", "knl": "merge"}
+_STENCIL_THREADS = {"broadwell": 8, "knl": 256}
+
+
+def _check(kind: str, value: str, choices: Collection[str]) -> None:
+    if value not in choices:
+        raise ValueError(f"{kind} = {value!r}: sweeps cover {', '.join(choices)}")
+
+
+def sweep_configs(platform: str, kernel: str, *, quick: bool) -> list[Kernel]:
+    """The configurations of one (platform, kernel) sweep (appendix A.2).
+
+    Figures 7-19 and 23-25 plot these sweeps, and Tables 4-5 summarize
+    the same ones.
+    """
+    _check("platform", platform, SWEEP_MODES)
+    _check("kernel", kernel, SWEEP_KERNELS)
+    if kernel in ("GEMM", "Cholesky"):
+        dense = GemmKernel if kernel == "GEMM" else CholeskyKernel
+        orders = dense_orders(platform, quick=quick)
+        return [dense(order=o, tile=t) for t in dense_tiles(quick=quick) for o in orders]
+    if kernel == "Stream":
+        return [StreamKernel(n=n) for n in stream_sizes(platform, quick=quick)]
+    if kernel == "Stencil":
+        threads = _STENCIL_THREADS[platform]
+        return [StencilKernel(*g, threads=threads) for g in stencil_grids(platform, quick=quick)]
+    if kernel == "FFT":
+        return [FftKernel(size=s) for s in fft_sizes(platform, quick=quick)]
+    collection = collection_for(quick=quick)
+    if kernel == "SpMV":
+        return [SpmvKernel(descriptor=d) for d in collection]
+    if kernel == "SpTRANS":
+        algorithm = _SPTRANS_ALGORITHM[platform]
+        return [SptransKernel(descriptor=d, algorithm=algorithm) for d in collection]
+    return [SptrsvKernel(descriptor=d) for d in collection]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,64 +170,25 @@ class SweepPoint:
         return self.results[mode].gflops
 
 
-def run_broadwell_sweep(
-    configs: Iterable[Kernel],
-    *,
-    knobs: ModelKnobs = DEFAULT_KNOBS,
-    machine: MachineSpec | None = None,
+def run_sweep(
+    configs: Iterable[Kernel], platform: str, *, knobs: ModelKnobs = DEFAULT_KNOBS
 ) -> list[SweepPoint]:
-    """Evaluate kernels on Broadwell with eDRAM on and off."""
-    m = machine if machine is not None else broadwell()
+    """Evaluate kernels on ``platform`` under each of its ``SWEEP_MODES``."""
+    _check("platform", platform, SWEEP_MODES)
+    modes = SWEEP_MODES[platform]
+    machine = _MACHINES[platform]()
     points = []
     for kernel in configs:
         with telemetry.span(
-            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=m.name
+            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=machine.name
         ):
             profile = kernel.profile()
             points.append(
                 SweepPoint(
                     params=dict(profile.params),
                     results={
-                        "w/ eDRAM": estimate(profile, m, edram=True, knobs=knobs),
-                        "w/o eDRAM": estimate(profile, m, edram=False, knobs=knobs),
-                    },
-                )
-            )
-        telemetry.counter(tm.METRIC_SWEEP_POINTS).inc()
-    return points
-
-
-MODE_LABELS = {
-    McdramMode.OFF: "DDR",
-    McdramMode.FLAT: "Flat",
-    McdramMode.CACHE: "Cache",
-    McdramMode.HYBRID: "Hybrid",
-}
-
-
-def run_knl_sweep(
-    configs: Iterable[Kernel],
-    *,
-    modes: Sequence[McdramMode] = ALL_MCDRAM_MODES,
-    knobs: ModelKnobs = DEFAULT_KNOBS,
-    machine: MachineSpec | None = None,
-) -> list[SweepPoint]:
-    """Evaluate kernels on KNL across MCDRAM modes."""
-    m = machine if machine is not None else knl()
-    points = []
-    for kernel in configs:
-        with telemetry.span(
-            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=m.name
-        ):
-            profile = kernel.profile()
-            points.append(
-                SweepPoint(
-                    params=dict(profile.params),
-                    results={
-                        MODE_LABELS[mode]: estimate(
-                            profile, m, mcdram=mode, knobs=knobs
-                        )
-                        for mode in modes
+                        label: estimate(profile, machine, knobs=knobs, **kwargs)
+                        for label, kwargs in modes.items()
                     },
                 )
             )
@@ -232,38 +265,23 @@ def _require_positive(arr: np.ndarray, what: str, why: str) -> None:
         raise ValueError(f"{what}[{first}] = {arr[first]}: {why}")
 
 
-def representative_kernels(
-    platform: str,
-) -> dict[str, Callable[[], Kernel]]:
+def representative_kernels(platform: str) -> dict[str, Callable[[], Kernel]]:
     """One mid-sized configuration per kernel (power figures, Eq. 1).
 
     Footprints are chosen inside the OPM-effective region so the power
     comparison reflects active OPM use, as the paper's power runs do.
     """
-    from repro.kernels import (
-        CholeskyKernel,
-        FftKernel,
-        GemmKernel,
-        SpmvKernel,
-        SptransKernel,
-        SptrsvKernel,
-        StencilKernel,
-        StreamKernel,
-    )
-    from repro.sparse import from_params
-
+    algorithm, threads = _SPTRANS_ALGORITHM[platform], _STENCIL_THREADS[platform]
     if platform == "broadwell":
         sparse_desc = from_params("rep", "banded", 500_000, 6_000_000, seed=7)
         return {
             "DGEMM": lambda: GemmKernel(order=8192, tile=256),
             "Cholesky": lambda: CholeskyKernel(order=8192, tile=256),
             "SpMV": lambda: SpmvKernel(descriptor=sparse_desc),
-            "SpTRANS": lambda: SptransKernel(
-                descriptor=sparse_desc, algorithm="scan"
-            ),
+            "SpTRANS": lambda: SptransKernel(descriptor=sparse_desc, algorithm=algorithm),
             "SpTRSV": lambda: SptrsvKernel(descriptor=sparse_desc),
             "FFT": lambda: FftKernel(size=160),
-            "Stencil": lambda: StencilKernel(256, 256, 128, threads=8),
+            "Stencil": lambda: StencilKernel(256, 256, 128, threads=threads),
             "Stream": lambda: StreamKernel(n=2**21),
         }
     sparse_desc = from_params("rep", "banded", 40_000_000, 500_000_000, seed=7)
@@ -271,11 +289,9 @@ def representative_kernels(
         "DGEMM": lambda: GemmKernel(order=16384, tile=512),
         "Cholesky": lambda: CholeskyKernel(order=16384, tile=512),
         "SpMV": lambda: SpmvKernel(descriptor=sparse_desc),
-        "SpTRANS": lambda: SptransKernel(
-            descriptor=sparse_desc, algorithm="merge"
-        ),
+        "SpTRANS": lambda: SptransKernel(descriptor=sparse_desc, algorithm=algorithm),
         "SpTRSV": lambda: SptrsvKernel(descriptor=sparse_desc),
         "FFT": lambda: FftKernel(size=512),
-        "Stencil": lambda: StencilKernel(768, 768, 768, threads=256),
+        "Stencil": lambda: StencilKernel(768, 768, 768, threads=threads),
         "Stream": lambda: StreamKernel(n=2**27),
     }

@@ -1,65 +1,22 @@
 """Table 4: summarized statistics for applying eDRAM on Broadwell.
 
 Per kernel: best GFlop/s without and with eDRAM, average and maximum
-performance gap, average and maximum speedup — over the same sweeps that
-generate Figures 7-14.
+performance gap, average and maximum speedup — over the configurations
+Figures 7-14 sweep (``sweep_configs``), without the sparse figures'
+scatter jitter.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweeps import (
-    collection_for,
-    dense_orders,
-    dense_tiles,
-    fft_sizes,
-    run_broadwell_sweep,
-    stencil_grids,
-    stream_sizes,
+    SWEEP_KERNELS,
+    SWEEP_MODES,
+    run_sweep,
     summarize,
+    sweep_configs,
 )
-from repro.kernels import (
-    CholeskyKernel,
-    FftKernel,
-    GemmKernel,
-    SpmvKernel,
-    SptransKernel,
-    SptrsvKernel,
-    StencilKernel,
-    StreamKernel,
-)
-from repro.kernels.base import Kernel
-
-
-def broadwell_configs(quick: bool) -> dict[str, Sequence[Kernel]]:
-    """The per-kernel Broadwell sweeps behind Figures 7-14."""
-    orders = dense_orders("broadwell", quick=quick)
-    tiles = dense_tiles(quick=quick)
-    dense_grid = [(o, t) for t in tiles for o in orders]
-    if quick:
-        dense_grid = dense_grid[:: max(1, len(dense_grid) // 48)]
-    collection = collection_for(quick=quick)
-    return {
-        "GEMM": [GemmKernel(order=o, tile=t) for o, t in dense_grid],
-        "Cholesky": [CholeskyKernel(order=o, tile=t) for o, t in dense_grid],
-        "SpMV": [SpmvKernel(descriptor=d) for d in collection],
-        "SpTRANS": [
-            SptransKernel(descriptor=d, algorithm="scan") for d in collection
-        ],
-        "SpTRSV": [SptrsvKernel(descriptor=d) for d in collection],
-        "Stream": [
-            StreamKernel(n=n) for n in stream_sizes("broadwell", quick=quick)
-        ],
-        "Stencil": [
-            StencilKernel(*g, threads=8)
-            for g in stencil_grids("broadwell", quick=quick)
-            if min(g) >= 32
-        ],
-        "FFT": [FftKernel(size=s) for s in fft_sizes("broadwell", quick=quick)],
-    }
 
 
 @register("table4", "eDRAM summary statistics", "Table 4")
@@ -68,11 +25,12 @@ def run(quick: bool = True) -> ExperimentResult:
         experiment_id="table4",
         title="Summarized statistics for applying eDRAM (Table 4)",
     )
+    base, opm = SWEEP_MODES["broadwell"]
     rows = []
     speedup_sums = []
-    for kernel, configs in broadwell_configs(quick).items():
-        points = run_broadwell_sweep(list(configs))
-        s = summarize(points, base="w/o eDRAM", opm="w/ eDRAM")
+    for kernel in SWEEP_KERNELS:
+        points = run_sweep(sweep_configs("broadwell", kernel, quick=quick), "broadwell")
+        s = summarize(points, base=base, opm=opm)
         rows.append(
             (
                 kernel,

@@ -1,65 +1,24 @@
 """Table 5: summarized statistics for the MCDRAM modes on KNL.
 
 Per kernel and per mode (flat/cache/hybrid vs DDR): best GFlop/s, average
-and maximum performance gap, average and maximum speedup — over the same
-sweeps as Figures 15-25. Negative entries (flat GEMM, hybrid SpTRANS,
+and maximum performance gap, average and maximum speedup — over the
+configurations Figures 15-19 and 23-25 sweep (``sweep_configs``), without
+Figure 23's two sizes beyond MCDRAM capacity and without the sparse
+figures' scatter jitter. Negative entries (flat GEMM, hybrid SpTRANS,
 SpTRSV) are expected: the paper's Table 5 has them too.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
 from repro.experiments.sweeps import (
-    collection_for,
-    dense_orders,
-    dense_tiles,
-    fft_sizes,
-    run_knl_sweep,
-    stencil_grids,
-    stream_sizes,
+    SWEEP_KERNELS,
+    SWEEP_MODES,
+    run_sweep,
     summarize,
+    sweep_configs,
 )
-from repro.kernels import (
-    CholeskyKernel,
-    FftKernel,
-    GemmKernel,
-    SpmvKernel,
-    SptransKernel,
-    SptrsvKernel,
-    StencilKernel,
-    StreamKernel,
-)
-from repro.kernels.base import Kernel
-
-MODES = ("Flat", "Cache", "Hybrid")
-
-
-def knl_configs(quick: bool) -> dict[str, Sequence[Kernel]]:
-    """The per-kernel KNL sweeps behind Figures 15-25."""
-    orders = dense_orders("knl", quick=quick)
-    tiles = dense_tiles(quick=quick)
-    dense_grid = [(o, t) for t in tiles for o in orders]
-    if quick:
-        dense_grid = dense_grid[:: max(1, len(dense_grid) // 48)]
-    collection = collection_for(quick=quick)
-    return {
-        "GEMM": [GemmKernel(order=o, tile=t) for o, t in dense_grid],
-        "Cholesky": [CholeskyKernel(order=o, tile=t) for o, t in dense_grid],
-        "SpMV": [SpmvKernel(descriptor=d) for d in collection],
-        "SpTRANS": [
-            SptransKernel(descriptor=d, algorithm="merge") for d in collection
-        ],
-        "SpTRSV": [SptrsvKernel(descriptor=d) for d in collection],
-        "Stream": [StreamKernel(n=n) for n in stream_sizes("knl", quick=quick)],
-        "Stencil": [
-            StencilKernel(*g, threads=256)
-            for g in stencil_grids("knl", quick=quick)
-        ],
-        "FFT": [FftKernel(size=s) for s in fft_sizes("knl", quick=quick)],
-    }
 
 
 @register("table5", "MCDRAM mode summary statistics", "Table 5")
@@ -68,22 +27,20 @@ def run(quick: bool = True) -> ExperimentResult:
         experiment_id="table5",
         title="Summarized statistics for MCDRAM modes (Table 5)",
     )
+    base, *modes = SWEEP_MODES["knl"]
     rows = []
-    for kernel, configs in knl_configs(quick).items():
-        points = run_knl_sweep(list(configs))
-        summaries = {
-            mode: summarize(points, base="DDR", opm=mode) for mode in MODES
-        }
-        any_summary = next(iter(summaries.values()))
+    for kernel in SWEEP_KERNELS:
+        points = run_sweep(sweep_configs("knl", kernel, quick=quick), "knl")
+        summaries = [summarize(points, base=base, opm=mode) for mode in modes]
         rows.append(
             (
                 kernel,
-                any_summary.best_base,
-                "/".join(f"{summaries[m].best_opm:.1f}" for m in MODES),
-                "/".join(f"{summaries[m].avg_gap:.2f}" for m in MODES),
-                "/".join(f"{summaries[m].max_gap:.1f}" for m in MODES),
-                "/".join(f"{summaries[m].avg_speedup:.3f}" for m in MODES),
-                "/".join(f"{summaries[m].max_speedup:.3f}" for m in MODES),
+                summaries[0].best_base,
+                "/".join(f"{s.best_opm:.1f}" for s in summaries),
+                "/".join(f"{s.avg_gap:.2f}" for s in summaries),
+                "/".join(f"{s.max_gap:.1f}" for s in summaries),
+                "/".join(f"{s.avg_speedup:.3f}" for s in summaries),
+                "/".join(f"{s.max_speedup:.3f}" for s in summaries),
             )
         )
     result.add_table(

@@ -465,6 +465,12 @@ def build_config(
     )
 
 
+#: The demo kernels, in the order ``repro energy`` and ext8 report them.
+DEMO_KERNELS = (
+    "stream", "gemm", "cholesky", "spmv", "sptrans", "sptrsv", "stencil", "fft",
+)
+
+
 def demo_kernel(name: str) -> "Kernel":
     """A small, fast-to-simulate instance of one paper kernel.
 
@@ -569,4 +575,14 @@ def pareto_front(runs: list[PricedRun]) -> list[bool]:
             for q in runs
         )
         flags.append(not dominated)
+    return flags
+
+
+def platform_pareto(runs: list[PricedRun]) -> list[bool]:
+    """:func:`pareto_front` flags among the runs of each run's own platform."""
+    flags = [False] * len(runs)
+    for platform in {r.platform for r in runs}:
+        idx = [i for i, r in enumerate(runs) if r.platform == platform]
+        for i, flag in zip(idx, pareto_front([runs[i] for i in idx])):
+            flags[i] = flag
     return flags

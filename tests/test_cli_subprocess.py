@@ -84,6 +84,18 @@ class TestUsageErrors:
             (("serve", "--timeout", "-1"), "argument --timeout: must be > 0"),
             (("serve-bench", "--jobs", "-1", "-o", "{tmp}/b.json"),
              "argument --jobs: must be >= 0"),
+            (("validate", "--sampled", "--window", "1"), "argument --window: must be >= 2"),
+            (("validate", "--sampled", "--period", "0"), "argument --period: must be > 0"),
+            (("serve-bench", "--clients", "0", "-o", "{tmp}/b.json"),
+             "argument --clients: must be > 0"),
+            (("serve-bench", "--clients", "-2", "-o", "{tmp}/b.json"),
+             "argument --clients: must be > 0"),
+            (("serve-bench", "--requests", "0", "-o", "{tmp}/b.json"),
+             "argument --requests: must be > 0"),
+            (("serve-bench", "--identical", "0", "-o", "{tmp}/b.json"),
+             "argument --identical: must be > 0"),
+            (("serve-bench", "--slo-p99-ms", "-5", "-o", "{tmp}/b.json"),
+             "argument --slo-p99-ms: must be > 0"),
         ],
     )
     def test_run_and_serve_reject_bad_numbers(self, tmp_path, args, message):

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from repro.engine import DEFAULT_KNOBS, estimate
 from repro.engine.exectime import _noise_factor, build_stack
-from repro.experiments.sweeps import collection_for
-from repro.experiments.table04_edram_summary import broadwell_configs
-from repro.experiments.table05_mcdram_summary import knl_configs
+from repro.experiments.sweeps import SWEEP_KERNELS, collection_for, sweep_configs
 from repro.kernels import GemmKernel, SpmvKernel, StreamKernel
 from repro.kernels.profile import Phase, ReuseCurve, WorkloadProfile
 from repro.platforms import GIB, broadwell, knl, skylake
@@ -171,16 +169,16 @@ def test_noisy_collection_profiles_match_oracle():
 
 
 def test_quick_table4_grid_matches_oracle():
-    for configs in broadwell_configs(quick=True).values():
-        for kernel in configs:
+    for name in SWEEP_KERNELS:
+        for kernel in sweep_configs("broadwell", name, quick=True):
             profile = kernel.profile()
             for edram in (True, False):
                 assert_same(profile, BROADWELL, edram=edram)
 
 
 def test_quick_table5_grid_matches_oracle():
-    for configs in knl_configs(quick=True).values():
-        for kernel in configs:
+    for name in SWEEP_KERNELS:
+        for kernel in sweep_configs("knl", name, quick=True):
             profile = kernel.profile()
             for mode in ALL_MCDRAM_MODES:
                 assert_same(profile, KNL, mcdram=mode)

@@ -9,6 +9,8 @@ import pytest
 
 from repro.experiments import DataTable, ExperimentResult, all_experiments, get, run
 from repro.experiments.registry import _sort_key
+from repro.experiments.sparse_exp import structure_bins
+from repro.experiments.sweeps import SWEEP_KERNELS, run_sweep, speedups, sweep_configs
 
 ALL_IDS = [
     *(f"fig{i}" for i in (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
@@ -233,3 +235,73 @@ class TestFigureClaims:
         for row in t.rows:
             by_kernel.setdefault(row[0], []).append(row[8])
         assert all(sum(flags) >= 1 for flags in by_kernel.values())
+
+
+def _column(table, label):
+    """A mode column of a figure table (curve tables spell spaces as ``_``)."""
+    return table.column(label if label in table.columns else label.replace(" ", "_"))
+
+
+class TestSweepDerivations:
+    """Relations the docs state between artifacts, checked exactly.
+
+    The sparse rows of Tables 4-5 are left out on purpose: the tables are
+    noise-free, while the sparse figures carry scatter jitter.
+    """
+
+    @pytest.mark.parametrize(
+        "structure_id,sweep_id", [("fig20", "fig17"), ("fig21", "fig18"), ("fig22", "fig19")]
+    )
+    def test_structure_figure_bins_its_knl_sweep(self, quick_results, structure_id, sweep_id):
+        sweep = quick_results[sweep_id].table("per_matrix")
+        *_, cells = structure_bins(
+            np.array(sweep.column("rows")),
+            np.array(sweep.column("nnz")),
+            speedups(sweep.column("Flat"), sweep.column("DDR")),
+        )
+        assert cells
+        assert quick_results[structure_id].table("structure").rows == cells
+
+    @pytest.mark.parametrize(
+        "kernel,fig_id,table",
+        [
+            ("GEMM", "fig7", "gflops"),
+            ("Cholesky", "fig8", "gflops"),
+            ("Stream", "fig12", "curves"),
+            ("Stencil", "fig13", "curves"),
+            ("FFT", "fig14", "curves"),
+        ],
+    )
+    def test_table4_best_is_the_figure_maximum(self, quick_results, kernel, fig_id, table):
+        rows = {r[0]: r for r in quick_results["table4"].table("summary").rows}
+        fig = quick_results[fig_id].table(table)
+        assert rows[kernel][1] == max(_column(fig, "w/o eDRAM"))
+        assert rows[kernel][2] == max(_column(fig, "w/ eDRAM"))
+
+    @pytest.mark.parametrize(
+        "kernel,fig_id,table",
+        [
+            ("GEMM", "fig15", "gflops"),
+            ("Cholesky", "fig16", "gflops"),
+            ("Stream", "fig23", "curves"),
+            ("Stencil", "fig24", "curves"),
+            ("FFT", "fig25", "curves"),
+        ],
+    )
+    def test_table5_best_is_the_figure_maximum(self, quick_results, kernel, fig_id, table):
+        rows = {r[0]: r for r in quick_results["table5"].table("summary").rows}
+        fig = quick_results[fig_id].table(table)
+        assert rows[kernel][1] == max(fig.column("DDR"))
+        assert rows[kernel][2] == "/".join(
+            f"{max(fig.column(mode)):.1f}" for mode in ("Flat", "Cache", "Hybrid")
+        )
+
+    def test_unknown_platform_or_kernel_names_the_choices(self):
+        platforms = r"platform = 'skylake': sweeps cover broadwell, knl"
+        with pytest.raises(ValueError, match=platforms):
+            sweep_configs("skylake", "GEMM", quick=True)
+        with pytest.raises(ValueError, match=platforms):
+            run_sweep([], "skylake")
+        kernels = f"kernel = 'LU': sweeps cover {', '.join(SWEEP_KERNELS)}"
+        with pytest.raises(ValueError, match=kernels):
+            sweep_configs("knl", "LU", quick=True)

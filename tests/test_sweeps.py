@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.sweeps import (
-    MODE_LABELS,
     SweepPoint,
     collection_for,
     dense_orders,
@@ -14,15 +13,13 @@ from repro.experiments.sweeps import (
     fft_sizes,
     geomean,
     representative_kernels,
-    run_broadwell_sweep,
-    run_knl_sweep,
+    run_sweep,
     stencil_grids,
     speedups,
     stream_sizes,
     summarize,
 )
 from repro.kernels import StreamKernel
-from repro.platforms import McdramMode
 
 
 class TestGrids:
@@ -77,28 +74,22 @@ class TestGrids:
 
 class TestSweepRunners:
     def test_broadwell_sweep_modes(self):
-        points = run_broadwell_sweep([StreamKernel(n=1000)])
+        points = run_sweep([StreamKernel(n=1000)], "broadwell")
         assert set(points[0].results) == {"w/ eDRAM", "w/o eDRAM"}
 
     def test_knl_sweep_modes(self):
-        points = run_knl_sweep([StreamKernel(n=1000)])
-        assert set(points[0].results) == set(MODE_LABELS.values())
-
-    def test_knl_sweep_mode_subset(self):
-        points = run_knl_sweep(
-            [StreamKernel(n=1000)], modes=(McdramMode.OFF, McdramMode.FLAT)
-        )
-        assert set(points[0].results) == {"DDR", "Flat"}
+        points = run_sweep([StreamKernel(n=1000)], "knl")
+        assert set(points[0].results) == {"DDR", "Flat", "Cache", "Hybrid"}
 
     def test_sweep_point_gflops(self):
-        points = run_broadwell_sweep([StreamKernel(n=1000)])
+        points = run_sweep([StreamKernel(n=1000)], "broadwell")
         assert points[0].gflops("w/ eDRAM") > 0
 
 
 class TestSummarize:
     def test_statistics(self):
-        points = run_broadwell_sweep(
-            [StreamKernel(n=2**k) for k in (12, 18, 21, 22)]
+        points = run_sweep(
+            [StreamKernel(n=2**k) for k in (12, 18, 21, 22)], "broadwell"
         )
         s = summarize(points, base="w/o eDRAM", opm="w/ eDRAM")
         assert s.best_opm >= s.best_base
