@@ -413,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     energyp.add_argument(
         "--scale",
-        type=_positive(float),
+        type=_checked(_positive(float), "<= 1", lambda value: value <= 1),
         default=0.001,
         metavar="X",
-        help="capacity scale factor for the simulated hierarchies "
-        "(default 0.001, the conservation-test scale)",
+        help="capacity scale factor in (0, 1] for the simulated hierarchies "
+        "(default 0.001, the conservation-test scale; 1 is the real machine)",
     )
     energyp.add_argument(
         "--reps",

@@ -9,10 +9,20 @@ Implementation notes: each set is a ``dict`` mapping tag -> dirty flag.
 CPython dicts preserve insertion order, so "move to end on touch" gives an
 exact LRU stack with O(1) amortized operations; this is the idiomatic
 pure-Python equivalent of an intrusive LRU list.
+
+Sets are created on first touch: ``_sets`` maps a set index to its dict,
+and every walker (``invalidate_all``, ``len``, ``resident_lines``,
+``dirty_lines``) visits only the sets a trace has touched. An MCDRAM
+cache-mode cache has 262,144 sets at ``scale=0.001`` and 2^28 at full
+scale, while a quick trace touches a few thousand; allocating and
+auditing every set up front made a hierarchy's build time, audit time
+and memory follow its simulated capacity instead of its trace. A
+read-only probe may leave an empty set behind, which changes no count.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterator, NamedTuple
 
 
@@ -60,7 +70,7 @@ class SetAssociativeCache:
         self.n_sets = n_sets
         self.ways = max(1, n_lines // n_sets)
         self.capacity = self.n_sets * self.ways * line
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(n_sets)]
+        self._sets: defaultdict[int, dict[int, bool]] = defaultdict(dict)
         # Plain-int telemetry counters (int += costs nothing next to the
         # dict work above; published via Hierarchy -> metrics registry).
         self.n_evictions = 0
@@ -156,9 +166,8 @@ class SetAssociativeCache:
 
     def invalidate_all(self) -> None:
         """Drop all contents (used between experiment repetitions)."""
-        for s in self._sets:
-            self.n_dirty_invalidated += sum(1 for d in s.values() if d)
-            s.clear()
+        self.n_dirty_invalidated += self.dirty_resident()
+        self._sets.clear()
         self.n_invalidations += 1
 
     def telemetry_counters(self) -> dict[str, int]:
@@ -179,16 +188,16 @@ class SetAssociativeCache:
         return line_addr in self._set_of(line_addr)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def resident_lines(self) -> Iterator[int]:
         """All line addresses currently cached (unordered across sets)."""
-        for s in self._sets:
+        for s in self._sets.values():
             yield from s
 
     def dirty_lines(self) -> Iterator[int]:
         """Line addresses currently cached dirty (unordered across sets)."""
-        for s in self._sets:
+        for s in self._sets.values():
             for line_addr, dirty in s.items():
                 if dirty:
                     yield line_addr

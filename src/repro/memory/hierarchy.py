@@ -267,8 +267,12 @@ class Hierarchy:
         )
 
     def _interior_contents(self) -> list:
-        """LRU order and dirty bits of every set above the LLC."""
-        return [[list(s.items()) for s in st.cache._sets] for st in self._stages[:-1]]
+        """LRU order and dirty bits of every non-empty set above the LLC,
+        in set-index order."""
+        return [
+            sorted((k, list(s.items())) for k, s in st.cache._sets.items() if s)
+            for st in self._stages[:-1]
+        ]
 
     def _interior_counts(self) -> list[tuple[dict[str, int], dict[str, int]]]:
         """Level stats and pass-advanced cache counters above the LLC."""
@@ -285,9 +289,8 @@ class Hierarchy:
                 setattr(mine.stats, k, getattr(mine.stats, k) + v - stats0[k])
             for a, v in cache0.items():
                 setattr(mine.cache, a, getattr(mine.cache, a) + getattr(theirs.cache, a) - v)
-            for dst, src in zip(mine.cache._sets, theirs.cache._sets):
-                dst.clear()
-                dst.update(src)
+            mine.cache._sets.clear()
+            mine.cache._sets.update((k, dict(s)) for k, s in theirs.cache._sets.items())
 
     def _run_chunk(self, addrs: np.ndarray, writes: np.ndarray, group: tuple) -> None:
         # The batched inner loop: set-bucketed, level-by-level replay.
@@ -397,13 +400,19 @@ class Hierarchy:
         """
         stage = self._stages[i]
         cache = stage.cache
-        sets = cache._sets
         mask = cache.n_sets - 1
         ways = cache.ways
         last = i == len(self._stages) - 1
         pf = self._prefetcher if last else None
         st = stage.stats
         n = lines.shape[0]
+        # The per-event loops below index a list, which is cheaper than
+        # the mapping, whenever creating every set costs no more than the
+        # pass has events. It holds the mapping's own dicts, and nothing
+        # replaces a set dict mid-pass.
+        sets = cache._sets
+        if cache.n_sets <= n:
+            sets = [sets[k] for k in range(cache.n_sets)]
         fast_ok = False
         # Observations may prefetch into any set: no all-hit sets there.
         if n >= _CLASSIFY_MIN and pf is None:
@@ -1074,9 +1083,12 @@ def _cache_stages(machine: MachineSpec, *, scale: float = 1.0) -> list[_CacheSta
     ``scale`` shrinks every capacity by a constant factor so that small,
     fast-to-simulate traces exercise the same *ratios* as the real machine
     (a standard scaled-down simulation technique); 1.0 keeps true sizes.
+    It must lie in (0, 1]: a larger one would model a different machine.
     """
     if not scale > 0:
         raise ValueError(f"scale must be > 0, got {scale}")
+    if not scale <= 1:
+        raise ValueError(f"scale must be <= 1, got {scale}")
     stages = []
     for lvl in machine.caches:
         assert lvl.capacity is not None

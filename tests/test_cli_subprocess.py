@@ -59,7 +59,7 @@ class TestUsageErrors:
     """Bad arguments exit 2 with a message, never a traceback or a hang."""
 
     @pytest.mark.parametrize(
-        "args", [("--reps", "0"), ("--reps", "-1"), ("--scale", "-1")]
+        "args", [("--reps", "0"), ("--reps", "-1"), ("--scale", "-1"), ("--scale", "0")]
     )
     def test_energy_rejects_bad_arguments(self, args):
         proc = run_cli("energy", "--kernel", "stream", *args, timeout=60)
@@ -96,6 +96,8 @@ class TestUsageErrors:
              "argument --identical: must be > 0"),
             (("serve-bench", "--slo-p99-ms", "-5", "-o", "{tmp}/b.json"),
              "argument --slo-p99-ms: must be > 0"),
+            (("energy", "--kernel", "stream", "--scale", "inf"), "argument --scale: must be <= 1"),
+            (("energy", "--kernel", "stream", "--scale", "2"), "argument --scale: must be <= 1"),
         ],
     )
     def test_run_and_serve_reject_bad_numbers(self, tmp_path, args, message):

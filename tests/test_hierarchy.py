@@ -136,6 +136,13 @@ class TestKnlShapes:
         with pytest.raises(ValueError, match="scale must be > 0"):
             for_broadwell(broadwell(), scale=scale)
 
+    @pytest.mark.parametrize("scale", [2.0, float("inf")])
+    def test_builders_reject_scale_above_one(self, scale):
+        with pytest.raises(ValueError, match="scale must be <= 1"):
+            for_knl(knl(), McdramMode.HYBRID, scale=scale)
+        with pytest.raises(ValueError, match="scale must be <= 1"):
+            for_broadwell(broadwell(), scale=scale)
+
     def test_direct_mapped_cache_mode(self):
         # MCDRAM cache mode must be direct-mapped (paper Section 2.2).
         h = for_knl(knl(), McdramMode.CACHE, scale=SCALE)

@@ -61,10 +61,12 @@ def _stats_dict(stats):
 def _full_state(h):
     """Everything the simulator holds, not just the level counters.
 
-    Per-set LRU order and dirty bits plus the replacement and dirty-flow
-    counters of every cache (stages, eDRAM victim cache, KNL MCDRAM
-    cache), the dirty ledger, and the prefetcher's statistics,
-    outstanding set and predictor state. The writeback books must close.
+    Per-set LRU order and dirty bits (touched sets in set-index order;
+    an empty set is left out, since a read-only probe may create one)
+    plus the replacement and dirty-flow counters of every cache (stages,
+    eDRAM victim cache, KNL MCDRAM cache), the dirty ledger, and the
+    prefetcher's statistics, outstanding set and predictor state. The
+    writeback books must close.
     """
     assert h.conservation_violations() == []
     caches = [stage.cache for stage in h._stages]
@@ -75,7 +77,7 @@ def _full_state(h):
     pf = h._prefetcher
     return {
         "levels": _stats_dict(h.stats()),
-        "sets": [[list(s.items()) for s in c._sets] for c in caches],
+        "sets": [sorted((k, list(s.items())) for k, s in c._sets.items() if s) for c in caches],
         "counters": [c.telemetry_counters() for c in caches],
         "ledger": h.dirty_ledger(),
         "prefetch": None

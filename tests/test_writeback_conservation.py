@@ -12,6 +12,8 @@ dirtiness-propagation inserts and prefetch fills displaced dirty victims
 that vanished without a writeback.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,59 @@ class TestKnlConservation:
         for a, w in zip(addrs.tolist(), writes.tolist()):
             h.access(a, write=w)
         self._check(h)
+
+
+class TestCapacityIsFree:
+    """Sets are created on first touch, so building and auditing a
+    hierarchy costs the lines its trace touches, not its capacity."""
+
+    @staticmethod
+    def _cache_mode():
+        # 2,097,152 direct-mapped MCDRAM sets.
+        return for_knl(knl(McdramMode.CACHE), McdramMode.CACHE, scale=0.01)
+
+    def test_build_and_audit_stay_small(self):
+        tracemalloc.start()
+        try:
+            h = self._cache_mode()
+            assert h.conservation_violations() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h._mcdram_cache.n_sets == 1 << 21
+        assert peak < 1 << 20
+
+    def test_write_heavy_replay_closes_the_books(self):
+        h = self._cache_mode()
+        h.run_array(*_write_heavy_trace(seed=107))
+        TestKnlConservation._check(h)
+
+
+class TestAuditReadsStoredLines:
+    """The per-cache law counts resident dirty bits in the stored lines,
+    so a dirty bit cleared in place must be named as a violation."""
+
+    @pytest.mark.parametrize(
+        "build,level",
+        [
+            pytest.param(lambda: for_broadwell(broadwell(), scale=SCALE), "L2", id="broadwell-L2"),
+            pytest.param(
+                lambda: for_knl(knl(McdramMode.CACHE), McdramMode.CACHE, scale=SCALE),
+                "MCDRAM",
+                id="knl-MCDRAM",
+            ),
+        ],
+    )
+    def test_cleared_dirty_bit_is_named(self, build, level):
+        h = build()
+        h.run_array(*_write_heavy_trace(seed=108))
+        assert h.conservation_violations() == []
+        cache = dict(h._dirty_caches())[level]
+        s, line = next((s, ln) for s in cache._sets.values() for ln, d in s.items() if d)
+        s[line] = False
+        assert [v.split(":")[0] for v in h.conservation_violations()] == [level]
+        s[line] = True
+        assert h.conservation_violations() == []
 
 
 class TestPropagationInsertRegression:
