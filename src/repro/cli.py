@@ -315,7 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the memory-advisor HTTP service (POST /v1/advise)",
     )
     servep.add_argument("--host", default="127.0.0.1")
-    servep.add_argument("--port", type=int, default=8177)
+    servep.add_argument(
+        "--port",
+        type=_checked(int, "in 0..65535", lambda port: 0 <= port <= 65535),
+        default=8177,
+        help="TCP port (0 picks a free one; default 8177)",
+    )
     servep.add_argument(
         "--jobs",
         type=_non_negative(int),

@@ -2,31 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import SWEEP_MODES, run_sweep, speedups
-from repro.kernels.base import Kernel
+from repro.experiments.sweeps import speedups
 from repro.viz import line_chart
 
 
 def curve_experiment(
     experiment_id: str,
     title: str,
-    configs: Sequence[Kernel],
     footprints_mb: Sequence[float],
-    platform: str,
+    series: Mapping[str, np.ndarray],
 ) -> ExperimentResult:
-    """Throughput-vs-size curves across OPM modes for one kernel."""
+    """Throughput-vs-size curves across OPM modes for one kernel.
+
+    ``series`` maps each mode label, baseline first, to one GFlop/s value
+    per footprint (a sweep's per-mode arrays).
+    """
     result = ExperimentResult(experiment_id=experiment_id, title=title)
-    points = run_sweep(configs, platform)
-    labels = list(SWEEP_MODES[platform])
+    labels = list(series)
     fps = np.asarray(list(footprints_mb), dtype=np.float64)
-    series = {
-        label: np.array([p.gflops(label) for p in points]) for label in labels
-    }
     result.figures.append(
         line_chart(fps, series, title=f"{title} (x: footprint MB, log2)")
     )

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import (
-    SWEEP_MODES,
-    dense_orders,
-    dense_tiles,
-    run_sweep,
-    sweep_configs,
-)
+from repro.experiments.sweeps import dense_orders, dense_tiles, sweep
 from repro.viz import heatmap
 
 
@@ -27,23 +21,15 @@ def heatmap_experiment(
     result = ExperimentResult(experiment_id=experiment_id, title=title)
     orders = dense_orders(platform, quick=quick)
     tiles = dense_tiles(quick=quick)
+    gflops = sweep(platform, kernel, quick=quick)
+    mode_labels = list(gflops)
     # sweep_configs lists the grid tile-major, one row of orders per tile.
-    points = run_sweep(sweep_configs(platform, kernel, quick=quick), platform)
-    mode_labels = list(SWEEP_MODES[platform])
-    n_t, n_o = len(tiles), len(orders)
-    rows = []
-    grids = {label: np.zeros((n_t, n_o)) for label in mode_labels}
-    for idx, point in enumerate(points):
-        ti, oi = divmod(idx, n_o)
-        for label in mode_labels:
-            grids[label][ti, oi] = point.gflops(label)
-        rows.append(
-            (
-                orders[oi],
-                tiles[ti],
-                *(point.gflops(label) for label in mode_labels),
-            )
-        )
+    grids = {label: values.reshape(len(tiles), len(orders)) for label, values in gflops.items()}
+    rows = [
+        (order, tile, *(grids[label][ti, oi].item() for label in mode_labels))
+        for ti, tile in enumerate(tiles)
+        for oi, order in enumerate(orders)
+    ]
     result.add_table(
         "gflops",
         ("order", "tile", *mode_labels),

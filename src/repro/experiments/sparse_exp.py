@@ -16,24 +16,13 @@ import numpy as np
 
 from repro.engine.calibration import DEFAULT_KNOBS
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import (
-    SWEEP_MODES,
-    SweepPoint,
-    collection_for,
-    run_sweep,
-    speedups,
-    sweep_configs,
-)
+from repro.experiments.sweeps import collection_for, speedups, sweep
 from repro.sparse import MatrixDescriptor
 from repro.viz import heatmap, line_chart
 
 #: Lognormal run-to-run jitter for scatter realism in the sparse figures.
 SPARSE_NOISE_SIGMA = 0.06
-
-
-def _sparse_sweep(kernel: str, platform: str, *, quick: bool) -> list[SweepPoint]:
-    knobs = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
-    return run_sweep(sweep_configs(platform, kernel, quick=quick), platform, knobs=knobs)
+_SPARSE_KNOBS = DEFAULT_KNOBS.replace(noise_sigma=SPARSE_NOISE_SIGMA)
 
 
 def sparse_experiment(
@@ -47,11 +36,10 @@ def sparse_experiment(
     """Run one sparse kernel over the matrix collection on one platform."""
     result = ExperimentResult(experiment_id=experiment_id, title=title)
     collection = collection_for(quick=quick)
-    points = _sparse_sweep(kernel, platform, quick=quick)
-    labels = list(SWEEP_MODES[platform])
+    mode_values = sweep(platform, kernel, quick=quick, knobs=_SPARSE_KNOBS)
+    labels = list(mode_values)
     base_label, *opm_labels = labels
     footprints = np.array([d.footprint_bytes / 2**20 for d in collection])
-    mode_values = {label: np.array([p.gflops(label) for p in points]) for label in labels}
     # Raw throughput scatter.
     result.figures.append(
         line_chart(
@@ -121,11 +109,8 @@ def structure_experiment(
     like the paper this draws one heatmap, for flat mode over DDR.
     """
     result = ExperimentResult(experiment_id=experiment_id, title=title)
-    points = _sparse_sweep(kernel, "knl", quick=quick)
-    speedup = speedups(
-        np.array([p.gflops("Flat") for p in points]),
-        np.array([p.gflops("DDR") for p in points]),
-    )
+    gflops = sweep("knl", kernel, quick=quick, knobs=_SPARSE_KNOBS)
+    speedup = speedups(gflops["Flat"], gflops["DDR"])
     cells = _add_structure(
         result,
         collection_for(quick=quick),

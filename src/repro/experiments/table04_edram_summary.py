@@ -1,22 +1,16 @@
 """Table 4: summarized statistics for applying eDRAM on Broadwell.
 
 Per kernel: best GFlop/s without and with eDRAM, average and maximum
-performance gap, average and maximum speedup — over the configurations
-Figures 7-14 sweep (``sweep_configs``), without the sparse figures'
-scatter jitter.
+performance gap, average and maximum speedup — over the sweeps Figures
+7-14 plot (``sweeps.sweep``, which evaluates each once per process),
+without the sparse figures' scatter jitter.
 """
 
 from __future__ import annotations
 
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import (
-    SWEEP_KERNELS,
-    SWEEP_MODES,
-    run_sweep,
-    summarize,
-    sweep_configs,
-)
+from repro.experiments.sweeps import SWEEP_KERNELS, SWEEP_MODES, summarize, sweep
 
 
 @register("table4", "eDRAM summary statistics", "Table 4")
@@ -29,8 +23,7 @@ def run(quick: bool = True) -> ExperimentResult:
     rows = []
     speedup_sums = []
     for kernel in SWEEP_KERNELS:
-        points = run_sweep(sweep_configs("broadwell", kernel, quick=quick), "broadwell")
-        s = summarize(points, base=base, opm=opm)
+        s = summarize(sweep("broadwell", kernel, quick=quick), base=base, opm=opm)
         rows.append(
             (
                 kernel,

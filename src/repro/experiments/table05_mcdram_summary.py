@@ -1,10 +1,10 @@
 """Table 5: summarized statistics for the MCDRAM modes on KNL.
 
 Per kernel and per mode (flat/cache/hybrid vs DDR): best GFlop/s, average
-and maximum performance gap, average and maximum speedup — over the
-configurations Figures 15-19 and 23-25 sweep (``sweep_configs``), without
-Figure 23's two sizes beyond MCDRAM capacity and without the sparse
-figures' scatter jitter. Negative entries (flat GEMM, hybrid SpTRANS,
+and maximum performance gap, average and maximum speedup — over the sweeps
+Figures 15-19 and 23-25 plot (``sweeps.sweep``, which evaluates each once
+per process), without Figure 23's two sizes beyond MCDRAM capacity and
+without the sparse figures' scatter jitter. Negative entries (flat GEMM, hybrid SpTRANS,
 SpTRSV) are expected: the paper's Table 5 has them too.
 """
 
@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import (
-    SWEEP_KERNELS,
-    SWEEP_MODES,
-    run_sweep,
-    summarize,
-    sweep_configs,
-)
+from repro.experiments.sweeps import SWEEP_KERNELS, SWEEP_MODES, summarize, sweep
 
 
 @register("table5", "MCDRAM mode summary statistics", "Table 5")
@@ -30,8 +24,8 @@ def run(quick: bool = True) -> ExperimentResult:
     base, *modes = SWEEP_MODES["knl"]
     rows = []
     for kernel in SWEEP_KERNELS:
-        points = run_sweep(sweep_configs("knl", kernel, quick=quick), "knl")
-        summaries = [summarize(points, base=base, opm=mode) for mode in modes]
+        gflops = sweep("knl", kernel, quick=quick)
+        summaries = [summarize(gflops, base=base, opm=mode) for mode in modes]
         rows.append(
             (
                 kernel,

@@ -99,6 +99,8 @@ METRIC_TASK_WALL_S = "runtime.task_wall_s"
 METRIC_STEPPING_POINTS = "engine.stepping.points"
 #: Counter: sweep points evaluated (Broadwell + KNL sweeps).
 METRIC_SWEEP_POINTS = "sweep.points"
+#: Counter: sweep points served from the per-process sweep memo instead.
+METRIC_SWEEP_REUSED = "sweep.reused"
 #: Counter: HTTP requests accepted by the advisor service.
 METRIC_SERVE_REQUESTS = "serve.requests.total"
 #: Counter: requests answered with a non-2xx status.
@@ -140,6 +142,7 @@ METRIC_NAMES = frozenset(
         METRIC_TASK_WALL_S,
         METRIC_STEPPING_POINTS,
         METRIC_SWEEP_POINTS,
+        METRIC_SWEEP_REUSED,
         METRIC_SERVE_REQUESTS,
         METRIC_SERVE_ERRORS,
         METRIC_SERVE_COALESCED,

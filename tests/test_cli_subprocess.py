@@ -98,6 +98,8 @@ class TestUsageErrors:
              "argument --slo-p99-ms: must be > 0"),
             (("energy", "--kernel", "stream", "--scale", "inf"), "argument --scale: must be <= 1"),
             (("energy", "--kernel", "stream", "--scale", "2"), "argument --scale: must be <= 1"),
+            (("serve", "--port", "70000"), "argument --port: must be in 0..65535"),
+            (("serve", "--port", "-1"), "argument --port: must be in 0..65535"),
         ],
     )
     def test_run_and_serve_reject_bad_numbers(self, tmp_path, args, message):

@@ -1,12 +1,15 @@
-"""Sweep grids (appendix A.2) and summary statistics (Tables 4/5)."""
+"""Sweep grids (appendix A.2), the per-process sweep memo and summary
+statistics (Tables 4/5)."""
 
-from types import SimpleNamespace
+import json
 
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.engine.calibration import DEFAULT_KNOBS
+from repro.experiments import run, sweeps
 from repro.experiments.sweeps import (
-    SweepPoint,
     collection_for,
     dense_orders,
     dense_tiles,
@@ -18,8 +21,11 @@ from repro.experiments.sweeps import (
     speedups,
     stream_sizes,
     summarize,
+    sweep,
+    sweep_configs,
 )
 from repro.kernels import StreamKernel
+from repro.telemetry import names as tm
 
 
 class TestGrids:
@@ -74,24 +80,95 @@ class TestGrids:
 
 class TestSweepRunners:
     def test_broadwell_sweep_modes(self):
-        points = run_sweep([StreamKernel(n=1000)], "broadwell")
-        assert set(points[0].results) == {"w/ eDRAM", "w/o eDRAM"}
+        gflops = run_sweep([StreamKernel(n=1000)], "broadwell")
+        assert set(gflops) == {"w/ eDRAM", "w/o eDRAM"}
 
     def test_knl_sweep_modes(self):
-        points = run_sweep([StreamKernel(n=1000)], "knl")
-        assert set(points[0].results) == {"DDR", "Flat", "Cache", "Hybrid"}
+        gflops = run_sweep([StreamKernel(n=1000)], "knl")
+        assert set(gflops) == {"DDR", "Flat", "Cache", "Hybrid"}
 
     def test_sweep_point_gflops(self):
-        points = run_sweep([StreamKernel(n=1000)], "broadwell")
-        assert points[0].gflops("w/ eDRAM") > 0
+        gflops = run_sweep([StreamKernel(n=1000)], "broadwell")
+        assert gflops["w/ eDRAM"][0] > 0
+
+
+class TestSweepMemo:
+    """``sweep`` evaluates each (platform, kernel, scale, knobs) sweep once."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        sweep.cache_clear()
+        yield
+        sweep.cache_clear()
+
+    def test_second_call_is_served_from_the_memo(self, monkeypatch):
+        calls = []
+        evaluate = sweeps.estimate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "estimate", counted)
+        first = sweep("broadwell", "Stream", quick=True)
+        n_configs = len(sweep_configs("broadwell", "Stream", quick=True))
+        assert len(calls) == 2 * n_configs
+        assert sweep("broadwell", "Stream", quick=True) is first
+        assert len(calls) == 2 * n_configs
+
+    def test_mapping_and_arrays_are_read_only(self):
+        gflops = sweep("broadwell", "Stream", quick=True)
+        with pytest.raises(TypeError):
+            gflops["w/ eDRAM"] = np.zeros(1)  # type: ignore[index]
+        with pytest.raises(ValueError, match="read-only"):
+            gflops["w/ eDRAM"][0] = 0.0
+
+    def test_knobs_are_part_of_the_key(self):
+        plain = sweep("broadwell", "Stream", quick=True)
+        jittered = sweep(
+            "broadwell", "Stream", quick=True, knobs=DEFAULT_KNOBS.replace(noise_sigma=0.06)
+        )
+        assert jittered is not plain
+        assert not np.array_equal(plain["w/ eDRAM"], jittered["w/ eDRAM"])
+        assert sweep("broadwell", "Stream", quick=True) is plain
+
+    @pytest.mark.parametrize(
+        "first,second", [("table5", "fig15"), ("fig17", "fig20"), ("fig17", "table5")]
+    )
+    def test_results_do_not_depend_on_run_order(self, first, second):
+        def documents(order):
+            sweep.cache_clear()
+            return {
+                exp_id: json.dumps(run(exp_id, quick=True).as_dict(), sort_keys=True)
+                for exp_id in order
+            }
+
+        assert documents((first, second)) == documents((second, first))
+
+    def test_memo_hits_are_counted_as_reused_points(self):
+        def counts():
+            registry = telemetry.get_registry()
+            return tuple(
+                registry.counter(name).value
+                for name in (tm.METRIC_SWEEP_POINTS, tm.METRIC_SWEEP_REUSED)
+            )
+
+        with telemetry.session():
+            before = counts()
+            run("fig17", quick=True)
+            after_fig17 = counts()
+            run("fig20", quick=True)
+            after_fig20 = counts()
+        assert (after_fig17[0] - before[0], after_fig17[1] - before[1]) == (97, 0)
+        assert (after_fig20[0] - after_fig17[0], after_fig20[1] - after_fig17[1]) == (0, 97)
 
 
 class TestSummarize:
     def test_statistics(self):
-        points = run_sweep(
+        gflops = run_sweep(
             [StreamKernel(n=2**k) for k in (12, 18, 21, 22)], "broadwell"
         )
-        s = summarize(points, base="w/o eDRAM", opm="w/ eDRAM")
+        s = summarize(gflops, base="w/o eDRAM", opm="w/ eDRAM")
         assert s.best_opm >= s.best_base
         assert s.max_gap >= s.avg_gap
         assert s.max_speedup >= s.avg_speedup >= 1.0
@@ -101,15 +178,9 @@ class TestSummarize:
             summarize([], base="a", opm="b")
 
     def test_zero_baseline_rejected(self):
-        points = [
-            SweepPoint(
-                params={},
-                results={"base": SimpleNamespace(gflops=b), "opm": SimpleNamespace(gflops=2.0)},
-            )
-            for b in (1.0, 0.0)
-        ]
+        gflops = {"base": np.array([1.0, 0.0]), "opm": np.array([2.0, 2.0])}
         with pytest.raises(ValueError, match=r"base\[1\] = 0\.0"):
-            summarize(points, base="base", opm="opm")
+            summarize(gflops, base="base", opm="opm")
 
 
 class TestSpeedups:
