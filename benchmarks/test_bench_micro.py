@@ -192,6 +192,40 @@ def test_bench_shared_prefix_speedup_at_least_1_4x():
     assert speedup >= 1.4
 
 
+def test_bench_repeated_trace_speedup_at_least_1_1x():
+    """Acceptance gate: a repeated trace stops replaying the levels above
+    the LLC once they repeat.
+
+    ext4's quick GEMM group, as ext4 replays it: one repetition of chunks
+    with ``reps=2``, against streaming both repetitions through the same
+    group. Hierarchies are built outside the timed region; min of 3,
+    alternating. L1 and L2 repeat from the second sub-block of the second
+    repetition, so only its LLC passes remain; replaying it in full again
+    fails the gate.
+    """
+    kernel = ext4_workloads(quick=True)["gemm"]
+
+    def fresh():
+        return [
+            for_broadwell(broadwell(), scale=0.001, prefetch=k)
+            for k in ("next-line", None, "stride")
+        ]
+
+    streamed = repeated = float("inf")
+    for _ in range(3):
+        hs = fresh()
+        t0 = time.perf_counter()
+        hs[0].run_batched(kernel_trace_chunks(kernel, reps=2), also=hs[1:])
+        streamed = min(streamed, time.perf_counter() - t0)
+        hs = fresh()
+        t0 = time.perf_counter()
+        hs[0].run_batched(kernel_trace_chunks(kernel), also=hs[1:], reps=2)
+        repeated = min(repeated, time.perf_counter() - t0)
+    speedup = streamed / repeated
+    print(f"streamed {streamed:.3f}s repeated {repeated:.3f}s speedup {speedup:.2f}x")
+    assert speedup >= 1.1
+
+
 def _schedule_pass(fn, lowers):
     t0 = time.perf_counter()
     for lower in lowers:

@@ -716,13 +716,17 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     payload = []
     violations: list[str] = []
     for name in kernel_names:
-        runs = [
-            price_config(
-                demo_kernel(name), platform, mode,
-                scale=args.scale, reps=args.reps,
-            )
-            for platform, mode in configs
-        ]
+        try:
+            runs = [
+                price_config(
+                    demo_kernel(name), platform, mode,
+                    scale=args.scale, reps=args.reps,
+                )
+                for platform, mode in configs
+            ]
+        except ValueError as exc:  # --reps repetitions exceed the trace guard
+            print(f"error: argument --reps: {exc}", file=sys.stderr)
+            return 2
         flags = pareto_front(runs)
         platform_flags = platform_pareto(runs)
         for run_ in runs:

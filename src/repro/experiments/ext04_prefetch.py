@@ -56,11 +56,12 @@ def run(quick: bool = True) -> ExperimentResult:
     for name, kernel in _workloads(quick).items():
         hs = {kind: for_broadwell(machine, scale=0.001, prefetch=kind) for kind in PREFETCHERS}
         # One trace, one L1/L2 replay: prefetchers only act at the LLC,
-        # so the three configurations share every level above it. A
-        # prefetching hierarchy leads, so perfbench/layers.py books the
-        # group's replay under memory.replay_prefetch.
+        # so the three configurations share every level above it. The
+        # second repetition stops replaying L1/L2 once they repeat the
+        # first. A prefetching hierarchy leads, so perfbench/layers.py
+        # books the group's replay under memory.replay_prefetch.
         hs["next-line"].run_batched(
-            kernel_trace_chunks(kernel, reps=2), also=(hs[None], hs["stride"])
+            kernel_trace_chunks(kernel), also=(hs[None], hs["stride"]), reps=2
         )
         for kind, h in hs.items():
             stats = h.stats()

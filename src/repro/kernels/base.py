@@ -57,18 +57,22 @@ class Kernel(abc.ABC):
     # -- instrumented faces -------------------------------------------------
 
     def simulate(self, hierarchy: "Hierarchy", *, reps: int = 1) -> "HierarchyStats":
-        """Drive the exact simulator with this kernel's trace.
+        """Drive the exact simulator with ``reps`` repetitions of this
+        kernel's trace.
 
         Opens a ``kernel.simulate`` span enclosing both trace
-        generation (:func:`repro.kernels.traces.kernel_trace_chunks`) and
-        the hierarchy replay, and returns the per-level statistics.
+        generation (:func:`repro.kernels.traces.kernel_trace_chunks`, one
+        repetition) and the hierarchy replay, which repeats it
+        (``Hierarchy.run_batched(..., reps=reps)``), and returns the
+        per-level statistics. Like the tracers, it refuses a run whose
+        repetitions together exceed ``MAX_EVENTS`` (``ValueError``).
         """
-        from repro.kernels.traces import kernel_trace_chunks
+        from repro.kernels.traces import _guard, kernel_trace_chunks
 
         with telemetry.span(tm.SPAN_KERNEL_SIMULATE, kernel=self.name, reps=reps):
-            return hierarchy.run_batched(
-                kernel_trace_chunks(self, reps=reps, line=hierarchy.line)
-            )
+            chunks = list(kernel_trace_chunks(self, reps=min(reps, 1), line=hierarchy.line))
+            _guard(sum(la.shape[0] for la, _ in chunks) * reps, self.name)
+            return hierarchy.run_batched(chunks, reps=reps)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -399,6 +399,12 @@ def kernel_trace_chunks(
     expanded vectorized up front and replayed ``reps`` times. Raises
     ``ValueError`` for a negative ``reps`` and ``TypeError`` for a kernel
     type without a tracer.
+
+    A hierarchy that replays a trace several times should get one
+    repetition and ``Hierarchy.run_batched(..., reps=N)``, which stops
+    replaying the levels above the LLC once they repeat; ``reps`` here
+    serves consumers that must see every repetition's references, such
+    as the streamed validation's sampler.
     """
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")

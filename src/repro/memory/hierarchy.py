@@ -14,7 +14,7 @@ full-scale sweeps use the analytic model (DESIGN.md Section 2).
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -68,10 +68,12 @@ class _CacheStage:
         self.name = name
         self.cache = cache
         self.stats = LevelStats(name=name, line=cache.line)
-        #: Events the batched replay resolved wholesale vs walked
-        #: (monotone, like the cache's replacement counters).
+        #: Events the batched replay resolved wholesale, walked, or
+        #: skipped once a repeated trace's replay repeated here (monotone,
+        #: like the cache's replacement counters).
         self.wholesale = 0
         self.walked = 0
+        self.fast_forwarded = 0
 
 
 class Hierarchy:
@@ -207,6 +209,7 @@ class Hierarchy:
         chunks: Iterable[tuple[np.ndarray, np.ndarray | bool | None]],
         *,
         also: Iterable[Hierarchy] = (),
+        reps: int = 1,
     ) -> HierarchyStats:
         """Drive an iterable of ``(addrs, writes)`` ndarray chunks.
 
@@ -222,31 +225,53 @@ class Hierarchy:
         in geometry and starting contents (``ValueError`` otherwise,
         before anything replays), and each ends exactly as its own solo
         replay would. Returns this hierarchy's stats.
+
+        ``chunks`` is one repetition of a trace, replayed ``reps`` times
+        (0 replays nothing; a negative count is a ``ValueError``). From
+        the second repetition on, the levels above the LLC stop running
+        once their contents equal the first repetition's at the same
+        reference: what they would hand the LLC from there on is what
+        they handed it then. Every member's LLC replays that recorded
+        residue, and those levels take the first repetition's counter
+        deltas and end contents.
         """
-        return self._replay(chunks, also=tuple(also))
+        if reps < 0:
+            raise ValueError(f"reps must be >= 0, got {reps}")
+        return self._replay(chunks, also=tuple(also), reps=reps)
 
     def _replay(
-        self, chunks: Iterable, *, also: tuple[Hierarchy, ...] = (), **attrs: object
+        self,
+        chunks: Iterable,
+        *,
+        also: tuple[Hierarchy, ...] = (),
+        reps: int = 1,
+        **attrs: object,
     ) -> HierarchyStats:
-        """Validate and replay ``(addrs, writes)`` chunks under one span."""
+        """Validate and replay ``(addrs, writes)`` chunks ``reps`` times
+        under one span."""
         group = (self, *also)
         _check_group(group)
         with telemetry.span(
-            tm.SPAN_HIERARCHY_RUN, line=self.line, hierarchies=len(group), **attrs
+            tm.SPAN_HIERARCHY_RUN, line=self.line, hierarchies=len(group), reps=reps, **attrs
         ) as sp:
             before = self._interior_counts()
+            record = _Recording(self) if reps > 1 else None
             total = 0
             try:
-                for addrs, writes in chunks:
+                for addrs, writes in chunks if reps else ():
                     arr, warr = _coerce_chunk(addrs, writes)
-                    self._run_chunk(arr, warr, group)
+                    self._run_chunk(arr, warr, group, record)
                     total += int(arr.shape[0])
+                if record is not None:
+                    record.close(self)
+                    for _ in range(reps - 1):
+                        self._repeat(record, group)
             finally:
                 # Also on a bad chunk: every member stops where its solo
                 # replay would have.
                 for h in also:
                     h._follow(self, before)
-            sp.set_attr("refs", total)
+            sp.set_attr("refs", total * reps)
         for h in group:
             h._publish_telemetry()
         return self.stats()
@@ -266,13 +291,19 @@ class Hierarchy:
             [(s.cache.n_sets, s.cache.ways, s.cache.line) for s in self._stages[:-1]],
         )
 
-    def _interior_contents(self) -> list:
-        """LRU order and dirty bits of every non-empty set above the LLC,
-        in set-index order."""
-        return [
-            sorted((k, list(s.items())) for k, s in st.cache._sets.items() if s)
-            for st in self._stages[:-1]
-        ]
+    def _interior_image(self) -> tuple[bytes, ...]:
+        """LRU order and dirty bits of every level above the LLC, one byte
+        string per level: its lines (int64), then their dirty bits, in
+        set-index order. A line's address names its set, so equal images
+        mean equal contents."""
+        image = []
+        for st in self._stages[:-1]:
+            sets = st.cache._sets
+            ordered = [sets[k] for k in sorted(sets)]
+            lines = np.fromiter(chain.from_iterable(ordered), dtype=np.int64)
+            dirty = np.fromiter(chain.from_iterable(s.values() for s in ordered), dtype=bool)
+            image.append(lines.tobytes() + dirty.tobytes())
+        return tuple(image)
 
     def _interior_counts(self) -> list[tuple[dict[str, int], dict[str, int]]]:
         """Level stats and pass-advanced cache counters above the LLC."""
@@ -281,18 +312,66 @@ class Hierarchy:
             for st in self._stages[:-1]
         ]
 
+    def _interior_state(self) -> tuple:
+        """What a repetition's checkpoint keeps of the levels above the
+        LLC: their image, their counts, and the events each received."""
+        return (
+            self._interior_image(),
+            self._interior_counts(),
+            [st.wholesale + st.walked + st.fast_forwarded for st in self._stages[:-1]],
+        )
+
+    def _take_interior(self, start: list, stop: list, contents: list) -> None:
+        """Advance the counts above the LLC by ``stop - start`` (both
+        :meth:`_interior_counts`) and copy ``contents`` (one set index ->
+        set mapping per level) in as the sets there."""
+        for stage, (stats0, cache0), (stats1, cache1), sets in zip(
+            self._stages, start, stop, contents
+        ):
+            for k, v in stats1.items():
+                setattr(stage.stats, k, getattr(stage.stats, k) + v - stats0[k])
+            for a, v in cache1.items():
+                setattr(stage.cache, a, getattr(stage.cache, a) + v - cache0[a])
+            stage.cache._sets.clear()
+            stage.cache._sets.update((k, dict(s)) for k, s in sets.items())
+
     def _follow(self, receiver: Hierarchy, before: list) -> None:
         """Take ``receiver``'s contents above the LLC, and the counts its
         levels there advanced by since ``before``, as this member's own."""
-        for mine, theirs, (stats0, cache0) in zip(self._stages[:-1], receiver._stages, before):
-            for k, v in theirs.stats.counters().items():
-                setattr(mine.stats, k, getattr(mine.stats, k) + v - stats0[k])
-            for a, v in cache0.items():
-                setattr(mine.cache, a, getattr(mine.cache, a) + getattr(theirs.cache, a) - v)
-            mine.cache._sets.clear()
-            mine.cache._sets.update((k, dict(s)) for k, s in theirs.cache._sets.items())
+        self._take_interior(
+            before,
+            receiver._interior_counts(),
+            [st.cache._sets for st in receiver._stages[:-1]],
+        )
 
-    def _run_chunk(self, addrs: np.ndarray, writes: np.ndarray, group: tuple) -> None:
+    def _repeat(self, record: _Recording, group: tuple) -> None:
+        """Replay the recorded repetition once more, on its sub-blocks.
+
+        Each block runs in full until, at a checkpoint, the contents
+        above the LLC equal the recording's. From there on each member's
+        LLC pass takes the recorded residue, and the levels above the LLC
+        jump to the recording's end: counts advanced by its deltas since
+        the checkpoint, contents copied.
+        """
+        for k, (refs, writes, _, state) in enumerate(record.blocks):
+            if state is not None and state[0] == self._interior_image():
+                for later_refs, _, residue, _ in record.blocks[k:]:
+                    for h in group:
+                        h._llc_pass(later_refs, *residue)
+                (_, counts0, events0), (_, counts1, events1) = state, record.end
+                self._take_interior(counts0, counts1, record.end_sets)
+                for st, e0, e1 in zip(self._stages, events0, events1):
+                    st.fast_forwarded += e1 - e0
+                return
+            self._run_block(refs, writes, group)
+
+    def _run_chunk(
+        self,
+        addrs: np.ndarray,
+        writes: np.ndarray,
+        group: tuple,
+        record: _Recording | None = None,
+    ) -> None:
         # The batched inner loop: set-bucketed, level-by-level replay.
         #
         # Each sub-block makes one pass per cache level over an *event*
@@ -328,16 +407,23 @@ class Hierarchy:
         start = 0
         while start < n:
             end = start + block
-            mostly_fast = self._run_block(addrs[start:end], writes[start:end], group)
+            mostly_fast = self._run_block(addrs[start:end], writes[start:end], group, record)
             start = end
             block = min(block * 2, _BLOCK_MAX) if mostly_fast else _BLOCK_MIN
 
-    def _run_block(self, lines: np.ndarray, flags: np.ndarray, group: tuple) -> bool:
-        """Replay one sub-block through every level of every group member;
-        returns whether the first level handled (nearly) all of it on the
-        vectorized path."""
+    def _run_block(
+        self,
+        lines: np.ndarray,
+        flags: np.ndarray,
+        group: tuple,
+        record: _Recording | None = None,
+    ) -> bool:
+        """Replay one sub-block through every level of every group member,
+        adding it to ``record`` if given; returns whether the first level
+        handled (nearly) all of it on the vectorized path."""
         llc = len(self._stages) - 1
-        refs = lines
+        refs, writes = lines, flags
+        state = None if record is None else record.checkpoint(self)
         prefetching = any(h._prefetcher is not None for h in group)
         idx = np.arange(lines.shape[0]) if prefetching else None
         ins: np.ndarray | None = None
@@ -348,6 +434,8 @@ class Hierarchy:
                 first_fast = fast
             if lines is None:
                 break
+        if record is not None:
+            record.add(refs, writes, (lines, ins, flags, idx), state)
         for h in group:
             fast = h._llc_pass(refs, lines, ins, flags, idx)
             if llc == 0 and h is self:
@@ -818,8 +906,9 @@ class Hierarchy:
         every ``memory.<level>.<counter>`` name carries the access/hit/
         miss/fill/writeback traffic, ``memory.<level>.cache.<counter>``
         the replacement traffic of the backing cache structure,
-        ``memory.<level>.replay.*`` the events resolved ``wholesale`` vs
-        ``walked``, and ``memory.prefetch.*`` the prefetcher's stats.
+        ``memory.<level>.replay.*`` the events resolved ``wholesale``,
+        ``walked`` or ``fast_forwarded``, and ``memory.prefetch.*`` the
+        prefetcher's stats.
         """
         if not telemetry.enabled():
             return
@@ -831,7 +920,7 @@ class Hierarchy:
                 f"cache:{stage.name}",
                 stage.cache.telemetry_counters(),
             )
-            replay = {"wholesale": stage.wholesale, "walked": stage.walked}
+            replay = {k: getattr(stage, k) for k in tm.MEMORY_REPLAY_COUNTERS}
             self._publish_delta(tm.memory_replay_prefix(stage.name), f"replay:{stage.name}", replay)
         if self._prefetcher is not None:
             pfs = self._prefetcher.stats
@@ -1026,6 +1115,49 @@ def _coerce_chunk(
     return arr, warr
 
 
+class _Recording:
+    """The first repetition of a repeated replay, sub-block by sub-block.
+
+    ``blocks`` holds, per sub-block, its references and write bits, the
+    residue the levels above the LLC handed the LLC passes (``lines, ins,
+    flags, idx``), and, at checkpoints, the receiver's
+    :meth:`~Hierarchy._interior_state` at the block's start (None
+    elsewhere). Checkpoints lie at least as many references apart as the
+    levels above the LLC hold lines, and never closer than
+    ``_BLOCK_MIN``, so snapshotting costs time and memory linear in the
+    trace. ``end`` and ``end_sets`` are the state and contents there at
+    the end of the repetition.
+    """
+
+    def __init__(self, receiver: Hierarchy) -> None:
+        self.blocks: list[tuple] = []
+        self.spacing = max(
+            _BLOCK_MIN, sum(st.cache.n_sets * st.cache.ways for st in receiver._stages[:-1])
+        )
+        self._gap = self.spacing  # references since the last checkpoint
+        self.end: tuple = ()
+        self.end_sets: list = []
+
+    def checkpoint(self, receiver: Hierarchy) -> tuple | None:
+        """The receiver's state, if a checkpoint is due at the start of
+        the next block."""
+        if self._gap < self.spacing:
+            return None
+        self._gap = 0
+        return receiver._interior_state()
+
+    def add(self, refs: np.ndarray, writes: np.ndarray, residue: tuple, state: tuple | None) -> None:
+        self.blocks.append((refs, writes, residue, state))
+        self._gap += refs.shape[0]
+
+    def close(self, receiver: Hierarchy) -> None:
+        """Record the state and contents the repetition ends with."""
+        self.end = receiver._interior_state()
+        self.end_sets = [
+            {k: dict(s) for k, s in st.cache._sets.items() if s} for st in receiver._stages[:-1]
+        ]
+
+
 def _check_group(group: tuple[Hierarchy, ...]) -> None:
     """Reject a replay group whose members cannot share the levels
     above the LLC; raises before any member is touched."""
@@ -1038,7 +1170,7 @@ def _check_group(group: tuple[Hierarchy, ...]) -> None:
                 "replay group members differ above the LLC: (line, levels, "
                 f"[(sets, ways, line)]) {h._interior_shape()} vs {receiver._interior_shape()}"
             )
-        if h._interior_contents() != receiver._interior_contents():
+        if h._interior_image() != receiver._interior_image():
             raise ValueError("replay group members start with different contents above the LLC")
 
 

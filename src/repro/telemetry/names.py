@@ -182,6 +182,14 @@ def memory_replay_prefix(level: str) -> str:
     return f"memory.{level}.replay"
 
 
+#: The replay-path counters under :func:`memory_replay_prefix`: the events
+#: a level resolved ``wholesale`` (all-hit sets, vectorized), ``walked``
+#: (the sequential loop), or ``fast_forwarded`` (skipped because a
+#: repeated trace's replay had repeated at that level). Together they
+#: count every event the level received.
+MEMORY_REPLAY_COUNTERS = ("wholesale", "walked", "fast_forwarded")
+
+
 #: ``record_counts`` prefix for the prefetcher's ``issued``/``useful``.
 MEMORY_PREFETCH = "memory.prefetch"
 

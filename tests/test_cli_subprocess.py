@@ -67,6 +67,14 @@ class TestUsageErrors:
         assert f"argument {args[0]}: must be > 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_energy_refuses_reps_beyond_the_trace_guard(self):
+        """Each run replays one traced repetition ``--reps`` times; together
+        they must stay under the trace guard, checked before any replay."""
+        proc = run_cli("energy", "--kernel", "stream", "--reps", "100000000", timeout=60)
+        assert proc.returncode == 2
+        assert "argument --reps: stream: ~4.5e+11 events exceed the trace guard" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "args,message",
         [

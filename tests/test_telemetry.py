@@ -284,6 +284,8 @@ class TestIntegration:
 
         from repro.memory import for_broadwell
         from repro.platforms import broadwell
+        from repro.telemetry import names as tm
+        from repro.trace import chunk_arrays
 
         telemetry.configure(enabled=True)
         reg = telemetry.get_registry()
@@ -301,24 +303,34 @@ class TestIntegration:
                 h.reset()  # zeroes the prefetch stats, not the published totals
             pf = h._prefetcher
             before = (pf.stats.issued, pf.stats.useful) if pf else (0, 0)
-            h.run_array(addrs, writes)
+            if run < 2:
+                h.run_array(addrs, writes)
+            else:
+                # Cold, then repeated: the second repetition's L1/L2 replay
+                # repeats the first's once the strided phase has refilled them.
+                h.run_batched(chunk_arrays(addrs, writes), reps=2)
             if pf is not None:
                 issued += pf.stats.issued - before[0]
                 useful += pf.stats.useful - before[1]
                 assert reg.counter("memory.prefetch.issued").value == issued > 0
                 assert reg.counter("memory.prefetch.useful").value == useful > 0
         assert ("memory.prefetch.issued" in reg) == (prefetch is not None)
+        span = list(telemetry.get_tracer().iter_finished("hierarchy.run"))[-1]
+        assert (span.attrs["reps"], span.attrs["refs"]) == (2, addrs.size * 2)
 
         def replay(level, kind):
             return reg.counter(f"memory.{level}.replay.{kind}").value
 
-        # Events each level received over the three runs: every
+        # Events each level received over the four repetitions: every
         # reference at L1; below, the level above's misses plus its
         # dirty-victim writebacks (published totals survive reset()).
-        received = addrs.size * 3
+        received = addrs.size * 4
         assert replay("L1", "wholesale") > 0 and replay("L1", "walked") > 0
+        assert replay("L1", "fast_forwarded") > 0 and replay("L2", "fast_forwarded") > 0
+        assert replay("L3", "fast_forwarded") == 0  # the LLC always replays
         for name in ("L1", "L2", "L3"):
-            assert replay(name, "wholesale") + replay(name, "walked") == received, name
+            work = sum(replay(name, kind) for kind in tm.MEMORY_REPLAY_COUNTERS)
+            assert work == received, name
             received = sum(
                 reg.counter(f"memory.{name}.{k}").value for k in ("misses", "writebacks")
             )

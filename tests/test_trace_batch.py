@@ -7,6 +7,8 @@ differentially against the plain-loop oracle in ``tests/scalar_oracle.py``
 replayed through ``Hierarchy.access`` one reference at a time.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.kernels.traces import kernel_trace_chunks
+from repro.kernels.traces import MAX_EVENTS, kernel_trace_chunks
 from repro.memory import for_broadwell, for_knl
 from repro.platforms import McdramMode, broadwell, knl
 from repro.sparse import generators
@@ -593,6 +595,134 @@ class TestGroupReplay:
         with pytest.raises(ValueError, match="replay group"):
             receiver.run_batched(chunk_arrays(*_random_trace(35), chunk=1000), also=also)
         assert [_full_state(h) for h in (receiver, other)] == before
+
+
+def _repeated_access(hierarchy, addrs, writes, reps):
+    """``Hierarchy.access`` on ``reps`` concatenated repetitions."""
+    replay(hierarchy, zip(addrs.tolist() * reps, writes.tolist() * reps))
+    return hierarchy
+
+
+#: ext4's prefetchers, its replay group's receiver first.
+EXT4_KINDS = ("next-line", None, "stride")
+
+
+@pytest.fixture(scope="module")
+def ext4_access_states():
+    """Whole state after ``access()`` on 2 and 3 repetitions of ext4's
+    quick traces: GEMM without a prefetcher, SpMV-random under each of
+    ext4's. One hierarchy runs both; copies keep the first state."""
+    states = {}
+    for name, kinds in (("gemm", (None,)), ("spmv-random", EXT4_KINDS)):
+        chunks = list(kernel_trace_chunks(ext4_workloads(quick=True)[name]))
+        addrs = np.concatenate([a for a, _ in chunks])
+        writes = np.concatenate([w for _, w in chunks])
+        for kind in kinds:
+            h = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
+            states[name, kind, 2] = copy.deepcopy(_full_state(_repeated_access(h, addrs, writes, 2)))
+            states[name, kind, 3] = _full_state(_repeated_access(h, addrs, writes, 1))
+    return states
+
+
+class TestRepeatedReplay:
+    """``run_batched(chunks, reps=N)`` replays one repetition N times and
+    stops running the levels above the LLC once they repeat; every level
+    must still end exactly as ``access()`` on the concatenated
+    repetitions leaves it."""
+
+    @pytest.mark.parametrize("reps", [2, 3])
+    @pytest.mark.parametrize("name", ["gemm", "spmv-random"])
+    def test_ext4_traces_match_access(self, name, reps, ext4_access_states):
+        """L1 and L2 repeat within the first sub-blocks and the L3 soon
+        after, but the eDRAM does not: it promotes dirty lines into the L3
+        at other points in each repetition, so a replay that also skipped
+        the LLC once it repeated would diverge here."""
+        h = for_broadwell(broadwell(), scale=SCALE)
+        h.run_batched(kernel_trace_chunks(ext4_workloads(quick=True)[name]), reps=reps)
+        assert _full_state(h) == ext4_access_states[name, None, reps]
+        l1, l2, l3 = h._stages
+        assert l1.fast_forwarded > 0 and l2.fast_forwarded > 0 and l3.fast_forwarded == 0
+
+    @pytest.mark.parametrize("reps", [2, 3])
+    def test_prefetching_group_matches_access(self, reps, ext4_access_states):
+        """ext4's replay group: every member's LLC pass, prefetch
+        observations included, takes the recorded residue."""
+        group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in EXT4_KINDS]
+        kernel = ext4_workloads(quick=True)["spmv-random"]
+        group[0].run_batched(kernel_trace_chunks(kernel), also=group[1:], reps=reps)
+        for h, kind in zip(group, EXT4_KINDS):
+            assert _full_state(h) == ext4_access_states["spmv-random", kind, reps], kind
+        assert group[0]._stages[0].fast_forwarded > 0
+
+    def test_trace_shorter_than_a_sub_block_never_repeats(self):
+        addrs, writes = _random_trace(36, n=3_000)
+        h = for_broadwell(broadwell(), scale=SCALE, prefetch="stride")
+        h.run_batched([(addrs, writes)], reps=3)
+        assert [st.fast_forwarded for st in h._stages] == [0, 0, 0]
+        scalar = for_broadwell(broadwell(), scale=SCALE, prefetch="stride")
+        assert _full_state(h) == _full_state(_repeated_access(scalar, addrs, writes, 3))
+
+    def test_checkpoints_compare_dirty_bits(self):
+        """At the second checkpoint the second repetition's L1 holds the
+        first's lines in the first's LRU order, but one of them dirty: the
+        first repetition's write to it created a dirty line, the second's
+        does not, so the replay must not fast-forward there."""
+        hot = np.tile(np.arange(8), 512)
+        addrs = np.concatenate([hot, [0], hot[:4_800]]).astype(np.int64)
+        writes = np.zeros(addrs.shape[0], dtype=bool)
+        writes[hot.shape[0]] = True
+        h = for_broadwell(broadwell(), scale=SCALE)
+        h.run_batched([(addrs, writes)], reps=2)
+        scalar = _repeated_access(for_broadwell(broadwell(), scale=SCALE), addrs, writes, 2)
+        assert _full_state(h) == _full_state(scalar)
+        assert h._stages[0].fast_forwarded == addrs.shape[0] - 2 * 4096
+
+    def test_knl_modes_fast_forward_l1_only(self):
+        """On KNL only L1 sits above the LLC (L2)."""
+        addrs, writes = _random_trace(37)
+        modes = (McdramMode.CACHE, McdramMode.FLAT, McdramMode.HYBRID)
+        group = [for_knl(knl(m), m, scale=SCALE) for m in modes]
+        group[0].run_batched(chunk_arrays(addrs, writes, chunk=1500), also=group[1:], reps=2)
+        for h, mode in zip(group, modes):
+            scalar = _repeated_access(for_knl(knl(mode), mode, scale=SCALE), addrs, writes, 2)
+            assert _full_state(h) == _full_state(scalar)
+        l1, l2 = group[0]._stages
+        assert l1.fast_forwarded > 0 and l2.fast_forwarded == 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", PREFETCH_FUZZ_SHAPES)
+    def test_random_chunk_splits(self, shape, seed):
+        """Random chunk splits (so random sub-block and checkpoint
+        boundaries), repetition counts, and a two-member group."""
+        rng = np.random.default_rng([seed, PREFETCH_FUZZ_SHAPES.index(shape), 21])
+        addrs, writes, scale = _fuzz_trace(rng, shape)
+        reps = int(rng.integers(2, 4))
+        configs = [(k, e) for k in (None, "next-line", "stride") for e in (True, False)]
+        configs = [configs[i] for i in rng.permutation(len(configs))[:2]]
+        group = [for_broadwell(broadwell(), edram=e, scale=scale, prefetch=k) for k, e in configs]
+        group[0].run_batched(_random_splits(rng, addrs, writes), also=group[1:], reps=reps)
+        for h, (kind, edram) in zip(group, configs):
+            scalar = for_broadwell(broadwell(), edram=edram, scale=scale, prefetch=kind)
+            assert _full_state(h) == _full_state(_repeated_access(scalar, addrs, writes, reps))
+
+    def test_reps_zero_replays_nothing(self):
+        h = for_broadwell(broadwell(), scale=SCALE)
+        h.run_batched(chunk_arrays(*_random_trace(38)), reps=0)
+        assert _full_state(h) == _full_state(for_broadwell(broadwell(), scale=SCALE))
+
+    def test_negative_reps_rejected(self):
+        h = for_broadwell(broadwell(), scale=SCALE)
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            h.run_batched(chunk_arrays(*_random_trace(39)), reps=-1)
+        assert h.stats().total_accesses == 0
+
+    def test_simulate_guards_all_repetitions(self):
+        """``Kernel.simulate`` replays one traced repetition ``reps`` times,
+        and still refuses repetitions that together exceed the guard."""
+        h = for_broadwell(broadwell(), scale=SCALE)
+        with pytest.raises(ValueError, match="trace guard"):
+            StreamKernel(n=10).simulate(h, reps=MAX_EVENTS)
+        assert h.stats().total_accesses == 0
 
 
 class TestStackDistanceNdarray:
