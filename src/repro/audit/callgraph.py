@@ -5,8 +5,9 @@ Two analyses live here because several rule families need them:
 * **Conservative call graph** (:class:`CallGraph`) — a name-based,
   flow-insensitive reachability graph seeded from the worker entry
   points (functions registered as experiment drivers via
-  ``@register(...)`` and functions handed to a pool via
-  ``.submit(fn, ...)`` / ``initializer=fn``). The PURE rules walk it to
+  ``@register(...)``, functions handed to a pool via
+  ``.submit(fn, ...)`` / ``initializer=fn``, and process or thread
+  bodies given as ``target=fn``). The PURE rules walk it to
   find state smuggled into workers; LIFE002 walks it to find
   fork-shared telemetry sinks touched on worker paths. It resolves only
   what imports make statically obvious — a rebound alias or a
@@ -141,7 +142,7 @@ class CallGraph:
         ):
             refs.append(node.args[0])
         for kw in node.keywords:
-            if kw.arg == "initializer":
+            if kw.arg in ("initializer", "target"):
                 refs.append(kw.value)
         out = []
         for ref in refs:

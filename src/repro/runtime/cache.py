@@ -29,7 +29,8 @@ stats update, and two stats updates cannot lose each other's counts.
 Reads take no lock, because every object is written to a temp file and
 ``os.replace``d into place, so a reader sees a whole object or none. An
 in-process LRU hot tier in front of the on-disk objects serves repeat
-hits without touching disk.
+hits without touching disk; ``put_hot`` fills only that tier, for an
+answer another process (a serve worker) has already stored.
 """
 
 from __future__ import annotations
@@ -168,6 +169,11 @@ class SharedResultCache:
                 self.disk_hits += 1
             else:
                 self.misses += 1
+
+    def put_hot(self, key: str, payload: dict[str, Any]) -> None:
+        """Keep ``payload`` in the hot tier only; for an answer another
+        process has already stored on disk. Touches no disk."""
+        self._hot.put(key, payload)
 
     @property
     def hot_entries(self) -> int:

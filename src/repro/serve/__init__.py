@@ -11,9 +11,10 @@ each a thin module:
   asyncio streams (stdlib only; no new runtime dependencies).
 * **Batcher** (:mod:`repro.serve.batcher`) — coalesces identical
   in-flight queries onto one execution, cache lookup included.
-* **Pool** (:mod:`repro.serve.pool`) — a sharded worker-process pool
-  reusing the scheduler's timeout/recycle machinery, with cross-process
-  trace propagation so every request yields one rooted span tree.
+* **Pool** (:mod:`repro.serve.pool`) — one worker process per shard on
+  a socketpair, with deadlines, recycling and retries; the worker
+  stores each answer before replying, and ships its spans home so every
+  request yields one rooted span tree.
 
 :mod:`repro.serve.app` wires the layers into :class:`ServeApp`, fronted
 by the shared result cache; :mod:`repro.serve.bench` is the load harness

@@ -5,12 +5,13 @@ Request path for ``POST /v1/advise``::
     parse HTTP → normalize query → cache key
         → batcher (identical key in flight → share its execution)
         → claimed execution: shared cache (LRU hot tier → disk) [hit: answer]
-              → worker pool (sharded by key) → engine evaluate
-              → cache fill → answer
+              → worker shard (by key) → engine evaluate → disk fill
+              → hot-tier fill → answer
 
 The claim on a key covers its cache lookup, so a request that arrives
 while an identical one is looking up or executing shares that work; a
-later request reads the fill.
+later request reads the fill. The worker writes the disk fill before it
+replies, so a miss's answer is stored before it is sent.
 
 The answer body is byte-identical to the offline
 :func:`repro.serve.advisor.evaluate` output for the same normalized
@@ -84,6 +85,7 @@ class ServeApp:
             self.config.jobs,
             timeout_s=self.config.timeout_s,
             retries=self.config.retries,
+            store=None if self.cache is None else self.cache.root,
         )
         self.batcher = Batcher(self._execute)
         self.trace_id = collect.new_trace_id()
@@ -98,13 +100,14 @@ class ServeApp:
     ) -> tuple[dict[str, Any], str]:
         """The claimed execution of one key; returns (result, cache tier).
 
-        Reads the cache; on a miss, runs the pool and fills the cache.
-        Every request that coalesces onto this key shares the outcome.
+        Reads the cache; on a miss, runs the pool, whose worker stores
+        the result before it replies, and keeps the result in the hot
+        tier. Every request that coalesces onto this key shares the
+        outcome.
         """
         if self.cache is not None:
             hot_before = self.cache.hot_hits
-            # Cache I/O off the loop: a hot-tier miss falls through to a
-            # disk read, and a fill takes the cache lock file.
+            # Off the loop: a hot-tier miss falls through to a disk read.
             cached = await asyncio.to_thread(self.cache.get_payload, key)
             if cached is not None:
                 hot = self.cache.hot_hits > hot_before
@@ -125,9 +128,7 @@ class ServeApp:
         )
         result = envelope["result"]
         if self.cache is not None:
-            await asyncio.to_thread(
-                self.cache.put_payload, key, result, kind=f"serve.{job['kind']}"
-            )
+            self.cache.put_hot(key, result)
         return result, "miss"
 
     # -- routes ---------------------------------------------------------------

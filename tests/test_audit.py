@@ -391,6 +391,57 @@ def test_pure001_reaches_through_pool_submit(tmp_path):
     assert "worker_entry" in findings[0].message
 
 
+def test_pure001_reaches_through_process_target(tmp_path):
+    write(
+        tmp_path,
+        "repro/serve/shard.py",
+        """
+        import multiprocessing
+
+        _SEEN = {}
+
+        def shard_main(conn):
+            _SEEN[conn] = True
+
+        def start(conn):
+            proc = multiprocessing.Process(target=shard_main, args=(conn,))
+            proc.start()
+            return proc
+        """,
+    )
+    findings = [f for f in findings_for(tmp_path) if f.rule_id == "PURE001"]
+    assert len(findings) == 1
+    assert "shard_main" in findings[0].message
+
+
+def test_pure001_passes_on_process_target_with_local_state(tmp_path):
+    write(
+        tmp_path,
+        "repro/serve/shard.py",
+        """
+        import multiprocessing
+
+        _SEEN = {}
+
+        def _remember(conn):
+            # Called by the parent only: not reachable from the worker.
+            _SEEN[conn] = True
+
+        def shard_main(conn):
+            seen = {}
+            seen[conn] = True
+            return seen
+
+        def start(conn):
+            proc = multiprocessing.Process(target=shard_main, args=(conn,))
+            proc.start()
+            _remember(conn)
+            return proc
+        """,
+    )
+    assert not [f for f in findings_for(tmp_path) if f.rule_id == "PURE001"]
+
+
 def test_pure001_passes_on_local_state_and_unreachable_globals(tmp_path):
     write(
         tmp_path,
@@ -576,7 +627,11 @@ def run_cli(*argv, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(SRC_DIR),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
 
 

@@ -486,7 +486,11 @@ def run_cli(*argv, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={"PYTHONPATH": str(SRC_DIR), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": str(SRC_DIR),
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
 
 
