@@ -1,9 +1,9 @@
 """PURE rules: code reachable from workers must not smuggle state.
 
-The scheduler ships experiment drivers to ``ProcessPoolExecutor``
-workers and caches their results under a key derived *only* from
-(experiment id, sweep mode, package version, source digest). Two things
-silently invalidate that key:
+The scheduler and the advisor service ship work to the worker pool
+(:mod:`repro.runtime.pool`) and cache results under a key derived
+*only* from (experiment id, sweep mode, package version, source
+digest). Two things silently invalidate that key:
 
 * **module-global mutation** — a driver (or anything it calls) writing
   module state makes the result depend on execution order within a
@@ -14,7 +14,8 @@ silently invalidate that key:
 
 Both rules walk the conservative worker-reachability graph built by
 :mod:`repro.audit.callgraph` — seeded from ``@register(...)`` drivers
-and pool-submitted entry points — and flag offending statements in any
+and process or pool entry points, among them the pool's
+``Process(target=_shard_main)`` — and flag offending statements in any
 reachable function. The graph is shared with the LIFE rules through the
 engine's :class:`~repro.audit.engine.ProjectContext`, so one audit run
 builds it once no matter how many rule families consume it.

@@ -190,9 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECS",
         help=(
             "per-task timeout, measured from each task's own start on a "
-            "worker (parallel runs only); a task past its deadline is "
-            "journaled as 'timeout', its hung worker is reaped by "
-            "recycling the pool, and the task is retried like a failure"
+            "worker (with --jobs 1 the batch runs on one worker); a task "
+            "past its deadline is journaled as 'timeout', its hung worker "
+            "is killed and replaced, and the task is retried like a failure"
         ),
     )
     runp.add_argument(

@@ -14,11 +14,14 @@ that makes re-running it cheap:
   mutation holds one lock file, serves batches and the advisor alike.
 * **Journal** (:mod:`repro.runtime.journal`) — append-only JSONL task
   log; an interrupted batch resumes with ``--resume <journal>``.
-* **Scheduler** (:mod:`repro.runtime.scheduler`) — fans tasks across a
-  process pool (``--jobs N``) with bounded retry, exponential backoff,
-  and deadline-accurate per-task timeouts (hung workers are reaped by
-  recycling the pool), emitting spans and counters through
-  :mod:`repro.telemetry`.
+* **Scheduler** (:mod:`repro.runtime.scheduler`) — runs tasks inline, or
+  in lanes over the worker pool (``--jobs N``, or any ``--timeout``) with
+  bounded retry, exponential backoff, and deadline-accurate per-task
+  timeouts, emitting spans and counters through :mod:`repro.telemetry`.
+* **Pool** (:mod:`repro.runtime.pool`) — worker processes on
+  socketpairs, one job in flight each; a hung or dying worker is killed
+  and replaced without touching its siblings. The batch scheduler and
+  ``repro serve`` share it. Imported only when a batch needs workers.
 * **Faults** (:mod:`repro.runtime.faults`) — deterministic hang / crash
   / delay / flaky-once injection (``OPM_REPRO_FAULTS``) so the
   scheduler's unhappy paths are testable without real wall-clock hangs.

@@ -8,7 +8,7 @@ its driver runs:
 
 ``hang``
     Sleep forever. The scheduler's deadline logic must declare the task
-    ``timeout`` and reap the worker by recycling the pool.
+    ``timeout`` and kill the hung worker.
 ``hang_once``
     Hang on the first attempt, run normally afterwards — exercises the
     timeout → retry → success path. Requires fault state (see below).
@@ -21,7 +21,7 @@ its driver runs:
     Sleep ``SECS`` seconds, then run normally.
 
 Plans are carried by environment variables so they survive the hop into
-``ProcessPoolExecutor`` workers:
+worker processes (:mod:`repro.runtime.pool`):
 
 * ``OPM_REPRO_FAULTS`` — the plan spec, e.g.
   ``"fig7=hang;table2=crash;eq1=delay:0.25"``.
@@ -29,7 +29,7 @@ Plans are carried by environment variables so they survive the hop into
   markers, needed by the ``*_once`` behaviors (each first attempt drops
   a marker file; later attempts see it and behave normally). Without it
   the ``*_once`` behaviors fall back to in-process memory, which is only
-  deterministic for inline (``jobs=1``) execution.
+  deterministic for inline execution (``jobs=1`` without a timeout).
 
 Programmatic use inside one process can bypass the environment with
 :func:`install`. Injection points call :func:`apply` with the task id;

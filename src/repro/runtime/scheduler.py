@@ -1,4 +1,4 @@
-"""Parallel experiment scheduler.
+"""Experiment scheduler.
 
 Runs a set of experiment ids through (in order of precedence per task):
 
@@ -6,38 +6,36 @@ Runs a set of experiment ids through (in order of precedence per task):
    skipped outright;
 2. the **result cache** — a task whose content-addressed key (see
    :mod:`repro.runtime.fingerprint`) is cached returns in milliseconds;
-3. **execution** — inline for ``jobs=1``, or fanned out across a
-   ``ProcessPoolExecutor`` with bounded retry, exponential backoff, and
-   a deadline-accurate per-task timeout.
+3. **execution** — inline for ``jobs=1`` without a timeout, otherwise on
+   the worker pool (:mod:`repro.runtime.pool`) with bounded retry,
+   exponential backoff, and a per-task timeout.
 
-Timeouts are *per task, measured from that task's own submission to a
-free worker*: submission is throttled to the pool width, every in-flight
-task carries a monotonic deadline, and a ``concurrent.futures.wait``
-polling loop declares a task ``timeout`` the moment its own deadline
-passes — never after some other task's wait. Because a running
-``ProcessPoolExecutor`` future cannot be cancelled, a hung worker is
-reaped by recycling the executor (terminate + fresh pool) so a stuck
-process can never silently occupy a slot for the rest of the batch;
-innocent in-flight tasks are resubmitted on the fresh pool without
-consuming an extra attempt. Timed-out tasks participate in the same
-bounded-retry/backoff path as crashed tasks and are journaled with a
-distinct ``timeout`` status, which ``--resume`` treats as re-runnable.
+The pooled path runs ``min(jobs, len(tasks))`` lanes on one event loop.
+Each lane owns one worker shard: it takes the next ready task (a retry
+is ready once its backoff has passed) and runs it on its shard under
+``asyncio.wait_for``, so a task's deadline counts from its own start on
+a worker. A task past its deadline has its worker killed and replaced;
+its siblings on other shards keep running and are charged nothing.
+Timed-out tasks participate in the same bounded-retry/backoff path as
+crashed tasks and are journaled with a distinct ``timeout`` status,
+which ``--resume`` treats as re-runnable. A worker that dies mid-task
+fails only that task.
 
-Every execution, inline or pool, runs :func:`_worker_run`, whose
+Every execution, inline or pooled, runs :func:`_worker_run`, whose
 result comes back through the ``as_dict``/``from_dict`` round trip, so
 serial runs, parallel runs, served runs and cache hits all print
 byte-identical tables.
 
 With telemetry enabled the scheduler opens a ``batch`` span (tagged
 with a fresh ``trace_id``) with one ``task`` child per executed
-experiment — inline *and* pool: pool submissions open a
-manual-lifecycle ``task`` span at submission and pass the worker a
+experiment — inline *and* pooled: a pooled attempt opens a
+manual-lifecycle ``task`` span when it starts and passes the worker a
 :class:`~repro.telemetry.collect.TraceContext`, so the worker's own
 spans (``experiment``, ``kernel.*``, ``hierarchy.run``, ...) come back
 inside the result envelope and are merged under that ``task`` span with
 ids remapped and clocks rebased (see :mod:`repro.telemetry.collect`).
-``task.wait`` resolution markers and ``pool.reap`` spans around
-executor recycling complete the picture. The scheduler publishes
+``task.wait`` resolution markers and the pool's ``pool.reap`` spans
+complete the picture. The scheduler publishes
 ``runtime.cache.hits`` / ``runtime.cache.misses`` / ``runtime.tasks.*``
 (including ``runtime.tasks.timeout``) / ``runtime.pool.recycled`` /
 ``runtime.telemetry.spans_merged`` / ``runtime.telemetry.dropped``
@@ -54,23 +52,12 @@ Deterministic fault injection for all of these paths lives in
 from __future__ import annotations
 
 import dataclasses
-import sys
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
-from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.experiments.results import ExperimentResult
 from repro.telemetry import collect, names as tm
-from repro.telemetry.spans import Span
 from repro.runtime import faults
 from repro.runtime.cache import SharedResultCache
 from repro.runtime.journal import RunJournal
@@ -147,18 +134,6 @@ class BatchSummary:
         return "\n".join(parts)
 
 
-def _package_parent() -> str:
-    """Directory to prepend to ``sys.path`` in spawned workers."""
-    import repro
-
-    return str(Path(repro.__file__).resolve().parent.parent)
-
-
-def _worker_init(package_parent: str) -> None:  # pragma: no cover - child
-    if package_parent not in sys.path:
-        sys.path.insert(0, package_parent)
-
-
 def _worker_run(
     experiment_id: str,
     quick: bool,
@@ -216,15 +191,16 @@ def run_batch(
 ) -> BatchSummary:
     """Run ``ids``; returns per-task outcomes in input order.
 
-    ``cache=None`` disables caching entirely. ``timeout`` bounds each
-    task's execution measured from *its own* submission to a worker and
-    only applies to pool execution (``jobs > 1``); a task past its
-    deadline is journaled as ``timeout``, its hung worker is reaped by
-    recycling the pool, and — like a crashed task — it is retried while
-    attempts remain. ``retries`` is the number of *additional* attempts
-    granted to a task whose execution raised or timed out. ``backoff``
-    seconds (doubling per attempt, capped at ``backoff_max``) separate a
-    failure from its retry. Out-of-range numbers raise ValueError.
+    ``cache=None`` disables caching entirely. Tasks run inline when
+    ``jobs=1`` and no ``timeout`` is given, otherwise on ``jobs`` worker
+    processes (one when ``jobs=1``). ``timeout`` bounds each task's
+    execution measured from *its own* start on a worker; a task past its
+    deadline is journaled as ``timeout``, its worker is killed and
+    replaced, and — like a crashed task — it is retried while attempts
+    remain. ``retries`` is the number of *additional* attempts granted
+    to a task whose execution raised or timed out. ``backoff`` seconds
+    (doubling per attempt, capped at ``backoff_max``) separate a failure
+    from its retry. Out-of-range numbers raise ValueError.
     """
     from repro import telemetry
     from repro.experiments import registry
@@ -283,7 +259,7 @@ def run_batch(
                 backoff=backoff,
                 backoff_max=backoff_max,
             )
-            if jobs <= 1
+            if jobs == 1 and timeout is None
             else _execute_pool(
                 to_execute,
                 quick=quick,
@@ -313,7 +289,7 @@ def run_batch(
                     )
             elif outcome.status != "timeout":
                 # timeout events are already counted per occurrence by
-                # the pool loop (runtime.tasks.timeout).
+                # the pooled path (runtime.tasks.timeout).
                 telemetry.counter(tm.METRIC_TASKS_FAILED).inc()
 
     summary = BatchSummary(
@@ -334,7 +310,7 @@ def _run_with_manifest(
 ) -> tuple[ExperimentResult, float]:
     """Execute one task in-process under a ``task`` span + manifest.
 
-    The body is the pool's :func:`_worker_run`, so inline, pool and
+    The body is the pool's :func:`_worker_run`, so inline, pooled and
     served executions share one span vocabulary (``task`` →
     ``experiment`` → driver spans) and one ``as_dict``/``from_dict``
     round trip, and print byte-identical tables.
@@ -408,58 +384,6 @@ def _execute_inline(
     return outcomes
 
 
-@dataclasses.dataclass
-class _InFlight:
-    """Book-keeping for one submitted-but-unresolved pool task."""
-
-    experiment_id: str
-    submitted_at: float  # time.monotonic() at submission
-    deadline: float | None  # submitted_at + timeout, None = no timeout
-    span: Span | None = None  # open `task` span (None when telemetry off)
-
-
-@dataclasses.dataclass
-class _Waiting:
-    """A task queued for (re)submission."""
-
-    experiment_id: str
-    ready_at: float  # time.monotonic() before which it must not start
-    new_attempt: bool  # False when requeued by a pool recycle
-
-
-def _new_pool(jobs: int, n_tasks: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(
-        max_workers=min(jobs, n_tasks),
-        initializer=_worker_init,
-        initargs=(_package_parent(),),
-    )
-
-
-def _reap_pool(pool: ProcessPoolExecutor, *, reason: str, n_hung: int) -> None:
-    """Terminate a pool whose running futures cannot be cancelled.
-
-    ``shutdown(cancel_futures=True)`` only drops *queued* work; a worker
-    stuck inside a task would keep the process alive forever, so the
-    worker processes are terminated (then killed if necessary) after the
-    executor stops accepting work.
-    """
-    from repro import telemetry
-
-    with telemetry.span(tm.SPAN_POOL_REAP, reason=reason, n_hung=n_hung):
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + 2.0
-        for proc in procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():  # pragma: no cover - stubborn child
-                proc.kill()
-                proc.join(timeout=1.0)
-    telemetry.counter(tm.METRIC_POOL_RECYCLED).inc()
-
-
 def _execute_pool(
     ids: Sequence[str],
     *,
@@ -472,218 +396,117 @@ def _execute_pool(
     backoff_max: float = DEFAULT_BACKOFF_MAX_S,
     trace_id: str = "",
 ) -> dict[str, TaskOutcome]:
-    """Deadline-driven pool execution.
+    """Run ``ids`` on ``min(jobs, len(ids))`` lanes, one worker shard each.
 
-    Submission is throttled to the pool width so a task's deadline clock
-    starts when it actually reaches a worker, not when the batch began.
-    The loop wakes on the first completion or the earliest deadline /
-    backoff expiry, whichever comes first, so a hung task is declared
-    ``timeout`` about ``timeout`` seconds after *its own* start even if
-    it was submitted last.
+    A lane takes the next ready task and runs it on its own shard under
+    ``asyncio.wait_for(timeout)``, so a deadline counts from the task's
+    own start and killing a hung worker touches no other lane.
     """
+    import asyncio
+
     from repro import telemetry
     from repro.experiments import registry
+    from repro.runtime.pool import WorkerPool
 
     outcomes: dict[str, TaskOutcome] = {}
     if not ids:
         return outcomes
-    # Load every experiment driver in the parent *before* forking the
-    # pool: workers inherit the warm module graph, so a task's first
-    # execution is not charged ~0.5 s of scipy imports against its
-    # deadline (under a spawn start method the import cost reappears in
-    # the worker — timeouts there must budget for startup).
+    # Load every experiment driver in the parent *before* the first fork:
+    # workers inherit the warm module graph, so a task's first execution
+    # is not charged ~0.5 s of scipy imports against its deadline (under
+    # a spawn start method the import cost reappears in the worker —
+    # timeouts there must budget for startup).
     registry.get(ids[0])
-    max_workers = min(jobs, len(ids))
-    attempts = {exp_id: 0 for exp_id in ids}
-    waiting: list[_Waiting] = [_Waiting(exp_id, 0.0, True) for exp_id in ids]
-    running: dict[Future, _InFlight] = {}
-    pool = _new_pool(jobs, len(ids))
-    recycle_reason: str | None = None
-    hung = 0
+    attempts = dict.fromkeys(ids, 0)
+    # (ready_at, id) in the order tasks become runnable; a retry is
+    # ready once its backoff has passed.
+    waiting: list[tuple[float, str]] = [(0.0, exp_id) for exp_id in ids]
 
-    def resolve(exp_id: str, status: str, **kwargs: Any) -> None:
-        outcomes[exp_id] = TaskOutcome(
-            exp_id, status, attempts=attempts[exp_id], **kwargs
+    async def run_task(pool: WorkerPool, lane: int, exp_id: str) -> None:
+        attempts[exp_id] += 1
+        attempt = attempts[exp_id]
+        if journal is not None:
+            journal.record(exp_id, "running", attempt=attempt)
+        task_span = collect.open_task_span(exp_id, quick=quick, attempt=attempt)
+        ctx = collect.current_context(
+            exp_id,
+            trace_id=trace_id,
+            parent_span_id=task_span.span_id if task_span is not None else None,
         )
-
-    def requeue_for_retry(exp_id: str, now: float) -> None:
-        telemetry.counter(tm.METRIC_TASKS_RETRIED).inc()
-        delay = _backoff_delay(attempts[exp_id], backoff, backoff_max)
-        waiting.append(_Waiting(exp_id, now + delay, True))
-
-    try:
-        while waiting or running:
-            now = time.monotonic()
-            # A recycle request (hung worker or broken pool) is honored
-            # once the loop is back at a submission point: every innocent
-            # in-flight task is requeued (no extra attempt charged) and a
-            # fresh executor replaces the poisoned one.
-            if recycle_reason is not None:
-                for future, flight in running.items():
-                    future.cancel()
-                    collect.close_task_span(flight.span, status="requeued")
-                    waiting.append(
-                        _Waiting(flight.experiment_id, now, False)
-                    )
-                running.clear()
-                _reap_pool(pool, reason=recycle_reason, n_hung=hung)
-                pool = _new_pool(jobs, len(ids))
-                recycle_reason = None
-                hung = 0
-
-            # Fill free worker slots with tasks whose backoff has expired.
-            ready = [w for w in waiting if w.ready_at <= now]
-            while ready and len(running) < max_workers:
-                item = ready.pop(0)
-                waiting.remove(item)
-                if item.new_attempt:
-                    attempts[item.experiment_id] += 1
-                if journal is not None:
-                    journal.record(
-                        item.experiment_id,
-                        "running",
-                        attempt=attempts[item.experiment_id],
-                    )
-                task_span = collect.open_task_span(
-                    item.experiment_id,
-                    quick=quick,
-                    attempt=attempts[item.experiment_id],
-                )
-                ctx = collect.current_context(
-                    item.experiment_id,
-                    trace_id=trace_id,
-                    parent_span_id=(
-                        task_span.span_id if task_span is not None else None
-                    ),
-                )
-                future = pool.submit(
-                    _worker_run, item.experiment_id, quick, ctx
-                )
-                running[future] = _InFlight(
-                    experiment_id=item.experiment_id,
-                    submitted_at=now,
-                    deadline=None if timeout is None else now + timeout,
-                    span=task_span,
-                )
-
-            if not running:
-                # Everything is waiting out a backoff delay.
-                next_ready = min(w.ready_at for w in waiting)
-                time.sleep(max(0.0, next_ready - time.monotonic()))
-                continue
-
-            # Sleep until something completes, a deadline passes, or a
-            # backoff expires — whichever is first.
-            wake_times = [
-                f.deadline for f in running.values() if f.deadline is not None
-            ] + [w.ready_at for w in waiting if w.ready_at > now]
-            poll = (
-                None
-                if not wake_times
-                else max(0.0, min(wake_times) - time.monotonic())
+        started = time.monotonic()
+        status, error = "done", ""
+        try:
+            envelope = await asyncio.wait_for(
+                pool.call(lane, ("experiment", exp_id, quick, ctx)), timeout
             )
-            done, _ = futures_wait(
-                running, timeout=poll, return_when=FIRST_COMPLETED
+        except asyncio.TimeoutError:
+            status = "timeout"
+        except Exception as exc:
+            status, error = "failed", _error_text(exc)
+        wait_s = time.monotonic() - started
+        with telemetry.span(
+            tm.SPAN_TASK_WAIT, id=exp_id, status=status, wait_s=wait_s
+        ):
+            pass
+        if status == "done":
+            # Merge the worker's shipped spans/metrics under the task
+            # span *before* closing it, so the sink streams children
+            # ahead of their parent (same order a with-block yields).
+            collect.absorb(envelope.get("telemetry"), task_span=task_span)
+            collect.close_task_span(task_span, status="done")
+            duration = envelope["duration_s"]
+            outcomes[exp_id] = TaskOutcome(
+                exp_id,
+                "done",
+                result=ExperimentResult.from_dict(envelope["result"]),
+                duration_s=duration,
+                attempts=attempt,
             )
-
-            now = time.monotonic()
-            for future in done:
-                flight = running.pop(future)
-                exp_id = flight.experiment_id
-                attempt = attempts[exp_id]
-                wait_s = now - flight.submitted_at
-                try:
-                    payload = future.result(timeout=0)
-                except (Exception, CancelledError) as exc:
-                    error = _error_text(exc)
-                    if journal is not None:
-                        journal.record(
-                            exp_id, "failed", attempt=attempt, error=error
-                        )
-                    if isinstance(exc, BrokenExecutor):
-                        # The whole executor is poisoned (worker died
-                        # outside our control); every sibling future is
-                        # about to fail the same way — recycle instead.
-                        recycle_reason = recycle_reason or "broken-pool"
-                    with telemetry.span(
-                        tm.SPAN_TASK_WAIT, id=exp_id, status="failed",
-                        wait_s=wait_s,
-                    ):
-                        pass
-                    collect.close_task_span(flight.span, status="failed")
-                    if attempt <= retries:
-                        requeue_for_retry(exp_id, now)
-                    else:
-                        resolve(exp_id, "failed", error=error)
-                    continue
-                with telemetry.span(
-                    tm.SPAN_TASK_WAIT, id=exp_id, status="done", wait_s=wait_s
-                ):
-                    pass
-                # Merge the worker's shipped spans/metrics under the task
-                # span *before* closing it, so the sink streams children
-                # ahead of their parent (same order a with-block yields).
-                collect.absorb(
-                    payload.get("telemetry"), task_span=flight.span
+            if journal is not None:
+                journal.record(
+                    exp_id, "done", cache="miss", duration_s=duration,
+                    attempt=attempt,
                 )
-                collect.close_task_span(flight.span, status="done")
-                resolve(
-                    exp_id,
-                    "done",
-                    result=ExperimentResult.from_dict(payload["result"]),
-                    duration_s=payload["duration_s"],
-                )
-                if journal is not None:
-                    journal.record(
-                        exp_id,
-                        "done",
-                        cache="miss",
-                        duration_s=payload["duration_s"],
-                        attempt=attempt,
-                    )
-
-            # Deadline sweep: anything still running past its own
-            # deadline is declared timed out *now*, not when its future
-            # happens to be waited on.
-            expired = [
-                (future, flight)
-                for future, flight in running.items()
-                if flight.deadline is not None and flight.deadline <= now
-            ]
-            for future, flight in expired:
-                del running[future]
-                future.cancel()  # no-op for running futures; documented
-                exp_id = flight.experiment_id
-                attempt = attempts[exp_id]
-                elapsed = now - flight.submitted_at
-                error = (
-                    f"timed out after {elapsed:.2f}s"
-                    f" (timeout {timeout}s, attempt {attempt})"
-                )
-                telemetry.counter(tm.METRIC_TASKS_TIMEOUT).inc()
-                with telemetry.span(
-                    tm.SPAN_TASK_WAIT, id=exp_id, status="timeout",
-                    wait_s=elapsed,
-                ):
-                    pass
-                collect.close_task_span(flight.span, status="timeout")
-                if journal is not None:
-                    journal.record(
-                        exp_id, "timeout", attempt=attempt, error=error,
-                        duration_s=elapsed,
-                    )
-                hung += 1
-                recycle_reason = recycle_reason or "hung-worker"
-                if attempt <= retries:
-                    requeue_for_retry(exp_id, now)
-                else:
-                    resolve(
-                        exp_id, "timeout", error=error, duration_s=elapsed
-                    )
-    finally:
-        if recycle_reason is not None or hung:
-            _reap_pool(pool, reason=recycle_reason or "hung-worker",
-                       n_hung=hung)
+            return
+        collect.close_task_span(task_span, status=status)
+        elapsed: dict[str, float] = {}
+        if status == "timeout":
+            telemetry.counter(tm.METRIC_TASKS_TIMEOUT).inc()
+            error = (
+                f"timed out after {wait_s:.2f}s"
+                f" (timeout {timeout}s, attempt {attempt})"
+            )
+            elapsed["duration_s"] = wait_s
+        if journal is not None:
+            journal.record(
+                exp_id, status, attempt=attempt, error=error, **elapsed
+            )
+        if attempt <= retries:
+            telemetry.counter(tm.METRIC_TASKS_RETRIED).inc()
+            delay = _backoff_delay(attempt, backoff, backoff_max)
+            waiting.append((time.monotonic() + delay, exp_id))
         else:
-            pool.shutdown(wait=True, cancel_futures=True)
+            outcomes[exp_id] = TaskOutcome(
+                exp_id, status, attempts=attempt, error=error, **elapsed
+            )
+
+    async def lane(pool: WorkerPool, index: int) -> None:
+        while waiting:
+            now = time.monotonic()
+            item = next((w for w in waiting if w[0] <= now), None)
+            if item is None:
+                await asyncio.sleep(min(waiting)[0] - now)
+                continue
+            waiting.remove(item)
+            await run_task(pool, index, item[1])
+
+    async def main() -> None:
+        lanes = min(jobs, len(ids))
+        pool = WorkerPool(lanes)
+        try:
+            await asyncio.gather(*(lane(pool, i) for i in range(lanes)))
+        finally:
+            pool.shutdown()
+
+    asyncio.run(main())
     return outcomes

@@ -11,10 +11,11 @@ each a thin module:
   asyncio streams (stdlib only; no new runtime dependencies).
 * **Batcher** (:mod:`repro.serve.batcher`) — coalesces identical
   in-flight queries onto one execution, cache lookup included.
-* **Pool** (:mod:`repro.serve.pool`) — one worker process per shard on
-  a socketpair, with deadlines, recycling and retries; the worker
-  stores each answer before replying, and ships its spans home so every
-  request yields one rooted span tree.
+* **Pool** (:mod:`repro.serve.pool`) — key routing and retries over the
+  worker pool that batches use too (:mod:`repro.runtime.pool`: one
+  worker process per shard on a socketpair, with deadlines and
+  recycling); the worker stores each answer before replying, and ships
+  its spans home so every request yields one rooted span tree.
 
 :mod:`repro.serve.app` wires the layers into :class:`ServeApp`, fronted
 by the shared result cache; :mod:`repro.serve.bench` is the load harness

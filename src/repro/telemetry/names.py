@@ -24,7 +24,7 @@ SPAN_CACHE_LOOKUP = "cache.lookup"
 SPAN_TASK = "task"
 #: Resolution of one pooled task (done / failed / timeout).
 SPAN_TASK_WAIT = "task.wait"
-#: Executor recycling after a hung worker or broken pool.
+#: Killing one worker shard that timed out or was lost mid-job.
 SPAN_POOL_REAP = "pool.reap"
 #: One experiment driver invocation (``repro.experiments.registry.run``).
 SPAN_EXPERIMENT = "experiment"
@@ -87,7 +87,8 @@ METRIC_TASKS_FAILED = "runtime.tasks.failed"
 METRIC_TASKS_RETRIED = "runtime.tasks.retried"
 #: Counter: per-occurrence task deadline expiries.
 METRIC_TASKS_TIMEOUT = "runtime.tasks.timeout"
-#: Counter: executor recycles (hung worker / broken pool).
+#: Counter: worker shards recycled (timed out or lost mid-job), batch
+#: and serve alike.
 METRIC_POOL_RECYCLED = "runtime.pool.recycled"
 #: Counter: worker-side spans merged into the parent trace.
 METRIC_TELEMETRY_MERGED = "runtime.telemetry.spans_merged"
@@ -115,8 +116,6 @@ METRIC_SERVE_CACHE_DISK = "serve.cache.disk_hits"
 METRIC_SERVE_CACHE_MISSES = "serve.cache.misses"
 #: Counter: advisor engine evaluations (the coalescing-proof number).
 METRIC_SERVE_ENGINE_EXECUTIONS = "serve.engine.executions"
-#: Counter: worker executions recycled after a timeout or pool break.
-METRIC_SERVE_RECYCLED = "serve.pool.recycled"
 #: Histogram: wall seconds per served request.
 METRIC_SERVE_REQUEST_WALL_S = "serve.request_wall_s"
 #: Counter: energy ledgers built from simulated hierarchies.
@@ -150,7 +149,6 @@ METRIC_NAMES = frozenset(
         METRIC_SERVE_CACHE_DISK,
         METRIC_SERVE_CACHE_MISSES,
         METRIC_SERVE_ENGINE_EXECUTIONS,
-        METRIC_SERVE_RECYCLED,
         METRIC_SERVE_REQUEST_WALL_S,
         METRIC_POWER_LEDGERS,
         METRIC_POWER_CONSERVATION_FAILURES,

@@ -17,10 +17,13 @@ import pytest
 
 import repro
 from repro.audit import run_audit
+from repro.audit.callgraph import CallGraph
 from repro.audit.engine import (
     PARSE_RULE_ID,
     Finding,
     default_rules,
+    discover_files,
+    load_module,
     module_name_for,
 )
 from repro.audit.registry_rules import expected_id
@@ -616,6 +619,18 @@ def test_merged_tree_is_audit_clean():
     findings, n_files = run_audit([PACKAGE_DIR])
     assert findings == []
     assert n_files > 100
+
+
+def test_callgraph_reaches_the_pool_worker_on_the_real_tree():
+    """The one worker is reached only through ``Process(target=_shard_main)``
+    → ``_pool_worker``; losing that root would drop both worker kinds out
+    of PURE001, PURE002 and LIFE002 without a finding to show it."""
+    mods = [load_module(path) for path in discover_files([PACKAGE_DIR])]
+    reachable = CallGraph(mods).reachable
+    assert ("repro.runtime.pool", "_shard_main") in reachable
+    assert ("repro.runtime.scheduler", "_worker_run") in reachable
+    assert ("repro.serve.advisor", "evaluate") in reachable
+    assert ("repro.experiments.fig06_stepping", "run") in reachable
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Fault injection and the deadline-correct scheduler timeout path.
 
 Every unhappy path the scheduler must survive — hangs, crashes, flaky
-tasks, hung-worker reaping — is driven here through
+tasks, hung and dying workers — is driven here through
 :mod:`repro.runtime.faults` so no test sleeps longer than ~2 s.
 """
 
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -19,7 +21,8 @@ from repro.runtime import (
     run_batch,
 )
 from repro.runtime import faults
-from repro.runtime.journal import final_statuses
+from repro.runtime.journal import final_statuses, read_entries
+from repro.telemetry import names as tm
 
 
 @pytest.fixture
@@ -180,6 +183,84 @@ class TestDeadlineTimeout:
         assert by_id["eq1"].status == "done"
         assert by_id["table2"].status == "skipped"
         assert completed_tasks(journal_path) == {"eq1", "table2"}
+
+
+class TestOneWorkerPerTask:
+    """A deadline or a dying worker touches only its own task's worker."""
+
+    def test_hung_task_deadline_leaves_healthy_siblings_running(
+        self, monkeypatch, tmp_path
+    ):
+        # table3 starts on the second worker once eq1 is done (~0.5 s), so
+        # it is mid-run when table2's deadline passes (~0.9 s) and finishes
+        # well inside its own (~1.4 s).
+        monkeypatch.setenv(
+            faults.ENV_SPEC, "table2=hang;eq1=delay:0.5;table3=delay:0.6"
+        )
+        journal_path = tmp_path / "j.jsonl"
+        with telemetry.session():
+            with RunJournal(journal_path) as journal:
+                summary = run_batch(
+                    ["table2", "eq1", "table3"],
+                    jobs=2,
+                    cache=None,
+                    journal=journal,
+                    timeout=0.9,
+                    retries=0,
+                )
+            task_statuses = [
+                sp.attrs["status"]
+                for sp in telemetry.get_tracer().finished()
+                if sp.name == tm.SPAN_TASK
+            ]
+        assert {o.experiment_id: o.status for o in summary.outcomes} == {
+            "table2": "timeout",
+            "eq1": "done",
+            "table3": "done",
+        }
+        running = [
+            e.task for e in read_entries(journal_path) if e.status == "running"
+        ]
+        assert sorted(running) == ["eq1", "table2", "table3"]
+        assert sorted(task_statuses) == ["done", "done", "timeout"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched fault hook reaches workers only through fork",
+    )
+    def test_dying_worker_fails_only_its_own_task(self, monkeypatch):
+        def apply(exp_id):
+            if exp_id == "table2":
+                time.sleep(0.1)
+                os._exit(1)
+            if exp_id == "table3":
+                time.sleep(0.5)
+
+        monkeypatch.setattr(faults, "apply", apply)
+        with telemetry.session():
+            summary = run_batch(
+                ["table2", "table3"], jobs=2, cache=None, retries=0
+            )
+            snapshot = telemetry.get_registry().snapshot()
+        by_id = {o.experiment_id: o for o in summary.outcomes}
+        assert (by_id["table2"].status, by_id["table2"].attempts) == ("failed", 1)
+        assert (by_id["table3"].status, by_id["table3"].attempts) == ("done", 1)
+        assert "worker exited mid-job" in by_id["table2"].error
+        assert snapshot["runtime.pool.recycled"]["value"] == 1
+        assert multiprocessing.active_children() == []
+
+    def test_serial_timeout_runs_the_task_on_one_worker(self, monkeypatch):
+        monkeypatch.setenv(faults.ENV_SPEC, "eq1=hang")
+        start = time.monotonic()
+        summary = run_batch(
+            ["eq1"], jobs=1, cache=None, timeout=0.4, retries=0
+        )
+        (outcome,) = summary.outcomes
+        assert outcome.status == "timeout"
+        assert "timed out after" in outcome.error
+        assert time.monotonic() - start < 1.5
+        assert multiprocessing.active_children() == []
 
 
 class TestCrashAndBackoff:

@@ -14,9 +14,8 @@ import threading
 
 import pytest
 
-from repro.runtime import faults
+from repro.runtime import faults, pool as worker_pool
 from repro.serve import advisor, pool
-from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.bench import Client
 from tests.test_serve_http import _Server as _InlineServer
 
@@ -280,12 +279,13 @@ class TestShardFailures:
 def test_unpicklable_worker_exception_comes_back_as_pool_error():
     exc = RuntimeError("holds a lock")
     exc.lock = threading.Lock()
-    frame = pool._reply(False, exc)
-    (size,) = pool._HEADER.unpack(frame[: pool._HEADER.size])
-    ok, value = pickle.loads(frame[pool._HEADER.size :])
-    assert size == len(frame) - pool._HEADER.size
+    header = worker_pool._HEADER
+    frame = worker_pool._reply(False, exc)
+    (size,) = header.unpack(frame[: header.size])
+    ok, value = pickle.loads(frame[header.size :])
+    assert size == len(frame) - header.size
     assert not ok
     assert isinstance(value, pool.PoolError)
     assert str(value) == "RuntimeError('holds a lock')"
-    ok, value = pickle.loads(pool._reply(False, KeyError("k"))[pool._HEADER.size :])
+    ok, value = pickle.loads(worker_pool._reply(False, KeyError("k"))[header.size :])
     assert (ok, type(value), value.args) == (False, KeyError, ("k",))
