@@ -30,10 +30,8 @@ def sweep_stream() -> None:
     for logn in range(16, 27):
         n = 2**logn
         profile = StreamKernel(n=n).profile()
-        s_on = measure(estimate(profile, m_on, edram=True), m_on, opm_powered=True)
-        s_off = measure(
-            estimate(profile, m_off, edram=False), m_off, opm_powered=False
-        )
+        s_on = measure(estimate(profile, m_on, edram=True), m_on)
+        s_off = measure(estimate(profile, m_off, edram=False), m_off)
         cmp = compare(s_on, s_off)
         fp_mb = profile.footprint_bytes / 2**20
         if cmp.perf_gain > 0.01:
@@ -58,8 +56,8 @@ def edp_tradeoff() -> None:
     m_on = platforms.broadwell(edram=True)
     m_off = platforms.broadwell(edram=False)
     profile = StencilKernel(384, 384, 384, threads=8).profile()
-    s_on = measure(estimate(profile, m_on, edram=True), m_on, opm_powered=True)
-    s_off = measure(estimate(profile, m_off, edram=False), m_off, opm_powered=False)
+    s_on = measure(estimate(profile, m_on, edram=True), m_on)
+    s_off = measure(estimate(profile, m_off, edram=False), m_off)
     print("\nStencil (384^3), metric sensitivity:")
     print(f"  energy:  {s_on.energy_j:10.1f} J vs {s_off.energy_j:10.1f} J (eDRAM on/off)")
     for k, label in ((1, "EDP"), (2, "ED^2P")):

@@ -45,8 +45,8 @@ def study_broadwell() -> None:
         profile = factory().profile()
         r_on = estimate(profile, m_on, edram=True)
         r_off = estimate(profile, m_off, edram=False)
-        s_on = measure(r_on, m_on, opm_powered=True)
-        s_off = measure(r_off, m_off, opm_powered=False)
+        s_on = measure(r_on, m_on)
+        s_off = measure(r_off, m_off)
         cmp = compare(s_on, s_off)
         weighted_speedup += weight * (1.0 + cmp.perf_gain)
         verdict = "saves energy" if cmp.saves_energy else "costs energy"

@@ -23,24 +23,22 @@ import dataclasses
 from pathlib import Path
 from typing import Sequence
 
-from repro.engine.exectime import estimate
+from repro.engine.exectime import RunResult, estimate
+from repro.experiments.sweeps import KERNEL_VARIANTS
 from repro.kernels import (
     CholeskyKernel,
     FftKernel,
     GemmKernel,
+    Kernel,
     SpmvKernel,
     SptransKernel,
     SptrsvKernel,
     StencilKernel,
     StreamKernel,
 )
-from repro.platforms import McdramMode, broadwell, knl
+from repro.platforms import resolve
 from repro.sparse import CSRMatrix, MatrixDescriptor, from_matrix, read_mm
 from repro.viz.csvout import write_csv
-
-#: Mode vocabulary: Broadwell accepts on/off; KNL accepts the Table 1 set.
-BROADWELL_MODES = ("off", "on")
-KNL_MODES = ("off", "cache", "flat", "hybrid")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,18 +84,20 @@ _COLUMNS = (
 )
 
 
-def _evaluate(profile, platform: str, mode: str):
-    if platform == "broadwell":
-        if mode not in BROADWELL_MODES:
-            raise ValueError(f"Broadwell mode must be one of {BROADWELL_MODES}")
-        machine = broadwell()
-        return machine, estimate(profile, machine, edram=(mode == "on"))
-    if platform == "knl":
-        if mode not in KNL_MODES:
-            raise ValueError(f"KNL mode must be one of {KNL_MODES}")
-        machine = knl()
-        return machine, estimate(profile, machine, mcdram=McdramMode(mode))
-    raise ValueError(f"unknown platform {platform!r}")
+def _variants(platform: str) -> tuple[str, int]:
+    """The (SpTRANS algorithm, threads) the sweeps use on ``platform``;
+    the artifact covers the paper's two platforms only."""
+    if platform not in KERNEL_VARIANTS:
+        raise ValueError(
+            f"unknown platform {platform!r}; choose from {', '.join(KERNEL_VARIANTS)}"
+        )
+    return KERNEL_VARIANTS[platform]
+
+
+def _evaluate(kernel: Kernel, platform: str, mode: str) -> RunResult:
+    _variants(platform)
+    machine, kwargs = resolve(platform, mode)
+    return estimate(kernel.profile(), machine, **kwargs)
 
 
 def run_dgemm(*, m: int, n: int, k: int, nb: int, platform: str, mode: str) -> ArtifactRecord:
@@ -105,7 +105,7 @@ def run_dgemm(*, m: int, n: int, k: int, nb: int, platform: str, mode: str) -> A
     if not (m == n == k):
         raise ValueError("the study sweeps square GEMM (m == n == k)")
     kernel = GemmKernel(order=m, tile=nb)
-    _, result = _evaluate(kernel.profile(), platform, mode)
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel="dgemm",
         platform=platform,
@@ -120,7 +120,7 @@ def run_dgemm(*, m: int, n: int, k: int, nb: int, platform: str, mode: str) -> A
 def run_dpotrf(*, m: int, n: int, k: int, nb: int, platform: str, mode: str) -> ArtifactRecord:
     """Appendix A.2.2: ``./test_dpotrf --m= --n= --k= --nb=``."""
     kernel = CholeskyKernel(order=m, tile=nb)
-    _, result = _evaluate(kernel.profile(), platform, mode)
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel="dpotrf",
         platform=platform,
@@ -153,7 +153,7 @@ def _sparse_record(
         descriptor = matrix
         kernel = kernel_cls(descriptor=descriptor, **kernel_kwargs)
         arg = f"<descriptor {descriptor.name}>"
-    _, result = _evaluate(kernel.profile(), platform, mode)
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel=name,
         platform=platform,
@@ -176,7 +176,7 @@ def run_spmv(matrix, *, platform: str, mode: str) -> ArtifactRecord:
 def run_sptranspose(matrix, *, platform: str, mode: str) -> ArtifactRecord:
     """Appendix A.2.4: ``VER=5|7 ./sptranspose matrix.mtx`` —
     ScanTrans on Broadwell, MergeTrans on KNL, as the artifact selects."""
-    algorithm = "scan" if platform == "broadwell" else "merge"
+    algorithm, _ = _variants(platform)
     return _sparse_record(
         "sptrans", SptransKernel, matrix, platform, mode, algorithm=algorithm
     )
@@ -189,9 +189,9 @@ def run_trsv(matrix, *, platform: str, mode: str) -> ArtifactRecord:
 
 def run_stencil(*, gridsz: tuple[int, int, int], platform: str, mode: str) -> ArtifactRecord:
     """Appendix A.2.6: ``./stencil-run.sh ... gridsz -b 64 -bz 96``."""
-    threads = 8 if platform == "broadwell" else 256
+    _, threads = _variants(platform)
     kernel = StencilKernel(*gridsz, threads=threads)
-    _, result = _evaluate(kernel.profile(), platform, mode)
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel="stencil",
         platform=platform,
@@ -205,9 +205,9 @@ def run_stencil(*, gridsz: tuple[int, int, int], platform: str, mode: str) -> Ar
 
 def run_fft(*, size: int, platform: str, mode: str) -> ArtifactRecord:
     """Appendix A.2.7: ``./bench -s irf{size}x{size}x{size} -opatient``."""
+    _, threads = _variants(platform)
     kernel = FftKernel(size=size)
-    _, result = _evaluate(kernel.profile(), platform, mode)
-    threads = 8 if platform == "broadwell" else 256
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel="fft",
         platform=platform,
@@ -222,7 +222,7 @@ def run_fft(*, size: int, platform: str, mode: str) -> ArtifactRecord:
 def run_stream(*, arraysz: int, platform: str, mode: str) -> ArtifactRecord:
     """Appendix A.2.8: STREAM compiled with ``-DSTREAM_ARRAY_SIZE=...``."""
     kernel = StreamKernel(n=arraysz)
-    _, result = _evaluate(kernel.profile(), platform, mode)
+    result = _evaluate(kernel, platform, mode)
     return ArtifactRecord(
         kernel="stream",
         platform=platform,

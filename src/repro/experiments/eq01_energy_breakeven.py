@@ -7,12 +7,10 @@ W = 8.6% for eDRAM and 6.9% for MCDRAM flat).
 
 from __future__ import annotations
 
-from repro.engine.exectime import estimate
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import representative_kernels
-from repro.platforms import McdramMode, broadwell, knl
-from repro.power import compare, energy_ratio, measure
+from repro.experiments.sweeps import representative_power
+from repro.power import compare, energy_ratio
 
 
 @register("eq1", "OPM energy breakeven (Equation 1)", "Equation (1)")
@@ -22,15 +20,8 @@ def run(quick: bool = True) -> ExperimentResult:
         title="Energy breakeven per kernel (Equation 1)",
     )
     # Broadwell: eDRAM on vs physically off.
-    bdw_on = broadwell(edram=True)
-    bdw_off = broadwell(edram=False)
     rows = []
-    for label, factory in representative_kernels("broadwell").items():
-        profile = factory().profile()
-        r_on = estimate(profile, bdw_on, edram=True)
-        r_off = estimate(profile, bdw_off, edram=False)
-        s_on = measure(r_on, bdw_on, opm_powered=True)
-        s_off = measure(r_off, bdw_off, opm_powered=False)
+    for label, s_off, s_on in representative_power("broadwell", "off", "on"):
         cmp = compare(s_on, s_off)
         rows.append(
             (
@@ -47,14 +38,8 @@ def run(quick: bool = True) -> ExperimentResult:
         rows,
     )
     # KNL: MCDRAM flat vs DDR (MCDRAM static power burned in both).
-    machine = knl()
     rows = []
-    for label, factory in representative_kernels("knl").items():
-        profile = factory().profile()
-        r_flat = estimate(profile, machine, mcdram=McdramMode.FLAT)
-        r_ddr = estimate(profile, machine, mcdram=McdramMode.OFF)
-        s_flat = measure(r_flat, machine, opm_powered=True)
-        s_ddr = measure(r_ddr, machine, opm_powered=True)
+    for label, s_ddr, s_flat in representative_power("knl", "off", "flat"):
         cmp = compare(s_flat, s_ddr)
         rows.append(
             (

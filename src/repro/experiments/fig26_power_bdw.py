@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from repro.engine.exectime import estimate
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import geomean, representative_kernels
-from repro.platforms import broadwell
-from repro.power import measure
+from repro.experiments.sweeps import geomean, representative_power
 from repro.viz import bar_chart
 
 
@@ -17,38 +14,17 @@ def run(quick: bool = True) -> ExperimentResult:
         experiment_id="fig26",
         title="Broadwell average power: package and DRAM, w/ vs w/o eDRAM",
     )
-    m_on = broadwell(edram=True)
-    m_off = broadwell(edram=False)
-    labels, rows = [], []
-    pkg_on, pkg_off, dram_on, dram_off = [], [], [], []
-    for label, factory in representative_kernels("broadwell").items():
-        profile = factory().profile()
-        s_on = measure(estimate(profile, m_on, edram=True), m_on, opm_powered=True)
-        s_off = measure(
-            estimate(profile, m_off, edram=False), m_off, opm_powered=False
-        )
-        labels.append(label)
-        pkg_on.append(s_on.package_w)
-        pkg_off.append(s_off.package_w)
-        dram_on.append(s_on.dram_w)
-        dram_off.append(s_off.dram_w)
-        rows.append(
-            (label, s_off.package_w, s_on.package_w, s_off.dram_w, s_on.dram_w,
-             s_on.total_w / s_off.total_w - 1.0)
-        )
+    rows = [
+        (label, s_off.package_w, s_on.package_w, s_off.dram_w, s_on.dram_w,
+         s_on.total_w / s_off.total_w - 1.0)
+        for label, s_off, s_on in representative_power("broadwell", "off", "on")
+    ]
     # Geometric mean row, as in the paper's "GM" bars. geomean raises
     # on non-positive inputs — a zero watt reading or ratio is a bug,
     # not something to clamp away.
     gm_increase = geomean([r[5] + 1.0 for r in rows]) - 1.0
-    rows.append(
-        ("GM", geomean(pkg_off), geomean(pkg_on), geomean(dram_off),
-         geomean(dram_on), gm_increase)
-    )
-    labels.append("GM")
-    pkg_on.append(geomean(pkg_on))
-    pkg_off.append(geomean(pkg_off))
-    dram_on.append(geomean(dram_on))
-    dram_off.append(geomean(dram_off))
+    rows.append(("GM", *(geomean(watts) for watts in list(zip(*rows))[1:5]), gm_increase))
+    labels, pkg_off, pkg_on, dram_off, dram_on, _ = (list(col) for col in zip(*rows))
     result.add_table(
         "power",
         ("kernel", "package_w/o", "package_w/", "dram_w/o", "dram_w/",

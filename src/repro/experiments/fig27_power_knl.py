@@ -7,12 +7,9 @@ use can *reduce* DDR (and sometimes total) power by absorbing traffic.
 
 from __future__ import annotations
 
-from repro.engine.exectime import estimate
 from repro.experiments.registry import register
 from repro.experiments.results import ExperimentResult
-from repro.experiments.sweeps import geomean, representative_kernels
-from repro.platforms import McdramMode, knl
-from repro.power import measure
+from repro.experiments.sweeps import geomean, representative_power
 from repro.viz import bar_chart
 
 
@@ -22,48 +19,16 @@ def run(quick: bool = True) -> ExperimentResult:
         experiment_id="fig27",
         title="KNL average power: package and DDR, w/ vs w/o MCDRAM (flat)",
     )
-    machine = knl()
-    labels, rows = [], []
-    pkg_on, pkg_off, dram_on, dram_off = [], [], [], []
-    for label, factory in representative_kernels("knl").items():
-        profile = factory().profile()
-        s_flat = measure(
-            estimate(profile, machine, mcdram=McdramMode.FLAT),
-            machine,
-            opm_powered=True,
-        )
-        s_ddr = measure(
-            estimate(profile, machine, mcdram=McdramMode.OFF),
-            machine,
-            opm_powered=True,  # MCDRAM static power cannot be avoided
-        )
-        labels.append(label)
-        pkg_on.append(s_flat.package_w)
-        pkg_off.append(s_ddr.package_w)
-        dram_on.append(s_flat.dram_w)
-        dram_off.append(s_ddr.dram_w)
-        rows.append(
-            (
-                label,
-                s_ddr.package_w,
-                s_flat.package_w,
-                s_ddr.dram_w,
-                s_flat.dram_w,
-                s_flat.total_w / s_ddr.total_w - 1.0,
-            )
-        )
+    rows = [
+        (label, s_ddr.package_w, s_flat.package_w, s_ddr.dram_w, s_flat.dram_w,
+         s_flat.total_w / s_ddr.total_w - 1.0)
+        for label, s_ddr, s_flat in representative_power("knl", "off", "flat")
+    ]
     # Same discipline as fig26: shared geomean, loud on non-positive
     # inputs, and one statistic quoted everywhere.
     gm_increase = geomean([r[5] + 1.0 for r in rows]) - 1.0
-    rows.append(
-        ("GM", geomean(pkg_off), geomean(pkg_on), geomean(dram_off),
-         geomean(dram_on), gm_increase)
-    )
-    labels.append("GM")
-    pkg_on.append(geomean(pkg_on))
-    pkg_off.append(geomean(pkg_off))
-    dram_on.append(geomean(dram_on))
-    dram_off.append(geomean(dram_off))
+    rows.append(("GM", *(geomean(watts) for watts in list(zip(*rows))[1:5]), gm_increase))
+    labels, pkg_off, pkg_on, dram_off, dram_on, _ = (list(col) for col in zip(*rows))
     result.add_table(
         "power",
         ("kernel", "package_w/o", "package_w/", "ddr_w/o", "ddr_w/",

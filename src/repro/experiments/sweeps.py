@@ -5,8 +5,9 @@ tile sizes, grid/array/FFT sizes) per platform; this module encodes them
 once, with reduced "quick" variants used by tests and benchmarks. It also
 decides, in one place, which configurations a (platform, kernel) sweep
 holds (:func:`sweep_configs`) and which OPM modes a platform sweeps
-(:data:`SWEEP_MODES`): Figures 7-25 and Tables 4-5 all reach the engine
-through :func:`run_sweep`, which keeps only each mode's GFlop/s.
+(:data:`SWEEP_MODES`, resolved by :func:`repro.platforms.resolve`):
+Figures 7-25 and Tables 4-5 all reach the engine through :func:`run_sweep`,
+which keeps only each mode's GFlop/s.
 
 Tables 4-5 summarize the sweeps Figures 7-19 and 23-25 plot, and Figures
 20-22 bin Figures 17-19's, so :func:`sweep` evaluates each (platform,
@@ -24,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import types
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.platforms import MachineSpec, McdramMode, broadwell, knl
+from repro.platforms import resolve
+from repro.power.rapl import PowerSample, measure
 from repro.sparse import MatrixDescriptor, build_collection, from_params
 from repro.telemetry import names as tm
 
@@ -113,16 +115,11 @@ def collection_for(*, quick: bool) -> tuple[MatrixDescriptor, ...]:
 
 # -- sweeps -------------------------------------------------------------------
 
-#: The OPM modes each platform sweeps: result label -> ``estimate()``
-#: keywords, baseline first.
-SWEEP_MODES: dict[str, dict[str, dict[str, object]]] = {
-    "broadwell": {"w/o eDRAM": {"edram": False}, "w/ eDRAM": {"edram": True}},
-    "knl": {
-        "DDR": {"mcdram": McdramMode.OFF},
-        "Flat": {"mcdram": McdramMode.FLAT},
-        "Cache": {"mcdram": McdramMode.CACHE},
-        "Hybrid": {"mcdram": McdramMode.HYBRID},
-    },
+#: The OPM modes each platform sweeps: result label -> mode name
+#: (:data:`repro.platforms.MODES`), baseline first.
+SWEEP_MODES: dict[str, dict[str, str]] = {
+    "broadwell": {"w/o eDRAM": "off", "w/ eDRAM": "on"},
+    "knl": {"DDR": "off", "Flat": "flat", "Cache": "cache", "Hybrid": "hybrid"},
 }
 
 #: The kernels every platform sweeps, in Table 4/5 row order.
@@ -130,11 +127,13 @@ SWEEP_KERNELS = (
     "GEMM", "Cholesky", "SpMV", "SpTRANS", "SpTRSV", "Stream", "Stencil", "FFT",
 )
 
-_MACHINES: dict[str, Callable[[], MachineSpec]] = {"broadwell": broadwell, "knl": knl}
-# Per-platform kernel variants: ScanTrans on Broadwell and MergeTrans on
-# KNL (Figures 10 and 18), and one stencil thread per hardware thread.
-_SPTRANS_ALGORITHM = {"broadwell": "scan", "knl": "merge"}
-_STENCIL_THREADS = {"broadwell": 8, "knl": 256}
+#: Per-platform kernel variants, as (SpTRANS algorithm, threads): ScanTrans
+#: on Broadwell and MergeTrans on KNL (Figures 10 and 18), and one stencil
+#: (and FFT) thread per hardware thread.
+KERNEL_VARIANTS: dict[str, tuple[str, int]] = {
+    "broadwell": ("scan", 8),
+    "knl": ("merge", 256),
+}
 
 
 def _check(kind: str, value: str, choices: Collection[str]) -> None:
@@ -156,8 +155,8 @@ def sweep_configs(platform: str, kernel: str, *, quick: bool) -> list[Kernel]:
         return [dense(order=o, tile=t) for t in dense_tiles(quick=quick) for o in orders]
     if kernel == "Stream":
         return [StreamKernel(n=n) for n in stream_sizes(platform, quick=quick)]
+    algorithm, threads = KERNEL_VARIANTS[platform]
     if kernel == "Stencil":
-        threads = _STENCIL_THREADS[platform]
         return [StencilKernel(*g, threads=threads) for g in stencil_grids(platform, quick=quick)]
     if kernel == "FFT":
         return [FftKernel(size=s) for s in fft_sizes(platform, quick=quick)]
@@ -165,7 +164,6 @@ def sweep_configs(platform: str, kernel: str, *, quick: bool) -> list[Kernel]:
     if kernel == "SpMV":
         return [SpmvKernel(descriptor=d) for d in collection]
     if kernel == "SpTRANS":
-        algorithm = _SPTRANS_ALGORITHM[platform]
         return [SptransKernel(descriptor=d, algorithm=algorithm) for d in collection]
     return [SptrsvKernel(descriptor=d) for d in collection]
 
@@ -179,15 +177,13 @@ def run_sweep(
     read-only array of GFlop/s with one entry per configuration, in order.
     """
     _check("platform", platform, SWEEP_MODES)
-    modes = SWEEP_MODES[platform]
-    machine = _MACHINES[platform]()
-    gflops: dict[str, list[float]] = {label: [] for label in modes}
+    machines = {label: resolve(platform, mode) for label, mode in SWEEP_MODES[platform].items()}
+    name = next(iter(machines.values()))[0].name
+    gflops: dict[str, list[float]] = {label: [] for label in machines}
     for kernel in configs:
-        with telemetry.span(
-            tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=machine.name
-        ):
+        with telemetry.span(tm.SPAN_SWEEP_KERNEL, kernel=kernel.name, machine=name):
             profile = kernel.profile()
-            for label, kwargs in modes.items():
+            for label, (machine, kwargs) in machines.items():
                 gflops[label].append(estimate(profile, machine, knobs=knobs, **kwargs).gflops)
         telemetry.counter(tm.METRIC_SWEEP_POINTS).inc()
     return types.MappingProxyType({label: _read_only(v) for label, v in gflops.items()})
@@ -301,7 +297,7 @@ def representative_kernels(platform: str) -> dict[str, Callable[[], Kernel]]:
     Footprints are chosen inside the OPM-effective region so the power
     comparison reflects active OPM use, as the paper's power runs do.
     """
-    algorithm, threads = _SPTRANS_ALGORITHM[platform], _STENCIL_THREADS[platform]
+    algorithm, threads = KERNEL_VARIANTS[platform]
     if platform == "broadwell":
         sparse_desc = from_params("rep", "banded", 500_000, 6_000_000, seed=7)
         return {
@@ -325,3 +321,15 @@ def representative_kernels(platform: str) -> dict[str, Callable[[], Kernel]]:
         "Stencil": lambda: StencilKernel(768, 768, 768, threads=threads),
         "Stream": lambda: StreamKernel(n=2**27),
     }
+
+
+def representative_power(
+    platform: str, base: str, opm: str
+) -> Iterator[tuple[str, PowerSample, PowerSample]]:
+    """Each representative kernel's modelled power in two modes (power
+    figures, Eq. 1), as ``(label, base sample, opm sample)``."""
+    machines = [resolve(platform, base), resolve(platform, opm)]
+    for label, factory in representative_kernels(platform).items():
+        profile = factory().profile()
+        s_base, s_opm = (measure(estimate(profile, m, **kw), m) for m, kw in machines)
+        yield label, s_base, s_opm

@@ -78,7 +78,7 @@ def skylake_edram_spec() -> OpmSpec:
 
 def skylake(edram: bool = True) -> MachineSpec:
     """Build the Skylake machine model (memory-side eDRAM variant)."""
-    return MachineSpec(
+    spec = MachineSpec(
         name="i7-6770HQ",
         arch="Skylake",
         cores=CORES,
@@ -128,3 +128,7 @@ def skylake(edram: bool = True) -> MachineSpec:
         dram_standby_w=DRAM_STANDBY_W,
         dram_w_per_gbs=DRAM_W_PER_GBS,
     )
+    from repro import telemetry
+
+    telemetry.note_platform(spec)
+    return spec

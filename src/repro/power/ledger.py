@@ -42,9 +42,8 @@ from repro.memory.hierarchy import (
     hierarchy_allocator,
 )
 from repro.memory.stats import HierarchyStats
-from repro.platforms import broadwell, knl
+from repro.platforms import McdramMode, check_mode, resolve
 from repro.platforms.spec import EnergyCoefficients, MachineSpec
-from repro.platforms.tuning import McdramMode
 from repro.power.rapl import _dram_coefficients
 from repro.telemetry import names as tm
 
@@ -363,7 +362,6 @@ def price_run(
     *,
     platform: str,
     mode: str,
-    opm_powered: bool = True,
     reps: int = 1,
 ) -> PricedRun:
     """Simulate ``kernel`` on ``hierarchy`` and price the run end to end.
@@ -388,7 +386,7 @@ def price_run(
         + machine.max_dynamic_power_w * achieved
         + standby_w
     )
-    if machine.opm is not None and opm_powered:
+    if machine.opm is not None:
         background_w += machine.opm.static_power_w
     return PricedRun(
         kernel=kernel.name,
@@ -424,8 +422,9 @@ def build_config(
     *,
     scale: float = 0.001,
     flat_capacity: int | None = None,
-) -> tuple[MachineSpec, Hierarchy, bool]:
-    """Resolve one sweep point to ``(machine, hierarchy, opm_powered)``.
+) -> tuple[MachineSpec, Hierarchy]:
+    """Resolve one sweep point to ``(machine, hierarchy)``: the machine
+    :func:`repro.platforms.resolve` builds, and its simulated hierarchy.
 
     ``scale`` shrinks the simulated capacities (the standard scaled-down
     technique of the conservation tests) so small kernel instances
@@ -434,35 +433,21 @@ def build_config(
     elsewhere) — :func:`price_config` uses it to put the kernel under
     the capacity pressure the paper studies at full scale.
     """
+    machine, kwargs = resolve(platform, mode)
     if platform == "broadwell":
-        if mode not in ("off", "on"):
-            raise ValueError(
-                f"mode = {mode!r}: broadwell eDRAM modes are 'off' and 'on'"
-            )
-        edram = mode == "on"
-        machine = broadwell(edram=edram)
-        return machine, for_broadwell(machine, edram=edram, scale=scale), edram
-    if platform == "knl":
-        try:
-            mcdram = McdramMode(mode)
-        except ValueError:
-            raise ValueError(
-                f"mode = {mode!r}: KNL modes are "
-                f"{', '.join(m.value for m in McdramMode)}"
-            ) from None
-        machine = knl(mcdram)
-        allocator = None
-        if flat_capacity is not None and mcdram.flat_fraction > 0:
-            assert machine.dram.capacity is not None
-            allocator = NumaAllocator(
-                flat_capacity, machine.dram.capacity, prefer_mcdram=True
-            )
-        hierarchy = for_knl(machine, mcdram, allocator=allocator, scale=scale)
-        # MCDRAM cannot be powered down — static draw even in OFF mode.
-        return machine, hierarchy, True
-    raise ValueError(
-        f"platform = {platform!r}: energy configs cover 'broadwell' and 'knl'"
-    )
+        return machine, for_broadwell(machine, edram=kwargs["edram"], scale=scale)
+    if platform != "knl":
+        raise ValueError(
+            f"platform = {platform!r}: energy configs cover 'broadwell' and 'knl'"
+        )
+    mcdram = kwargs["mcdram"]
+    allocator = None
+    if flat_capacity is not None and mcdram.flat_fraction > 0:
+        assert machine.dram.capacity is not None
+        allocator = NumaAllocator(
+            flat_capacity, machine.dram.capacity, prefer_mcdram=True
+        )
+    return machine, for_knl(machine, mcdram, allocator=allocator, scale=scale)
 
 
 #: The demo kernels, in the order ``repro energy`` and ext8 report them.
@@ -533,6 +518,7 @@ def price_config(
     demo scale the capacity-pressure regime the paper studies at full
     scale (flat mode fits the problem; hybrid spills half to DDR).
     """
+    check_mode(platform, mode)
     footprint = int(kernel.profile().footprint_bytes)
     flat_capacity = None
     if platform == "knl":
@@ -541,7 +527,7 @@ def price_config(
         # hybrid holds only its half.
         wanted = int(McdramMode(mode).flat_fraction * footprint)
         flat_capacity = -(-wanted // PAGE) * PAGE + PAGE
-    machine, hierarchy, opm_powered = build_config(
+    machine, hierarchy = build_config(
         platform, mode, scale=scale, flat_capacity=flat_capacity
     )
     allocator = hierarchy_allocator(hierarchy)
@@ -549,13 +535,7 @@ def price_config(
         # Margin absorbs the trace layout's per-array page rounding.
         allocator.allocate(kernel.name, footprint + 16 * PAGE)
     return price_run(
-        kernel,
-        machine,
-        hierarchy,
-        platform=platform,
-        mode=mode,
-        opm_powered=opm_powered,
-        reps=reps,
+        kernel, machine, hierarchy, platform=platform, mode=mode, reps=reps
     )
 
 

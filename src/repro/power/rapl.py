@@ -4,9 +4,9 @@ The paper measures package and DRAM power with RAPL/PAPI. We model the
 same two domains from quantities the execution engine already produces:
 
 * **Package** = baseline + dynamic (proportional to achieved fraction of
-  FLOP peak) + OPM contribution. The OPM draws static power whenever it
-  is powered — eDRAM can be physically disabled in BIOS (no static draw
-  when off), MCDRAM cannot (its static power is burned even in the
+  FLOP peak) + OPM contribution. The OPM draws static power whenever the
+  machine has one — a BIOS-disabled eDRAM is absent from its machine;
+  MCDRAM cannot be powered down (its static power is burned even in the
   "w/o MCDRAM" configuration) — plus an activity term proportional to its
   bandwidth utilization (``OpmSpec.active_power_w``).
 * **DRAM** = standby + a per-GB/s activity term. Using the OPM *reduces*
@@ -64,14 +64,14 @@ def measure(
     result: RunResult,
     machine: MachineSpec,
     *,
-    opm_powered: bool = True,
     achieved_fraction: float | None = None,
 ) -> PowerSample:
     """Model the average power of a completed run.
 
-    ``opm_powered`` reflects the BIOS switch: False only for eDRAM-off
-    runs (MCDRAM cannot be powered down; pass True even for the
-    "w/o MCDRAM" mode, per paper Section 5.2).
+    The OPM's static and activity power are charged exactly when
+    ``machine`` has an OPM: the machine :func:`repro.platforms.resolve`
+    builds for eDRAM-off has none, and every KNL machine has MCDRAM,
+    which cannot be powered down (paper Section 5.2).
     """
     if achieved_fraction is None:
         achieved_fraction = min(1.0, result.gflops / machine.dp_peak_gflops)
@@ -80,7 +80,7 @@ def measure(
         machine.base_package_power_w
         + machine.max_dynamic_power_w * achieved_fraction
     )
-    if machine.opm is not None and opm_powered:
+    if machine.opm is not None:
         package += machine.opm.static_power_w
         opm_rate_gbs = (
             result.opm_bytes / result.seconds / 1e9 if result.seconds > 0 else 0.0

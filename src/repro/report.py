@@ -81,7 +81,8 @@ def _telemetry_section(
         rss = f"{m.peak_rss_bytes / 2**20:.1f}" if m.peak_rss_bytes else "n/a"
         platforms = (
             " ".join(
-                f"{name}={h}" for name, h in sorted(m.platform_spec_hashes.items())
+                f"{name}={','.join(hashes)}"
+                for name, hashes in sorted(m.platform_spec_hashes.items())
             )
             or "-"
         )

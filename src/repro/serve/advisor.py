@@ -39,8 +39,7 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.platforms import McdramMode, broadwell, knl, skylake
-from repro.platforms.spec import MachineSpec
+from repro.platforms import MODES, check_mode, resolve
 from repro.power import PowerSample, measure
 from repro.sparse import descriptors, generators
 from repro.telemetry import names as tm
@@ -64,39 +63,13 @@ class QueryError(ValueError):
 
 # -- candidate configurations -------------------------------------------------
 
-#: platform -> ordered tuple of admissible memory modes. The first
-#: entry is the platform's "OPM off" baseline.
-PLATFORM_MODES: dict[str, tuple[str, ...]] = {
-    "broadwell": ("off", "on"),
-    "skylake": ("off", "on"),
-    "knl": ("off", "cache", "flat", "hybrid", "hybrid25"),
-}
-
-
-def _machine_for(platform: str, mode: str) -> tuple[MachineSpec, dict]:
-    """Resolve one candidate into (machine spec, estimate kwargs)."""
-    if platform == "broadwell":
-        return broadwell(edram=mode == "on"), {"edram": mode == "on"}
-    if platform == "skylake":
-        return skylake(edram=mode == "on"), {"edram": mode == "on"}
-    m = McdramMode(mode)
-    return knl(m), {"mcdram": m}
-
-
-def _opm_powered(platform: str, mode: str) -> bool:
-    """Whether the OPM draws static power in this configuration.
-
-    eDRAM can be disabled in BIOS (no draw when off); MCDRAM cannot be
-    powered down, so every KNL mode pays its static power (paper 5.2).
-    """
-    return not (platform in ("broadwell", "skylake") and mode == "off")
-
 
 def default_candidates() -> list[dict[str, str]]:
-    """Every platform/mode combination, in registry order."""
+    """Every platform/mode combination of :data:`repro.platforms.MODES`,
+    in registry order."""
     return [
         {"platform": platform, "mode": mode}
-        for platform, modes in PLATFORM_MODES.items()
+        for platform, modes in MODES.items()
         for mode in modes
     ]
 
@@ -244,19 +217,12 @@ def _normalize_candidates(raw: Any) -> list[dict[str, str]]:
         else:
             raise QueryError(f"bad candidate {item!r}")
         platform = str(platform)
-        modes = PLATFORM_MODES.get(platform)
-        if modes is None:
-            raise QueryError(
-                f"unknown platform {platform!r}; "
-                f"choose from {', '.join(PLATFORM_MODES)}"
-            )
         mode = str(mode) if mode else ""
+        try:
+            modes = check_mode(platform, mode or None)
+        except ValueError as exc:
+            raise QueryError(str(exc)) from None
         if mode:
-            if mode not in modes:
-                raise QueryError(
-                    f"unknown mode {mode!r} for {platform}; "
-                    f"choose from {', '.join(modes)}"
-                )
             wanted.append((platform, mode))
         else:  # bare platform name expands to all of its modes
             wanted.extend((platform, m) for m in modes)
@@ -265,7 +231,7 @@ def _normalize_candidates(raw: Any) -> list[dict[str, str]]:
     chosen = set(wanted)
     return [
         {"platform": platform, "mode": mode}
-        for platform, modes in PLATFORM_MODES.items()
+        for platform, modes in MODES.items()
         for mode in modes
         if (platform, mode) in chosen
     ]
@@ -371,14 +337,9 @@ def evaluate(canonical: Mapping[str, Any]) -> dict[str, Any]:
         profile = kernel.profile()
         rows = []
         for cand in candidates:
-            machine, kwargs = _machine_for(cand["platform"], cand["mode"])
+            machine, kwargs = resolve(cand["platform"], cand["mode"])
             result = estimate(profile, machine, **kwargs)
-            sample = measure(
-                result,
-                machine,
-                opm_powered=_opm_powered(cand["platform"], cand["mode"]),
-            )
-            rows.append(_candidate_row(cand, result, sample))
+            rows.append(_candidate_row(cand, result, measure(result, machine)))
     telemetry.counter(tm.METRIC_SERVE_ENGINE_EXECUTIONS).inc()
     ranked = sorted(rows, key=lambda r: (r[metric], r["platform"], r["mode"]))
     worst = ranked[-1][metric]

@@ -61,7 +61,9 @@ class RunManifest:
     python_version: str
     numpy_version: str
     platform: str
-    platform_spec_hashes: dict[str, str] = dataclasses.field(default_factory=dict)
+    #: machine name -> sorted distinct hashes of the spec tables built
+    #: under it (eDRAM off and on are two Broadwell tables).
+    platform_spec_hashes: dict[str, list[str]] = dataclasses.field(default_factory=dict)
     started_unix_s: float = 0.0
     wall_time_s: float | None = None
     peak_rss_bytes: int | None = None
@@ -85,7 +87,8 @@ class RunManifest:
 
     def add_platform(self, name: str, spec: Any) -> None:
         """Record the hash of a machine spec this run simulated."""
-        self.platform_spec_hashes[name] = platform_spec_hash(spec)
+        known = self.platform_spec_hashes.get(name, [])
+        self.platform_spec_hashes[name] = sorted({*known, platform_spec_hash(spec)})
 
     def finish(self, *, status: str = "ok", n_spans: int = 0) -> "RunManifest":
         self.wall_time_s = time.time() - self.started_unix_s

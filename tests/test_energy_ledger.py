@@ -134,11 +134,11 @@ class TestErrors:
             build_config("vax", "on")
 
     def test_unknown_broadwell_mode(self):
-        with pytest.raises(ValueError, match="'off' and 'on'"):
+        with pytest.raises(ValueError, match="unknown mode 'flat' for broadwell"):
             build_config("broadwell", "flat")
 
     def test_unknown_knl_mode(self):
-        with pytest.raises(ValueError, match="KNL modes"):
+        with pytest.raises(ValueError, match="unknown mode 'turbo' for knl"):
             build_config("knl", "turbo")
 
     def test_zero_reference_run_rejected(self):

@@ -236,6 +236,8 @@ class TestArtifactRunners:
             run_stream(arraysz=1000, platform="knl", mode="maybe")
         with pytest.raises(ValueError):
             run_stream(arraysz=1000, platform="power9", mode="on")
+        with pytest.raises(ValueError, match="unknown platform 'skylake'"):
+            run_stream(arraysz=1000, platform="skylake", mode="on")
 
     def test_sparse_runners_from_descriptor(self):
         from repro.artifact import run_spmv, run_sptranspose, run_trsv

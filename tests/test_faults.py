@@ -103,6 +103,12 @@ class TestDeadlineTimeout:
             faults.ENV_SPEC, "table2=hang;table3=delay:0.3"
         )
         journal_path = tmp_path / "j.jsonl"
+        # run_batch imports every experiment module before its lanes
+        # start; do it here so the wall-clock bound times the batch, not
+        # the imports.
+        from repro.experiments import registry
+
+        registry.get("table2")
         start = time.monotonic()
         with telemetry.session():
             with RunJournal(journal_path) as journal:

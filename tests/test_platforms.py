@@ -7,6 +7,7 @@ import pytest
 from repro.platforms import (
     ALL_EDRAM_MODES,
     ALL_MCDRAM_MODES,
+    MODES,
     EdramMode,
     GIB,
     MIB,
@@ -14,9 +15,12 @@ from repro.platforms import (
     MemLevelSpec,
     OpmSpec,
     broadwell,
+    check_mode,
     edram_spec,
     knl,
     mcdram_spec,
+    resolve,
+    skylake,
     total_capacity,
 )
 
@@ -193,3 +197,55 @@ class TestMachineSpec:
             dataclasses.replace(m, cores=0)
         with pytest.raises(ValueError):
             dataclasses.replace(m, caches=())
+
+
+class TestResolve:
+    def test_every_mode_resolves(self):
+        for platform, modes in MODES.items():
+            assert check_mode(platform) == modes
+            for mode in modes:
+                _, kwargs = resolve(platform, mode)
+                assert set(kwargs) == {"mcdram" if platform == "knl" else "edram"}
+        with pytest.raises(ValueError, match="unknown platform 'vax'"):
+            check_mode("vax")
+
+    def test_baseline_first(self):
+        assert all(modes[0] == "off" for modes in MODES.values())
+        assert MODES["knl"] == tuple(m.value for m in McdramMode)
+
+    def test_machines_and_keywords(self):
+        assert resolve("broadwell", "on") == (broadwell(edram=True), {"edram": True})
+        assert resolve("broadwell", "off") == (broadwell(edram=False), {"edram": False})
+        assert resolve("skylake", "off") == (skylake(edram=False), {"edram": False})
+        for mode in McdramMode:
+            assert resolve("knl", mode.value) == (knl(mode), {"mcdram": mode})
+
+    def test_opm_present_exactly_when_powered(self):
+        """An eDRAM that is off is physically absent; MCDRAM never is."""
+        for platform in ("broadwell", "skylake"):
+            assert resolve(platform, "off")[0].opm is None
+            assert resolve(platform, "on")[0].opm is not None
+        for mode in MODES["knl"]:
+            assert resolve("knl", mode)[0].opm is not None
+
+    @pytest.mark.parametrize(
+        "platform,mode,message",
+        [
+            ("vax", "on", "unknown platform 'vax'; choose from broadwell, skylake, knl"),
+            (
+                "broadwell",
+                "flat",
+                "unknown mode 'flat' for broadwell; choose from off, on",
+            ),
+            (
+                "knl",
+                "turbo",
+                "unknown mode 'turbo' for knl; "
+                "choose from off, cache, flat, hybrid, hybrid25",
+            ),
+        ],
+    )
+    def test_unknown_names_list_the_choices(self, platform, mode, message):
+        with pytest.raises(ValueError) as exc:
+            resolve(platform, mode)
+        assert str(exc.value) == message

@@ -29,17 +29,15 @@ class TestPowerSample:
         m_on = broadwell(edram=True)
         m_off = broadwell(edram=False)
         k = GemmKernel(order=4096, tile=256)
-        s_on = measure(_run(m_on, k, edram=True), m_on, opm_powered=True)
-        s_off = measure(_run(m_off, k, edram=False), m_off, opm_powered=False)
+        s_on = measure(_run(m_on, k, edram=True), m_on)
+        s_off = measure(_run(m_off, k, edram=False), m_off)
         assert s_on.package_w > s_off.package_w
 
     def test_mcdram_static_power_always_present(self):
         """Paper Section 5.2: MCDRAM cannot be physically disabled."""
         machine = knl()
         k = StreamKernel(n=2**26)
-        s_ddr = measure(
-            _run(machine, k, mcdram=McdramMode.OFF), machine, opm_powered=True
-        )
+        s_ddr = measure(_run(machine, k, mcdram=McdramMode.OFF), machine)
         base = machine.base_package_power_w
         assert s_ddr.package_w > base  # static MCDRAM draw included
 
@@ -101,8 +99,8 @@ class TestPowerSample:
             dram_bytes=machine.dram.bandwidth * 1e9,
         )
         oversub = dataclasses.replace(base, dram_bytes=base.dram_bytes * 50)
-        assert measure(oversub, machine, opm_powered=False).dram_w == (
-            pytest.approx(measure(base, machine, opm_powered=False).dram_w)
+        assert measure(oversub, machine).dram_w == (
+            pytest.approx(measure(base, machine).dram_w)
         )
 
 

@@ -226,13 +226,29 @@ class TestManifest:
         assert platform_spec_hash(a) != platform_spec_hash(broadwell(edram=False))
 
     def test_note_platform_lands_on_open_manifest(self):
-        from repro.platforms import knl
+        from repro.platforms import knl, skylake
 
         telemetry.configure(enabled=True)
         m = telemetry.start_manifest("fig17", quick=True)
         knl()
+        skylake()
         telemetry.finish_manifest(m)
         assert "Xeon Phi 7210" in m.platform_spec_hashes
+        assert "i7-6770HQ" in m.platform_spec_hashes
+
+    def test_manifest_keeps_every_table_built_under_one_name(self):
+        """fig26 builds Broadwell with and without eDRAM: both tables count."""
+        from repro.experiments import run
+        from repro.platforms import broadwell
+
+        telemetry.configure(enabled=True)
+        m = telemetry.start_manifest("fig26", quick=True)
+        run("fig26", quick=True)
+        telemetry.finish_manifest(m)
+        tables = sorted(
+            platform_spec_hash(broadwell(edram=e)) for e in (False, True)
+        )
+        assert m.platform_spec_hashes == {"i7-5775C": tables}
 
 
 class TestSummary:
