@@ -11,7 +11,6 @@ Run with:  python examples/artifact_sweep.py [out_dir]
 """
 
 import sys
-from pathlib import Path
 
 from repro.artifact import (
     run_dgemm,

@@ -10,8 +10,6 @@ to the performance-effective region (PER) — the paper's Figure 28 story
 Run with:  python examples/energy_breakeven.py
 """
 
-import numpy as np
-
 from repro import platforms
 from repro.engine import estimate
 from repro.kernels import StencilKernel, StreamKernel

@@ -14,8 +14,6 @@ guideline's prediction:
 Run with:  python examples/mcdram_mode_tuning.py
 """
 
-import numpy as np
-
 from repro import platforms
 from repro.engine import estimate
 from repro.kernels import FftKernel, StreamKernel

@@ -69,7 +69,7 @@ def study_knl() -> None:
     print("KNL 7210: best MCDRAM mode vs DDR-only, per application")
     print("=" * 64)
     machine = platforms.knl()
-    for name, weight, factory in WORKLOAD_MIX:
+    for name, _weight, factory in WORKLOAD_MIX:
         profile = factory().profile()
         ddr = estimate(profile, machine, mcdram=McdramMode.OFF)
         best_mode, best = max(

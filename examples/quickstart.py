@@ -48,7 +48,7 @@ def main() -> None:
     print(f"\n{machine.name} ({machine.arch}):")
     for mode in ALL_MCDRAM_MODES:
         r = estimate(profile, machine, mcdram=mode)
-        print(f"  {str(mode):<22} {r.gflops:7.2f} GFlop/s  ({r.bound})")
+        print(f"  {mode!s:<22} {r.gflops:7.2f} GFlop/s  ({r.bound})")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ peak unchanged).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import gaussian_kde
 
 from repro.engine.exectime import estimate
 from repro.experiments.registry import register
@@ -41,7 +42,7 @@ def run(quick: bool = True) -> ExperimentResult:
         samples["w/o eDRAM"].append(estimate(profile, machine, edram=False).gflops)
     arrays = {k: np.array(v) for k, v in samples.items()}
     grid = np.linspace(0.0, max(a.max() for a in arrays.values()) * 1.05, 160)
-    densities = {k: gaussian_kde(a)(grid) for k, a in arrays.items()}
+    densities = {k: _gaussian_kde(a, grid) for k, a in arrays.items()}
     result.figures.append(
         density_plot(grid, densities, title="Achievable GEMM GFlop/s density")
     )
@@ -97,7 +98,7 @@ def run(quick: bool = True) -> ExperimentResult:
     kgrid = np.linspace(
         0.0, max(a.max() for a in knl_arrays.values()) * 1.05, 160
     )
-    kdens = {k: gaussian_kde(a)(kgrid) for k, a in knl_arrays.items()}
+    kdens = {k: _gaussian_kde(a, kgrid) for k, a in knl_arrays.items()}
     result.figures.append(
         density_plot(
             kgrid, kdens, title="Supplementary: achievable GEMM density on KNL"
@@ -118,3 +119,38 @@ def run(quick: bool = True) -> ExperimentResult:
         ],
     )
     return result
+
+
+def _gaussian_kde(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density of 1-D ``samples`` at ``grid``, with the
+    bandwidth from Scott's rule.
+
+    Returns the floats of scipy's ``gaussian_kde(samples)(grid)`` bit for
+    bit. It lives here because importing scipy's stats package takes
+    0.6-0.9 s (2-vCPU x86-64 VM), which every process that loads the
+    experiment registry would pay for this one figure. Each step repeats scipy's arithmetic,
+    not just its formula: a different rounding changes the density's
+    last bits, and with them the figure's result digest.
+    """
+    n = samples.size
+    w = np.ones(n) / n
+    # Scott's factor n_eff ** (-1 / (d + 4)) for d = 1. Scipy's n_eff is
+    # 1 / (w . w), which is not exactly n; np.dot rounds it as scipy's
+    # np.vecdot does.
+    factor = np.power(1 / np.dot(w, w), -1 / 5)
+    # The bandwidth: the Cholesky factor of the weighted covariance (in
+    # 1-D, its square root), scaled by Scott's factor.
+    c = math.sqrt(np.cov(samples[None, :], rowvar=1, bias=False, aweights=w)) * factor
+    # Whiten by multiplying with 1 / c. Scipy whitens with a triangular
+    # solve, whose BLAS dtrsm inverts the diagonal once and multiplies;
+    # dividing by c rounds differently.
+    inv = 1 / c
+    r = grid[:, None] * inv - samples[None, :] * inv
+    # libm's exp, which scipy's compiled loop calls; np.exp's vectorized
+    # exp differs from it in the last bit at some points.
+    kernel = np.fromiter(map(math.exp, (-r * r / 2).ravel().tolist()), float, r.size)
+    kernel = kernel.reshape(r.shape) * (math.pow(2 * math.pi, -0.5) / c)
+    # Add the samples' terms one after another, in sample order, as
+    # scipy's loop does; np.sum along the samples would add them
+    # pairwise.
+    return np.cumsum(w * kernel, axis=1)[:, -1]

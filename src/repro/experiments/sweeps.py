@@ -43,7 +43,7 @@ from repro.kernels import (
     StencilKernel,
     StreamKernel,
 )
-from repro.platforms import resolve
+from repro.platforms import MachineSpec, resolve
 from repro.power.rapl import PowerSample, measure
 from repro.sparse import MatrixDescriptor, build_collection, from_params
 from repro.telemetry import names as tm
@@ -198,8 +198,10 @@ def _read_only(values: list[float]) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _evaluated(
     platform: str, kernel: str, quick: bool, knobs: ModelKnobs
-) -> Mapping[str, np.ndarray]:
-    return run_sweep(sweep_configs(platform, kernel, quick=quick), platform, knobs=knobs)
+) -> tuple[tuple[MachineSpec, ...], Mapping[str, np.ndarray]]:
+    gflops = run_sweep(sweep_configs(platform, kernel, quick=quick), platform, knobs=knobs)
+    machines = tuple(resolve(platform, mode)[0] for mode in SWEEP_MODES[platform].values())
+    return machines, gflops
 
 
 def sweep(
@@ -209,13 +211,18 @@ def sweep(
     process (see the module docstring); ``sweep.cache_clear()`` forgets
     every entry.
 
-    A call served from the memo adds its configurations to the
-    ``sweep.reused`` counter; ``sweep.points`` counts evaluated ones.
+    Every call notes the sweep's machines on the open run manifest, so a
+    run served from the memo names the same platform specs as one that
+    evaluated the sweep. A call served from the memo adds its
+    configurations to the ``sweep.reused`` counter; ``sweep.points``
+    counts evaluated ones.
     """
     hits = _evaluated.cache_info().hits
-    gflops = _evaluated(platform, kernel, quick, knobs)
+    machines, gflops = _evaluated(platform, kernel, quick, knobs)
     if _evaluated.cache_info().hits > hits:
         telemetry.counter(tm.METRIC_SWEEP_REUSED).inc(len(next(iter(gflops.values()))))
+    for machine in machines:
+        telemetry.note_platform(machine)
     return gflops
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg as sla
 
 from repro.kernels.base import Kernel
 from repro.kernels.characteristics import cholesky_characteristics
@@ -136,4 +135,9 @@ def tiled_cholesky(a: np.ndarray, *, tile: int) -> np.ndarray:
 
 def _trsm_lower_t(lkk: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Solve ``X @ lkk.T = block`` for X (the TRSM of the panel step)."""
-    return sla.solve_triangular(lkk, block.T, lower=True).T
+    # Imported here, its one use: every process imports this module
+    # (through repro.kernels), and scipy.linalg would add ~0.08 s to each
+    # start-up (2-vCPU x86-64 VM).
+    import scipy.linalg
+
+    return scipy.linalg.solve_triangular(lkk, block.T, lower=True).T

@@ -413,7 +413,7 @@ def _execute_pool(
         return outcomes
     # Load every experiment driver in the parent *before* the first fork:
     # workers inherit the warm module graph, so a task's first execution
-    # is not charged ~0.5 s of scipy imports against its deadline (under
+    # is not charged ~0.3 s of driver imports against its deadline (under
     # a spawn start method the import cost reappears in the worker —
     # timeouts there must budget for startup).
     registry.get(ids[0])

@@ -145,6 +145,24 @@ class TestSweepMemo:
 
         assert documents((first, second)) == documents((second, first))
 
+    @pytest.mark.parametrize("first,second", [("table5", "fig15"), ("fig17", "fig20")])
+    def test_memo_hits_note_the_sweep_machines_on_the_manifest(self, first, second):
+        """``second`` reads ``first``'s memo entry, and its manifest still
+        lists the machines a solo run of ``second`` builds."""
+
+        def spec_hashes(order):
+            sweep.cache_clear()
+            with telemetry.session():
+                for exp_id in order:
+                    m = telemetry.start_manifest(exp_id, quick=True)
+                    run(exp_id, quick=True)
+                    telemetry.finish_manifest(m)
+            return m.platform_spec_hashes
+
+        solo = spec_hashes((second,))
+        assert solo
+        assert spec_hashes((first, second)) == solo
+
     def test_memo_hits_are_counted_as_reused_points(self):
         def counts():
             registry = telemetry.get_registry()
