@@ -53,8 +53,9 @@ def run(quick: bool = True) -> ExperimentResult:
     }
     degenerate = []
     for name in DEMO_KERNELS:
+        kernel = demo_kernel(name)
         runs = [
-            price_config(demo_kernel(name), platform, mode, reps=reps)
+            price_config(kernel, platform, mode, reps=reps)
             for platform, mode in ENERGY_CONFIGS
         ]
         for run_ in runs:

@@ -118,6 +118,11 @@ class Hierarchy:
             # dirty LLC lines displaced by prefetches would vanish with
             # no writeback counted.
             prefetcher.on_evict = self._prefetch_displaced
+        #: Prefetch observations the LLC passes received (one per
+        #: replayed reference) and probed; the rest were pruned as
+        #: changing nothing (monotone, like the stages' replay counters).
+        self.observed = 0
+        self.probed = 0
         self._dram_stats = LevelStats(name=memory_names[0], line=line)
         self._flat_stats = (
             LevelStats(name=memory_names[1], line=line) if allocator is not None else None
@@ -393,10 +398,10 @@ class Hierarchy:
         # Prefetchers only insert into the LLC, and LLC evictions never
         # travel back up, so L1/L2 state does not depend on them. Each
         # reference's prefetch *observation* joins the LLC pass as a
-        # third event kind (see _observation_stream). For the same
-        # reason a replay group (this hierarchy first) runs the levels
-        # above the LLC once, and each member's LLC pass starts from
-        # that one residue.
+        # third event kind unless it provably changes nothing (see
+        # _observation_stream). For the same reason a replay group (this
+        # hierarchy first) runs the levels above the LLC once, and each
+        # member's LLC pass starts from that one residue.
         #
         # Adaptive sub-blocks: grow while the first level resolves
         # (almost) everything vectorized, shrink back the moment it
@@ -457,10 +462,12 @@ class Hierarchy:
         if pf is not None:
             # Every reference is observed, even in a block the levels
             # above resolved wholesale, unless that changes nothing.
+            self.observed += refs.shape[0]
             strides = pf.issue_strides(refs)
             if lines is None and pf.idle(refs, strides):
                 return False
-            lines, ins, flags = _observation_stream(refs, strides, lines, ins, flags, idx)
+            live = pf.live(refs, strides)
+            lines, ins, flags = _observation_stream(refs, strides, live, lines, ins, flags, idx)
         if lines is None:
             return False
         return self._level_pass(len(self._stages) - 1, lines, ins, flags, None)[-1]
@@ -580,7 +587,7 @@ class Hierarchy:
         oi_append = out_ins.append
         of_append = out_flags.append
         hits = created = evs = devs = wb = merged = received = 0
-        issued = useful = 0
+        issued = useful = probed = 0
         sl = lines.tolist()
         fl = flags.tolist()
         if ins is None:
@@ -652,21 +659,36 @@ class Hierarchy:
                     pending = pf._outstanding
                     install = pf._install
                     upto = pf.degree + 1
+                # Line -> stride of the latest observation of that line
+                # since the last LLC fill (demand miss, insert miss or
+                # prefetch install), if it issued nothing. Observing the
+                # same (line, stride) again changes nothing: only a fill
+                # can evict a candidate or make the line outstanding.
+                quiet: dict[int, int] = {}
+                forget = quiet.clear
                 observe = _OBSERVE
                 for addr, is_ins, fg in zip(sl, il, fl):
                     if is_ins == observe:
+                        if addr in quiet and quiet[addr] == fg:
+                            continue
                         # observe() with the probes inlined: score a
                         # useful prefetch, then issue each candidate that
                         # is neither resident nor outstanding.
+                        probed += 1
                         if addr in pending:
                             useful += 1
                             pending.discard(addr)
                         if fg:
+                            before = issued
                             for t in range(addr + fg, addr + fg * upto, fg):
                                 if t < 0 or t in sets[t & mask] or t in pending:
                                     continue
                                 install(t)
                                 issued += 1
+                            if issued != before:
+                                forget()
+                                continue
+                        quiet[addr] = fg
                         continue
                     s = sets[addr & mask]
                     was_dirty = s.pop(addr, miss)
@@ -678,6 +700,7 @@ class Hierarchy:
                                 received += 1
                             s[addr] = True
                             continue
+                        forget()
                         ev = None
                         if len(s) >= ways:
                             vl, vd = next(iter(s.items()))
@@ -698,6 +721,7 @@ class Hierarchy:
                         else:
                             s[addr] = was_dirty
                         continue
+                    forget()
                     ev = None
                     if len(s) >= ways:
                         vl, vd = next(iter(s.items()))
@@ -778,6 +802,7 @@ class Hierarchy:
             self._dram_stats.accesses += issued
             self._dram_stats.hits += issued
             pf.stats.useful += useful
+            self.probed += probed
         if last or not out_lines:
             return None, None, None, None, fast_ok
         code = np.array(out_ins, dtype=np.int64)
@@ -908,7 +933,8 @@ class Hierarchy:
         the replacement traffic of the backing cache structure,
         ``memory.<level>.replay.*`` the events resolved ``wholesale``,
         ``walked`` or ``fast_forwarded``, and ``memory.prefetch.*`` the
-        prefetcher's stats.
+        prefetcher's stats and the observations the LLC passes
+        ``probed`` or ``pruned``.
         """
         if not telemetry.enabled():
             return
@@ -926,6 +952,12 @@ class Hierarchy:
             pfs = self._prefetcher.stats
             prefetch = {"issued": pfs.issued, "useful": pfs.useful}
             self._publish_delta(tm.MEMORY_PREFETCH, "prefetch", prefetch)
+            pruning = dict(
+                zip(tm.MEMORY_PREFETCH_REPLAY_COUNTERS, (self.probed, self.observed - self.probed))
+            )
+            # A "replay:" key: reset() keeps the baseline of these
+            # monotone counts, as it does the stages' replay counters.
+            self._publish_delta(tm.MEMORY_PREFETCH, "replay:prefetch", pruning)
 
     def _publish_delta(
         self, prefix: str, key: str, totals: dict[str, int]
@@ -1174,28 +1206,31 @@ def _check_group(group: tuple[Hierarchy, ...]) -> None:
             raise ValueError("replay group members start with different contents above the LLC")
 
 
-def _observation_stream(refs, strides, lines, ins, flags, idx):
-    """Merge a block's prefetch observations into its LLC event stream.
+def _observation_stream(refs, strides, live, lines, ins, flags, idx):
+    """Merge a block's ``live`` prefetch observations into its LLC event
+    stream.
 
     ``access()`` runs reference k's observation after every LLC event of
     reference k-1 and before every one of its own, so event e with
-    origin o goes to slot e + o + 1 and the observations fill the rest.
-    Returns ``(lines, kinds, flags)``: kind 0 is an access, 1 a dirty-
-    victim insert, :data:`_OBSERVE` an observation (flag: its stride).
+    origin o goes to slot e + (live observations up to o) and the live
+    observations fill the rest. Returns ``(lines, kinds, flags)``: kind
+    0 is an access, 1 a dirty-victim insert, :data:`_OBSERVE` an
+    observation (flag: its stride).
     """
-    total = refs.shape[0] + (0 if lines is None else lines.shape[0])
+    upto = np.cumsum(live)
+    total = int(upto[-1]) + (0 if lines is None else lines.shape[0])
     kinds = np.full(total, _OBSERVE, dtype=np.int8)
     addrs = np.empty(total, dtype=np.int64)
     fl = np.empty(total, dtype=object)
     obs = np.ones(total, dtype=bool)
     if lines is not None:
-        pos = np.arange(1, lines.shape[0] + 1) + idx
+        pos = np.arange(lines.shape[0]) + upto[idx]
         obs[pos] = False
         kinds[pos] = 0 if ins is None else ins
         addrs[pos] = lines
         fl[pos] = flags.tolist()
-    addrs[obs] = refs
-    fl[obs] = strides.tolist()
+    addrs[obs] = refs[live]
+    fl[obs] = strides[live].tolist()
     return addrs, kinds, fl
 
 

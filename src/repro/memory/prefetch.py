@@ -77,14 +77,28 @@ class _PrefetcherBase:
             if self.on_evict is not None:
                 self.on_evict(ev)
 
+    def _candidates(self, lines: np.ndarray, strides: np.ndarray) -> np.ndarray:
+        """The distinct lines that observing ``lines`` at issue ``strides``
+        may prefetch."""
+        on = strides != 0
+        return np.unique(lines[on, None] + strides[on, None] * np.arange(1, self.degree + 1))
+
     def idle(self, lines: np.ndarray, strides: np.ndarray) -> bool:
         """Whether observing ``lines`` alone would change nothing: none
         is outstanding and every candidate is already cached."""
-        on = strides != 0
-        cands = lines[on, None] + strides[on, None] * np.arange(1, self.degree + 1)
         return self._outstanding.isdisjoint(np.unique(lines).tolist()) and all(
-            t < 0 or t in self.cache for t in np.unique(cands).tolist()
+            t < 0 or t in self.cache for t in self._candidates(lines, strides).tolist()
         )
+
+    def live(self, lines: np.ndarray, strides: np.ndarray) -> np.ndarray:
+        """Which observations of ``lines`` may change anything. A zero-
+        stride one can only score a useful prefetch, so it is dead unless
+        its line is outstanding now or a candidate of an issuing one."""
+        on = strides != 0
+        if on.all():
+            return on
+        pending = np.fromiter(self._outstanding, dtype=np.int64, count=len(self._outstanding))
+        return on | np.isin(lines, np.concatenate([pending, self._candidates(lines, strides)]))
 
     def line_evicted(self, line_addr: int) -> None:
         """Notify that the target cache evicted ``line_addr``.

@@ -188,8 +188,16 @@ def memory_replay_prefix(level: str) -> str:
 MEMORY_REPLAY_COUNTERS = ("wholesale", "walked", "fast_forwarded")
 
 
-#: ``record_counts`` prefix for the prefetcher's ``issued``/``useful``.
+#: ``record_counts`` prefix for the prefetcher's ``issued``/``useful``
+#: and for :data:`MEMORY_PREFETCH_REPLAY_COUNTERS`.
 MEMORY_PREFETCH = "memory.prefetch"
+
+#: The replay-path counters under :data:`MEMORY_PREFETCH`: the prefetch
+#: observations a prefetching hierarchy's LLC passes ``probed``, and
+#: those they ``pruned`` as changing nothing (dropped before the pass,
+#: skipped as a repeat since the last LLC fill, or left in an idle
+#: block). Together they count every reference the hierarchy replayed.
+MEMORY_PREFETCH_REPLAY_COUNTERS = ("probed", "pruned")
 
 
 def power_level_prefix(level: str) -> str:

@@ -352,6 +352,14 @@ class TestIntegration:
             )
         if prefetch is not None:
             assert replay("L3", "wholesale") == 0  # every reference is observed
+        # Every replayed reference's prefetch observation was probed or
+        # pruned (published totals survive reset(), like the above).
+        pruning = [f"memory.prefetch.{k}" for k in tm.MEMORY_PREFETCH_REPLAY_COUNTERS]
+        if prefetch is None:
+            assert not any(name in reg for name in pruning)
+        else:
+            probed, pruned = (reg.counter(name).value for name in pruning)
+            assert probed > 0 and pruned > 0 and probed + pruned == addrs.size * 4
 
     def test_group_replay_counts_shared_work_once(self):
         """A replay group publishes each member's level and cache counts

@@ -8,6 +8,7 @@ replayed through ``Hierarchy.access`` one reference at a time.
 """
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -24,7 +25,16 @@ from repro.kernels import (
     StreamKernel,
 )
 from repro.kernels.traces import MAX_EVENTS, kernel_trace_chunks
-from repro.memory import for_broadwell, for_knl
+from repro.memory import (
+    Hierarchy,
+    NextLinePrefetcher,
+    SetAssociativeCache,
+    StridePrefetcher,
+    VictimCache,
+    for_broadwell,
+    for_knl,
+)
+from repro.memory.hierarchy import _CacheStage
 from repro.platforms import McdramMode, broadwell, knl
 from repro.sparse import generators
 from repro.trace import (
@@ -95,9 +105,16 @@ def _random_trace(seed, n=8_000, span=5_000, p_write=0.4):
     return addrs, writes
 
 
-def _oracle_replay(kernel, hierarchy, *, reps):
-    """The kernel's oracle trace fed through ``Hierarchy.access``."""
-    return replay(hierarchy, to_line_trace(kernel_trace(kernel, reps=reps), hierarchy.line))
+@functools.lru_cache(maxsize=None)
+def _zoo_line_trace(name, reps, line):
+    """A zoo kernel's oracle line trace: generated once per (kernel, reps,
+    line) and shared by every test that replays it."""
+    return tuple(to_line_trace(kernel_trace(kernel_zoo()[name], reps=reps), line))
+
+
+def _oracle_replay(name, hierarchy, *, reps):
+    """A zoo kernel's oracle trace fed through ``Hierarchy.access``."""
+    return replay(hierarchy, _zoo_line_trace(name, reps, hierarchy.line))
 
 
 def kernel_zoo():
@@ -303,7 +320,7 @@ class TestKernelTraceChunks:
     @pytest.mark.parametrize("name", list(kernel_zoo()))
     def test_chunks_equal_scalar_line_trace(self, name):
         kernel = kernel_zoo()[name]
-        expected = list(to_line_trace(kernel_trace(kernel, reps=2), 64))
+        expected = list(_zoo_line_trace(name, 2, 64))
         got = []
         for la, lw in kernel_trace_chunks(kernel, reps=2, line=64, chunk=4096):
             got.extend(zip(la.tolist(), lw.tolist()))
@@ -314,7 +331,7 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE)
         batched_h = for_broadwell(broadwell(), scale=SCALE)
-        s = _oracle_replay(kernel, scalar_h, reps=2)
+        s = _oracle_replay(name, scalar_h, reps=2)
         b = kernel.simulate(batched_h, reps=2)
         assert _stats_dict(b) == _stats_dict(s)
 
@@ -325,7 +342,7 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_knl(knl(mode), mode, scale=SCALE)
         batched_h = for_knl(knl(mode), mode, scale=SCALE)
-        s = _oracle_replay(kernel, scalar_h, reps=1)
+        s = _oracle_replay(name, scalar_h, reps=1)
         b = kernel.simulate(batched_h, reps=1)
         assert _stats_dict(b) == _stats_dict(s)
 
@@ -338,7 +355,7 @@ class TestKernelTraceChunks:
         kernel = kernel_zoo()[name]
         scalar_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
         batched_h = for_broadwell(broadwell(), scale=SCALE, prefetch=prefetch)
-        _oracle_replay(kernel, scalar_h, reps=1)
+        _oracle_replay(name, scalar_h, reps=1)
         kernel.simulate(batched_h, reps=1)
         assert _full_state(batched_h) == _full_state(scalar_h)
 
@@ -374,6 +391,46 @@ def _fuzz_trace(rng, shape):
             scale = SCALE
     writes = rng.random(n) < float(rng.random())
     return addrs.astype(np.int64), writes, scale
+
+
+def _tiny_prefetching_pair(rng):
+    """Two equal hierarchies of three single-set stages (1-5 ways each)
+    under a next-line or stride prefetcher of degree 1-2 (confirm 1-2),
+    with or without a one-set victim cache."""
+    ways = rng.integers(1, 6, size=3).tolist()
+    stride = bool(rng.random() < 0.5)
+    degree, confirm = rng.integers(1, 3, size=2).tolist()
+    victim_ways = int(rng.integers(0, 4))
+
+    def build():
+        stages = [
+            _CacheStage(name, SetAssociativeCache(64 * w, line=64, ways=w))
+            for name, w in zip(("L1", "L2", "L3"), ways)
+        ]
+        llc = stages[-1].cache
+        if stride:
+            pf = StridePrefetcher(llc, degree=degree, confirm=confirm)
+        else:
+            pf = NextLinePrefetcher(llc, degree=degree)
+        victim = VictimCache(64 * victim_ways, ways=victim_ways) if victim_ways else None
+        return Hierarchy(stages, line=64, victim=victim, prefetcher=pf)
+
+    return build(), build()
+
+
+def _tiny_trace(rng):
+    """10-120 references over 4-24 lines: short random walks of steps
+    -1..2 (repeats, strides, turns) from random starts, folded into the
+    span, at a random write rate."""
+    n = int(rng.integers(10, 121))
+    span = int(rng.integers(4, 25))
+    runs = []
+    while sum(map(len, runs)) < n:
+        start = int(rng.integers(0, span))
+        length = int(rng.integers(1, 12))
+        runs.append(start + np.cumsum(rng.integers(-1, 3, size=length)))
+    addrs = np.abs(np.concatenate(runs)[:n]) % span
+    return addrs.astype(np.int64), rng.random(n) < float(rng.random())
 
 
 def _random_splits(rng, addrs, writes):
@@ -456,6 +513,28 @@ class TestFuzzDifferential:
             batched.run_array(chunk_a, chunk_w)
         assert _full_state(batched) == _full_state(scalar)
 
+    def test_tiny_prefetching_hierarchies(self):
+        """The LLC pass skips observations that change nothing: a zero-
+        stride one unless its line is outstanding at block start or a
+        candidate of the block's issuing ones, and a repeat of a (line,
+        stride) that issued nothing since the last LLC fill. In one-set
+        caches of a few ways every fill evicts and prefetches collide, so
+        a skip rule that misses a fill (demand miss, insert miss, install),
+        keys on the line alone, or forgets either source of outstanding
+        lines diverges from access() within tens of trials."""
+        for trial in range(300):
+            rng = np.random.default_rng([trial, 2])
+            scalar, batched = _tiny_prefetching_pair(rng)
+            addrs, writes = _tiny_trace(rng)
+            for a, w in zip(addrs.tolist(), writes.tolist()):
+                scalar.access(a, write=w)
+            pos = 0
+            while pos < addrs.shape[0]:
+                size = int(rng.integers(1, 41))
+                batched.run_array(addrs[pos : pos + size], writes[pos : pos + size])
+                pos += size
+            assert _full_state(batched) == _full_state(scalar), trial
+
     def test_prefetch_observes_blocks_resolved_above_the_llc(self):
         """A block that never reaches the LLC still replays its
         observations when they would issue: here the second chunk only
@@ -497,21 +576,86 @@ class TestFuzzDifferential:
         assert _stats_dict(batched.stats()) == _stats_dict(scalar.stats())
 
 
+def _repeated_access(hierarchy, addrs, writes, reps):
+    """``Hierarchy.access`` on ``reps`` concatenated repetitions."""
+    replay(hierarchy, zip(addrs.tolist() * reps, writes.tolist() * reps))
+    return hierarchy
+
+
+#: ext4's prefetchers, its replay group's receiver first.
+EXT4_KINDS = ("next-line", None, "stride")
+
+
+@pytest.fixture(scope="session")
+def ext4_access_states():
+    """Whole state after ``access()`` on 2 and 3 repetitions of ext4's
+    quick GEMM and SpMV-random traces under each of ext4's prefetchers
+    (GEMM under a prefetcher on 2 only). One hierarchy runs both counts;
+    copies keep the first state. The one oracle of these traces for
+    every test that replays them."""
+    states = {}
+    for name in ("gemm", "spmv-random"):
+        chunks = list(kernel_trace_chunks(ext4_workloads(quick=True)[name]))
+        addrs = np.concatenate([a for a, _ in chunks])
+        writes = np.concatenate([w for _, w in chunks])
+        for kind in EXT4_KINDS:
+            h = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
+            states[name, kind, 2] = copy.deepcopy(_full_state(_repeated_access(h, addrs, writes, 2)))
+            if name == "spmv-random" or kind is None:
+                states[name, kind, 3] = _full_state(_repeated_access(h, addrs, writes, 1))
+    return states
+
+
+@pytest.fixture(scope="module")
+def ext4_group():
+    """ext4's quick replay group of one workload, both repetitions
+    streamed: replayed on first use, then shared by the tests that read
+    it."""
+    groups = {}
+
+    def replayed(name):
+        if name not in groups:
+            group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in EXT4_KINDS]
+            kernel = ext4_workloads(quick=True)[name]
+            group[0].run_batched(kernel_trace_chunks(kernel, reps=2), also=group[1:])
+            groups[name] = group
+        return groups[name]
+
+    return replayed
+
+
 class TestGroupReplay:
     """``run_batched(also=...)``: the levels above the LLC replay once for
     the whole group, and every member must still end exactly as its own
     solo replay, on the whole simulator state."""
 
     @pytest.mark.parametrize("name", list(ext4_workloads(quick=True)))
-    def test_ext4_members_match_solo_replays(self, name):
-        kernel = ext4_workloads(quick=True)[name]
-        kinds = ("next-line", None, "stride")
-        group = [for_broadwell(broadwell(), scale=SCALE, prefetch=k) for k in kinds]
-        group[0].run_batched(kernel_trace_chunks(kernel, reps=2), also=group[1:])
-        for h, kind in zip(group, kinds):
-            solo = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
-            solo.run_batched(kernel_trace_chunks(kernel, reps=2))
-            assert _full_state(h) == _full_state(solo), kind
+    def test_ext4_members_match_solo_replays(self, name, ext4_group, ext4_access_states):
+        """Each member against its solo replay or, where the shared oracle
+        holds the trace (GEMM, SpMV-random), against ``access()``, which a
+        solo replay must equal."""
+        for h, kind in zip(ext4_group(name), EXT4_KINDS):
+            expected = ext4_access_states.get((name, kind, 2))
+            if expected is None:
+                solo = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
+                solo.run_batched(kernel_trace_chunks(ext4_workloads(quick=True)[name], reps=2))
+                expected = _full_state(solo)
+            assert _full_state(h) == expected, kind
+
+    def test_ext4_gemm_group_prunes_most_observations(self, ext4_group):
+        """Every replayed reference's prefetch observation is probed or
+        pruned. On GEMM next-line prunes over 80% (repeats since the last
+        LLC fill) and stride over 99% (unconfirmed strides)."""
+        chunks = kernel_trace_chunks(ext4_workloads(quick=True)["gemm"])
+        refs = 2 * sum(a.shape[0] for a, _ in chunks)
+        pruned = {}
+        for h, kind in zip(ext4_group("gemm"), EXT4_KINDS):
+            if kind is None:
+                assert h.observed == h.probed == 0
+                continue
+            assert h.observed == refs, kind
+            pruned[kind] = (h.observed - h.probed) / refs
+        assert pruned["next-line"] >= 0.8 and pruned["stride"] >= 0.99, pruned
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("shape", PREFETCH_FUZZ_SHAPES)
@@ -595,33 +739,6 @@ class TestGroupReplay:
         with pytest.raises(ValueError, match="replay group"):
             receiver.run_batched(chunk_arrays(*_random_trace(35), chunk=1000), also=also)
         assert [_full_state(h) for h in (receiver, other)] == before
-
-
-def _repeated_access(hierarchy, addrs, writes, reps):
-    """``Hierarchy.access`` on ``reps`` concatenated repetitions."""
-    replay(hierarchy, zip(addrs.tolist() * reps, writes.tolist() * reps))
-    return hierarchy
-
-
-#: ext4's prefetchers, its replay group's receiver first.
-EXT4_KINDS = ("next-line", None, "stride")
-
-
-@pytest.fixture(scope="module")
-def ext4_access_states():
-    """Whole state after ``access()`` on 2 and 3 repetitions of ext4's
-    quick traces: GEMM without a prefetcher, SpMV-random under each of
-    ext4's. One hierarchy runs both; copies keep the first state."""
-    states = {}
-    for name, kinds in (("gemm", (None,)), ("spmv-random", EXT4_KINDS)):
-        chunks = list(kernel_trace_chunks(ext4_workloads(quick=True)[name]))
-        addrs = np.concatenate([a for a, _ in chunks])
-        writes = np.concatenate([w for _, w in chunks])
-        for kind in kinds:
-            h = for_broadwell(broadwell(), scale=SCALE, prefetch=kind)
-            states[name, kind, 2] = copy.deepcopy(_full_state(_repeated_access(h, addrs, writes, 2)))
-            states[name, kind, 3] = _full_state(_repeated_access(h, addrs, writes, 1))
-    return states
 
 
 class TestRepeatedReplay:
