@@ -112,30 +112,37 @@ def test_bench_hierarchy_batched(benchmark):
     )
 
 
-def _best_of(fn, *args, prefetch=None):
-    """Min of 3 replays, each on a fresh full-size Broadwell hierarchy."""
-    best = float("inf")
-    for _ in range(3):
+def _timed_replay(fn, *args, prefetch=None):
+    """A pass for :func:`_paired_speedup`: one replay on a fresh full-size
+    Broadwell hierarchy, built outside the timed region."""
+
+    def timed():
         h = for_broadwell(broadwell(), prefetch=prefetch)
         t0 = time.perf_counter()
         fn(h, *args)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        return time.perf_counter() - t0
+
+    return timed
 
 
-def _paired_speedup(slow, fast, pairs=5):
-    """Median of ``slow() / fast()`` over ``pairs`` back-to-back pairs.
+def _paired_speedup(slow, fast, pairs=5, min_s=0.5):
+    """Median over ``pairs`` pairs of the ratio of mean pass times.
 
-    Each callable returns the seconds it timed. The host switches between
-    speed states every few seconds; a pair timed back to back mostly sees
-    one state, while a min over passes taken seconds apart compares
-    different ones.
+    Each callable times one whole pass and returns the seconds. The host
+    switches between speed states every few seconds, and a min over passes
+    taken seconds apart compares different ones. So within a pair the two
+    sides take turns, the side timed less so far going next, until each
+    has been timed for at least ``min_s``: both then see the same states.
     """
     ratios = []
     for _ in range(pairs):
-        slow_s = slow()
-        fast_s = fast()
-        ratios.append(slow_s / fast_s)
+        slow_t, fast_t = [], []
+        while min(sum(slow_t), sum(fast_t)) < min_s:
+            if sum(slow_t) <= sum(fast_t):
+                slow_t.append(slow())
+            else:
+                fast_t.append(fast())
+        ratios.append(statistics.fmean(slow_t) / statistics.fmean(fast_t))
     print("per-pair ratios " + " ".join(f"{r:.2f}" for r in ratios))
     return statistics.median(ratios)
 
@@ -144,16 +151,18 @@ def test_bench_batched_speedup_at_least_10x():
     """Acceptance gate: the batched fast path is >= 10x the scalar oracle.
 
     Raised from 3x after the set-bucketed vectorized rewrite of the
-    hierarchy chain (measured ~13-17x on this trace). Measured directly
-    (min of 3) rather than via the benchmark fixture so the ratio
-    compares the same machine state back to back.
+    hierarchy chain (measured ~13-17x on this trace). Measured directly,
+    as the median of 5 interleaved pairs (:func:`_paired_speedup`),
+    rather than via the benchmark fixture, so both sides see the same
+    machine states.
     """
     addrs, writes = _triad_trace(1000, 150)
     alist, wlist = addrs.tolist(), writes.tolist()
-    scalar = _best_of(_replay_scalar, alist, wlist)
-    batched = _best_of(_replay_batched, addrs, writes)
-    speedup = scalar / batched
-    print(f"scalar {scalar:.3f}s batched {batched:.3f}s speedup {speedup:.2f}x")
+    speedup = _paired_speedup(
+        _timed_replay(_replay_scalar, alist, wlist),
+        _timed_replay(_replay_batched, addrs, writes),
+    )
+    print(f"scalar vs batched: median speedup {speedup:.2f}x")
     assert speedup >= 10.0
 
 
@@ -169,10 +178,11 @@ def test_bench_prefetch_speedup_at_least_2_5x(prefetch):
     """
     addrs, writes = _triad_trace(1000, 150)
     alist, wlist = addrs.tolist(), writes.tolist()
-    scalar = _best_of(_replay_scalar, alist, wlist, prefetch=prefetch)
-    batched = _best_of(_replay_batched, addrs, writes, prefetch=prefetch)
-    speedup = scalar / batched
-    print(f"{prefetch}: scalar {scalar:.3f}s batched {batched:.3f}s speedup {speedup:.2f}x")
+    speedup = _paired_speedup(
+        _timed_replay(_replay_scalar, alist, wlist, prefetch=prefetch),
+        _timed_replay(_replay_batched, addrs, writes, prefetch=prefetch),
+    )
+    print(f"{prefetch}: scalar vs batched: median speedup {speedup:.2f}x")
     assert speedup >= 2.5
 
 
@@ -183,7 +193,7 @@ def test_bench_shared_prefix_speedup_at_least_1_4x():
     configurations, as ext4 replays it: one ``run_batched(..., also=...)``
     of one trace against three solo replays, each of its own trace.
     Hierarchies are built outside the timed region; the gate is the
-    median ratio of 5 back-to-back (solo, group) pairs. The group
+    median ratio of 5 interleaved (solo, group) pairs. The group
     measured ~2x here (the three LLC passes stay); replaying the shared
     levels per member fails the gate.
     """
@@ -219,10 +229,10 @@ def test_bench_repeated_trace_speedup_at_least_1_1x():
 
     ext4's quick GEMM group, as ext4 replays it: one repetition of chunks
     with ``reps=2``, against streaming both repetitions through the same
-    group. Hierarchies are built outside the timed region; min of 3,
-    alternating. L1 and L2 repeat from the second sub-block of the second
-    repetition, so only its LLC passes remain; replaying it in full again
-    fails the gate.
+    group. Hierarchies are built outside the timed region; the gate is
+    the median ratio of 5 interleaved pairs. L1 and L2 repeat from the
+    second sub-block of the second repetition, so only its LLC passes
+    remain; replaying it in full again fails the gate.
     """
     kernel = ext4_workloads(quick=True)["gemm"]
 
@@ -232,18 +242,20 @@ def test_bench_repeated_trace_speedup_at_least_1_1x():
             for k in ("next-line", None, "stride")
         ]
 
-    streamed = repeated = float("inf")
-    for _ in range(3):
+    def streamed():
         hs = fresh()
         t0 = time.perf_counter()
         hs[0].run_batched(kernel_trace_chunks(kernel, reps=2), also=hs[1:])
-        streamed = min(streamed, time.perf_counter() - t0)
+        return time.perf_counter() - t0
+
+    def repeated():
         hs = fresh()
         t0 = time.perf_counter()
         hs[0].run_batched(kernel_trace_chunks(kernel), also=hs[1:], reps=2)
-        repeated = min(repeated, time.perf_counter() - t0)
-    speedup = streamed / repeated
-    print(f"streamed {streamed:.3f}s repeated {repeated:.3f}s speedup {speedup:.2f}x")
+        return time.perf_counter() - t0
+
+    speedup = _paired_speedup(streamed, repeated)
+    print(f"streamed vs repeated: median speedup {speedup:.2f}x")
     assert speedup >= 1.1
 
 
@@ -311,23 +323,18 @@ def test_bench_engine_speedup_at_least_1_2x():
     stage's straddle-adjusted constants in every phase and builds a fresh
     noise generator per noisy call; the one-pass engine measured
     1.28-1.50x on this grid. The gate is the median ratio of 5
-    back-to-back (oracle, one-pass) pairs, with the noise memo cleared
+    interleaved (oracle, one-pass) pairs, with the noise memo cleared
     before every pass. One pass takes only 0.06-0.15 s, so a pair
-    alternates whole passes of the two until each side has been timed
-    for at least 0.5 s: both sides then see the same host speed states.
-    Sliding back to per-phase object churn fails the gate.
+    takes turns between whole passes of the two until each side has been
+    timed for at least 0.5 s. Sliding back to per-phase object churn
+    fails the gate.
     """
     calls = _engine_calls()
     assert len(calls) == 1952
-    ratios = []
-    for _ in range(5):
-        oracle_s = fast_s = 0.0
-        while min(oracle_s, fast_s) < 0.5:
-            oracle_s += _engine_pass(engine_oracle.estimate, calls)
-            fast_s += _engine_pass(estimate, calls)
-        ratios.append(oracle_s / fast_s)
-    print("per-pair ratios " + " ".join(f"{r:.2f}" for r in ratios))
-    speedup = statistics.median(ratios)
+    speedup = _paired_speedup(
+        lambda: _engine_pass(engine_oracle.estimate, calls),
+        lambda: _engine_pass(estimate, calls),
+    )
     print(f"oracle vs one-pass: median speedup {speedup:.2f}x")
     assert speedup >= 1.2
 

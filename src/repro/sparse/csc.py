@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparse.csr import CSRMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclasses.dataclass
@@ -61,12 +64,15 @@ class CSCMatrix:
         )
 
     def to_scipy(self) -> sp.csc_matrix:
-        return sp.csc_matrix(
+        import scipy.sparse
+
+        return scipy.sparse.csc_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape
         )
 
     def to_csr(self) -> CSRMatrix:
-        return CSRMatrix.from_scipy(self.to_scipy().tocsr())
+        cols = np.repeat(np.arange(self.n_cols, dtype=np.int64), np.diff(self.indptr))
+        return CSRMatrix.from_coo(self.indices, cols, self.data, self.shape)
 
     def as_transposed_csr(self) -> CSRMatrix:
         """Reinterpret the CSC arrays as the CSR form of the transpose.

@@ -1,8 +1,17 @@
 """Compressed Sparse Row container.
 
 A minimal, validated CSR matrix built on NumPy arrays. The kernels in
-:mod:`repro.kernels` operate on this container directly; conversions to
-SciPy exist only for test oracles.
+:mod:`repro.kernels` operate on this container directly, and every matrix
+the program builds is assembled by :meth:`CSRMatrix.from_coo` in NumPy.
+Conversions to SciPy (:meth:`CSRMatrix.to_scipy`, :meth:`CSRMatrix.from_scipy`)
+exist only for test oracles and the kernels' ``validate()`` checks; SciPy
+is imported when one of them runs, so no process pays for it at start-up.
+
+Duplicate coordinates are summed by SciPy's rule
+(``coo_matrix.sum_duplicates``): entries are sorted stably by (row,
+column), so the copies of one coordinate stay in input order, and
+``np.add.reduceat`` adds each run of copies. A sum that cancels stays
+stored as 0.0.
 
 The memory footprint follows the paper's Table 2 accounting for SpMV:
 ``12*nnz + 20*M`` bytes — 8-byte values + 4-byte column indices per
@@ -12,9 +21,12 @@ nonzero, 4-byte row pointers plus the 8-byte x and y vectors per row.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclasses.dataclass
@@ -86,15 +98,36 @@ class CSRMatrix:
         lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
         return self.indices[lo:hi], self.data[lo:hi]
 
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row ids, column ids, values) of every stored entry, in storage order."""
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_nnz())
+        return rows, self.indices, self.data
+
     def diagonal(self) -> np.ndarray:
         """Main-diagonal values (zeros where absent)."""
+        rows, cols, vals = self.to_coo()
+        on = rows == cols
         diag = np.zeros(min(self.n_rows, self.n_cols))
-        for i in range(min(self.n_rows, self.n_cols)):
-            cols, vals = self.row(i)
-            pos = np.searchsorted(cols, i)
-            if pos < len(cols) and cols[pos] == i:
-                diag[i] = vals[pos]
+        diag[rows[on]] = vals[on]
         return diag
+
+    def fill_zero_diagonal(self, value: float) -> "CSRMatrix":
+        """Put ``value`` on every row whose diagonal entry is zero or absent.
+
+        This is SciPy's ``csr + diags(where(diagonal == 0, value, 0))``: a
+        matrix without a zero on its diagonal comes back unchanged, and
+        otherwise the sum keeps only its nonzero entries, so every stored
+        zero is dropped too.
+        """
+        zero = np.flatnonzero(self.diagonal() == 0.0)
+        if not len(zero):
+            return self
+        rows, cols, vals = self.to_coo()
+        rows = np.concatenate([rows, zero])
+        cols = np.concatenate([cols, zero])
+        vals = np.concatenate([vals, np.full(len(zero), value)])
+        keep = vals != 0.0
+        return CSRMatrix.from_coo(rows[keep], cols[keep], vals[keep], self.shape)
 
     def lower_triangle(self, *, unit_diagonal_fill: float = 1.0) -> "CSRMatrix":
         """Strictly-lower + diagonal part, inserting missing diagonal entries.
@@ -105,26 +138,68 @@ class CSRMatrix:
         """
         if not self.is_square:
             raise ValueError("lower_triangle requires a square matrix")
-        coo = self.to_scipy().tocoo()
-        keep = coo.row >= coo.col
-        rows = coo.row[keep]
-        cols = coo.col[keep]
-        vals = coo.data[keep]
+        rows, cols, vals = self.to_coo()
+        keep = rows >= cols
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
         present = np.zeros(self.n_rows, dtype=bool)
         present[rows[rows == cols]] = True
         missing = np.flatnonzero(~present)
-        rows = np.concatenate([rows, missing])
-        cols = np.concatenate([cols, missing])
-        vals = np.concatenate([vals, np.full(len(missing), unit_diagonal_fill)])
-        lower = sp.coo_matrix((vals, (rows, cols)), shape=self.shape).tocsr()
+        lower = CSRMatrix.from_coo(
+            np.concatenate([rows, missing]),
+            np.concatenate([cols, missing]),
+            np.concatenate([vals, np.full(len(missing), unit_diagonal_fill)]),
+            self.shape,
+        )
         # Guard against zero diagonals that survived (explicit zeros).
-        dg = lower.diagonal()
-        zero = dg == 0.0
-        if zero.any():
-            lower = lower + sp.diags(np.where(zero, unit_diagonal_fill, 0.0))
-        return CSRMatrix.from_scipy(lower.tocsr())
+        return lower.fill_zero_diagonal(unit_diagonal_fill)
 
     # -- conversions -----------------------------------------------------------
+
+    @classmethod
+    def from_coo(
+        cls,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        shape: tuple[int, int],
+    ) -> "CSRMatrix":
+        """Assemble coordinate triples, summing duplicates by the rule in
+        the module docstring.
+
+        The arrays equal those of SciPy's ``coo_matrix((vals, (rows, cols)),
+        shape)`` after ``sum_duplicates()`` and ``tocsr()``. A stable sort
+        on ``row * n_cols + col`` gives the permutation SciPy's
+        ``np.lexsort`` gives, in about half the time, so the shape must have
+        at most 2**63 - 1 positions.
+        """
+        n_rows, n_cols = (int(d) for d in shape)
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError(f"matrix dimensions must be non-negative, got {shape}")
+        if n_rows * n_cols > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"shape {shape} has more positions than an int64 sort key can number"
+            )
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if len(rows) and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            raise ValueError(f"coordinate out of range for shape {shape}")
+        order = np.argsort(rows * n_cols + cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        first = np.flatnonzero(head)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[first], minlength=n_rows), out=indptr[1:])
+        return cls(
+            n_rows=n_rows,
+            n_cols=n_cols,
+            indptr=indptr,
+            indices=cols[first],
+            data=np.add.reduceat(vals[order], first),
+        )
 
     @classmethod
     def from_scipy(cls, m: sp.spmatrix) -> "CSRMatrix":
@@ -140,15 +215,25 @@ class CSRMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
-        return cls.from_scipy(sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
+        """The nonzero entries of a 2-D array (NaN counts as nonzero)."""
+        dense = np.asarray(dense, dtype=np.float64)
+        rows, cols = np.nonzero(dense)
+        return cls.from_coo(rows, cols, dense[rows, cols], dense.shape)
 
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
+        import scipy.sparse
+
+        return scipy.sparse.csr_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape
         )
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        # Accumulated in storage order onto zeros, as SciPy's ``toarray``
+        # does, so a stored -0.0 reads back as 0.0.
+        dense = np.zeros(self.shape)
+        rows, cols, vals = self.to_coo()
+        np.add.at(dense, (rows, cols), vals)
+        return dense
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"

@@ -13,8 +13,9 @@ Every generator takes an explicit ``seed`` and is reproducible.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparse.csr import CSRMatrix
 
@@ -31,15 +32,11 @@ FAMILIES = (
 )
 
 
-def _finalize(coo: sp.coo_matrix, *, ensure_diagonal: bool) -> CSRMatrix:
-    coo.sum_duplicates()
-    csr = coo.tocsr()
-    if ensure_diagonal:
-        dg = csr.diagonal()
-        missing = dg == 0.0
-        if missing.any():
-            csr = csr + sp.diags(np.where(missing, float(csr.shape[0]), 0.0))
-    return CSRMatrix.from_scipy(sp.csr_matrix(csr))
+def _finalize(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int, *, ensure_diagonal: bool
+) -> CSRMatrix:
+    csr = CSRMatrix.from_coo(rows, cols, vals, (n, n))
+    return csr.fill_zero_diagonal(float(n)) if ensure_diagonal else csr
 
 
 def banded(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: bool = True) -> CSRMatrix:
@@ -55,10 +52,7 @@ def banded(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: bool = Tr
     offsets = rng.integers(-half_band, half_band + 1, size=len(rows))
     cols = np.clip(rows + offsets, 0, n - 1)
     vals = rng.standard_normal(len(rows)) + 2.0
-    return _finalize(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-        ensure_diagonal=ensure_diagonal,
-    )
+    return _finalize(rows, cols, vals, n, ensure_diagonal=ensure_diagonal)
 
 
 def random_uniform(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: bool = True) -> CSRMatrix:
@@ -67,10 +61,7 @@ def random_uniform(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: b
     rows = rng.integers(0, n, size=nnz_target)
     cols = rng.integers(0, n, size=nnz_target)
     vals = rng.standard_normal(nnz_target) + 2.0
-    return _finalize(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-        ensure_diagonal=ensure_diagonal,
-    )
+    return _finalize(rows, cols, vals, n, ensure_diagonal=ensure_diagonal)
 
 
 def powerlaw(n: int, nnz_target: int, *, seed: int = 0, alpha: float = 2.1, ensure_diagonal: bool = True) -> CSRMatrix:
@@ -86,10 +77,7 @@ def powerlaw(n: int, nnz_target: int, *, seed: int = 0, alpha: float = 2.1, ensu
     rows = np.repeat(np.arange(n), degrees)
     cols = rng.integers(0, n, size=len(rows))
     vals = rng.standard_normal(len(rows)) + 2.0
-    return _finalize(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-        ensure_diagonal=ensure_diagonal,
-    )
+    return _finalize(rows, cols, vals, n, ensure_diagonal=ensure_diagonal)
 
 
 def block_diagonal(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: bool = True) -> CSRMatrix:
@@ -111,33 +99,37 @@ def block_diagonal(n: int, nnz_target: int, *, seed: int = 0, ensure_diagonal: b
     rows = np.concatenate(rows_l)
     cols = np.concatenate(cols_l)
     vals = rng.standard_normal(len(rows)) + 2.0
-    return _finalize(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-        ensure_diagonal=ensure_diagonal,
+    return _finalize(rows, cols, vals, n, ensure_diagonal=ensure_diagonal)
+
+
+def _laplacian(dims: tuple[int, ...]) -> CSRMatrix:
+    """Grid Laplacian shifted by 0.01: ``2 * len(dims) + 0.01`` on the
+    diagonal and -1 at each neighbour; the first axis varies fastest."""
+    n = math.prod(dims)
+    ids = np.arange(n)
+    rows, cols, vals = [ids], [ids], [np.full(n, 2.0 * len(dims) + 0.01)]
+    stride = 1
+    for size in dims:
+        coord = ids // stride % size
+        for step in (-1, 1):
+            src = ids[(coord + step >= 0) & (coord + step < size)]
+            rows.append(src)
+            cols.append(src + step * stride)
+            vals.append(np.full(len(src), -1.0))
+        stride *= size
+    return CSRMatrix.from_coo(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (n, n)
     )
 
 
 def grid2d(nx: int, ny: int | None = None, *, seed: int = 0) -> CSRMatrix:
     """5-point Laplacian on an nx-by-ny grid (SPD, diagonally dominant)."""
-    ny = ny or nx
-    ex = np.ones(nx)
-    ey = np.ones(ny)
-    tx = sp.diags([-ex[:-1], 2 * ex, -ex[:-1]], [-1, 0, 1])
-    ty = sp.diags([-ey[:-1], 2 * ey, -ey[:-1]], [-1, 0, 1])
-    lap = sp.kronsum(tx, ty).tocsr() + sp.identity(nx * ny) * 0.01
-    return CSRMatrix.from_scipy(sp.csr_matrix(lap))
+    return _laplacian((nx, ny or nx))
 
 
 def grid3d(nx: int, ny: int | None = None, nz: int | None = None, *, seed: int = 0) -> CSRMatrix:
     """7-point Laplacian on a 3-D grid."""
-    ny = ny or nx
-    nz = nz or nx
-    def lap1d(m: int) -> sp.spmatrix:
-        e = np.ones(m)
-        return sp.diags([-e[:-1], 2 * e, -e[:-1]], [-1, 0, 1])
-    lap = sp.kronsum(sp.kronsum(lap1d(nx), lap1d(ny)), lap1d(nz)).tocsr()
-    lap = lap + sp.identity(nx * ny * nz) * 0.01
-    return CSRMatrix.from_scipy(sp.csr_matrix(lap))
+    return _laplacian((nx, ny or nx, nz or nx))
 
 
 def tridiagonal(n: int, *, seed: int = 0) -> CSRMatrix:
@@ -145,9 +137,12 @@ def tridiagonal(n: int, *, seed: int = 0) -> CSRMatrix:
     rng = np.random.default_rng(seed)
     main = rng.random(n) + 3.0
     off = rng.random(n - 1) - 0.5
-    return CSRMatrix.from_scipy(
-        sp.csr_matrix(sp.diags([off, main, off], [-1, 0, 1]))
-    )
+    below = np.arange(n - 1)
+    rows = np.concatenate([below + 1, np.arange(n), below])
+    cols = np.concatenate([below, np.arange(n), below + 1])
+    vals = np.concatenate([off, main, off])
+    keep = vals != 0.0  # a band entry that draws exactly 0.0 is not stored
+    return CSRMatrix.from_coo(rows[keep], cols[keep], vals[keep], (n, n))
 
 
 def rmat(n: int, nnz_target: int, *, seed: int = 0, a: float = 0.57, b: float = 0.19, c: float = 0.19, ensure_diagonal: bool = True) -> CSRMatrix:
@@ -168,10 +163,7 @@ def rmat(n: int, nnz_target: int, *, seed: int = 0, a: float = 0.57, b: float = 
     rows %= n
     cols %= n
     vals = rng.standard_normal(nnz_target) + 2.0
-    return _finalize(
-        sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-        ensure_diagonal=ensure_diagonal,
-    )
+    return _finalize(rows, cols, vals, n, ensure_diagonal=ensure_diagonal)
 
 
 def generate(family: str, n: int, nnz_target: int, *, seed: int = 0) -> CSRMatrix:

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparse.csr import CSRMatrix
 
@@ -23,7 +22,7 @@ _HEADER = "%%MatrixMarket matrix coordinate {field} {symmetry}\n"
 
 def write_mm(matrix: CSRMatrix, dest: str | Path | TextIO, *, comment: str = "") -> None:
     """Write a CSR matrix in coordinate/real/general Matrix Market form."""
-    coo = matrix.to_scipy().tocoo()
+    rows, cols, vals = matrix.to_coo()
     own = isinstance(dest, (str, Path))
     fh: TextIO = open(dest, "w") if own else dest  # type: ignore[arg-type]
     try:
@@ -31,8 +30,8 @@ def write_mm(matrix: CSRMatrix, dest: str | Path | TextIO, *, comment: str = "")
         if comment:
             for line in comment.splitlines():
                 fh.write(f"%{line}\n")
-        fh.write(f"{matrix.n_rows} {matrix.n_cols} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
+        fh.write(f"{matrix.n_rows} {matrix.n_cols} {len(vals)}\n")
+        for r, c, v in zip(rows, cols, vals):
             fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
     finally:
         if own:
@@ -44,6 +43,10 @@ def read_mm(src: str | Path | TextIO) -> CSRMatrix:
 
     Supports ``real``/``integer``/``pattern`` fields and ``general``/
     ``symmetric``/``skew-symmetric`` symmetry (pattern entries become 1.0).
+    Duplicate coordinates are summed by :meth:`CSRMatrix.from_coo`'s rule
+    in file order, the mirrored entries of a symmetric file after every
+    written one; a sum that cancels stays stored as 0.0. An entry outside
+    the declared shape raises :class:`ValueError`.
     """
     own = isinstance(src, (str, Path))
     fh: TextIO = open(src) if own else src  # type: ignore[arg-type]
@@ -87,8 +90,7 @@ def read_mm(src: str | Path | TextIO) -> CSRMatrix:
         rows = np.concatenate([rows, mirror_rows])
         cols = np.concatenate([cols, mirror_cols])
         vals = np.concatenate([vals, mirror_vals])
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    return CSRMatrix.from_scipy(coo.tocsr())
+    return CSRMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
 
 
 def _read_entries(

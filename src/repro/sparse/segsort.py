@@ -10,7 +10,6 @@ the row-by-length ordering on top.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparse.csr import CSRMatrix
 
@@ -49,5 +48,7 @@ def order_rows_by_length(matrix: CSRMatrix, *, descending: bool = True) -> tuple
     """
     lengths = matrix.row_nnz()
     order = np.argsort(-lengths if descending else lengths, kind="stable")
-    permuted = matrix.to_scipy()[order]
-    return CSRMatrix.from_scipy(sp.csr_matrix(permuted)), order
+    new_row = np.empty_like(order)
+    new_row[order] = np.arange(len(order))
+    rows, cols, vals = matrix.to_coo()
+    return CSRMatrix.from_coo(new_row[rows], cols, vals, matrix.shape), order
