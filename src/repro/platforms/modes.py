@@ -13,6 +13,9 @@ how runs use it.
 
 from __future__ import annotations
 
+import functools
+
+from repro import telemetry
 from repro.platforms.broadwell import broadwell
 from repro.platforms.knl import knl
 from repro.platforms.skylake import skylake
@@ -49,13 +52,21 @@ def check_mode(platform: str, mode: str | None = None) -> tuple[str, ...]:
 def resolve(platform: str, mode: str) -> tuple[MachineSpec, dict[str, object]]:
     """The machine one (platform, mode) runs on, and its ``estimate()`` keywords.
 
-    Not memoized: each call builds its machine, and the factory records
-    the machine's spec on the open run manifest.
+    Each machine is built once per process and shared: specs are frozen.
+    Every call records the machine's spec on the open run manifest, as
+    the factories do, and returns a fresh keywords dict.
     """
     check_mode(platform, mode)
+    machine = _machine(platform, mode)
+    telemetry.note_platform(machine)
     if platform == "knl":
-        mcdram = McdramMode(mode)
-        return knl(mcdram), {"mcdram": mcdram}
-    edram = mode == "on"
+        return machine, {"mcdram": McdramMode(mode)}
+    return machine, {"edram": mode == "on"}
+
+
+@functools.lru_cache(maxsize=None)
+def _machine(platform: str, mode: str) -> MachineSpec:
+    if platform == "knl":
+        return knl(McdramMode(mode))
     factory = broadwell if platform == "broadwell" else skylake
-    return factory(edram=edram), {"edram": edram}
+    return factory(edram=mode == "on")

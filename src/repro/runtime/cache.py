@@ -29,8 +29,15 @@ stats update, and two stats updates cannot lose each other's counts.
 Reads take no lock, because every object is written to a temp file and
 ``os.replace``d into place, so a reader sees a whole object or none. An
 in-process LRU hot tier in front of the on-disk objects serves repeat
-hits without touching disk; ``put_hot`` fills only that tier, for an
-answer another process (a serve worker) has already stored.
+hits without touching disk.
+
+Which accessors copy: ``get``, ``get_payload`` and ``put_payload`` (and
+``put``) deep-copy between the caller and the hot tier, so a caller may
+mutate what it passed or got back. ``get_hot`` and ``put_hot`` are the
+serve app's: they touch only the hot tier, and share the payload object
+with it, uncopied, so their caller must treat it as read-only.
+``put_hot`` is for an answer another process (a serve shard) has already
+stored on disk.
 """
 
 from __future__ import annotations
@@ -105,8 +112,9 @@ class SharedResultCache:
 
     ``hot_capacity`` bounds the hot tier (entries; 0 disables it). Tier
     accounting (``hot_hits`` / ``disk_hits`` / ``misses``) is kept on
-    the instance; the serve app publishes it as ``serve.cache.*``
-    counters.
+    the instance: each lookup counts the tier that answered it, and
+    :meth:`count` counts an answer a serve shard found on disk or
+    computed. The serve app publishes it as ``serve.cache.*`` counters.
     """
 
     def __init__(
@@ -136,13 +144,21 @@ class SharedResultCache:
         """The JSON payload stored under ``key``, or None."""
         return self._lookup(key, lambda v: v if isinstance(v, dict) else None)
 
+    def get_hot(self, key: str) -> dict[str, Any] | None:
+        """The hot tier's payload for ``key``, uncopied (read-only), or
+        None; never touches disk. Counts a hit only."""
+        hot = self._hot.get(key)
+        if hot is not None:
+            self.count("hot")
+        return hot
+
     def _lookup(self, key: str, decode: Callable[[Any], Any]) -> Any | None:
         """``decode`` of the object's payload: hot tier, then disk."""
         hot = self._hot.get(key)
         if hot is not None:
-            value = decode(hot)
+            value = decode(copy.deepcopy(hot))
             if value is not None:
-                self._count("hot")
+                self.count("hot")
                 return value
         try:
             doc = json.loads(self._object_path(key).read_text(encoding="utf-8"))
@@ -155,13 +171,14 @@ class SharedResultCache:
         )
         value = None if raw is None else decode(raw)
         if value is None:
-            self._count("miss")
+            self.count("miss")
             return None
-        self._hot.put(key, raw)
-        self._count("disk")
+        self._keep_copy(key, raw)
+        self.count("disk")
         return value
 
-    def _count(self, tier: str) -> None:
+    def count(self, tier: str) -> None:
+        """Count one answer from ``tier``: ``hot``, ``disk`` or ``miss``."""
         with self._tier_lock:
             if tier == "hot":
                 self.hot_hits += 1
@@ -171,9 +188,13 @@ class SharedResultCache:
                 self.misses += 1
 
     def put_hot(self, key: str, payload: dict[str, Any]) -> None:
-        """Keep ``payload`` in the hot tier only; for an answer another
-        process has already stored on disk. Touches no disk."""
+        """Keep ``payload`` in the hot tier only, uncopied; for an answer
+        another process has already stored on disk. Touches no disk."""
         self._hot.put(key, payload)
+
+    def _keep_copy(self, key: str, payload: Any) -> None:
+        if self._hot.capacity:
+            self._hot.put(key, copy.deepcopy(payload))
 
     @property
     def hot_entries(self) -> int:
@@ -229,7 +250,7 @@ class SharedResultCache:
                     "payload": payload,
                 },
             )
-            self._hot.put(key, payload)
+            self._keep_copy(key, payload)
         return path
 
     def clear(self) -> int:
@@ -339,7 +360,8 @@ def file_lock(path: Path, *, timeout_s: float = 30.0) -> Iterator[None]:
 
 
 class _LruTier:
-    """Bounded in-process LRU of deep-copied JSON payloads (thread-safe)."""
+    """Bounded in-process LRU of JSON payloads (thread-safe). It keeps and
+    returns the objects it is given; :class:`SharedResultCache` copies."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -355,13 +377,13 @@ class _LruTier:
             if key not in self._entries:
                 return None
             self._entries.move_to_end(key)
-            return copy.deepcopy(self._entries[key])
+            return self._entries[key]
 
     def put(self, key: str, value: Any) -> None:
         if self.capacity == 0:
             return
         with self._lock:
-            self._entries[key] = copy.deepcopy(value)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -380,7 +402,8 @@ def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            # One dumps: json.dump streams through the pure-Python encoder.
+            fh.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -65,9 +65,27 @@ def _pool_worker(
     point verbatim (same envelope, same fault hooks, same collection).
     ``kind="advise"`` evaluates one canonical advisor query under the
     same collection scope; its fault hook is ``advise:<kernel>``.
-    With ``store``, a ``(cache dir, key)`` pair, the result is written
-    to the shared cache before the envelope is returned.
+
+    With ``store``, a ``(cache dir, key)`` pair, the worker owns the
+    shared cache's disk tier for that key. It reads the stored object
+    first; if there is one, the envelope carries it with ``disk_hit``
+    set, and nothing is evaluated, fault-hooked or written
+    (``duration_s`` is the read). Otherwise it evaluates and writes the
+    result before the envelope is returned, so a reply means a stored
+    answer. The batch scheduler passes no ``store``.
     """
+    cache = None
+    if store is not None:
+        root, key = store
+        cache = SharedResultCache(root, hot_capacity=0)
+        start = time.perf_counter()
+        stored = cache.get_payload(key)
+        if stored is not None:
+            return {
+                "duration_s": time.perf_counter() - start,
+                "result": stored,
+                "disk_hit": True,
+            }
     if kind == "experiment":
         envelope = scheduler._worker_run(payload, quick, ctx)
     elif kind == "advise":
@@ -85,11 +103,8 @@ def _pool_worker(
         }
     else:
         raise ValueError(f"unknown execution kind {kind!r}")
-    if store is not None:
-        root, key = store
-        SharedResultCache(root, hot_capacity=0).put_payload(
-            key, envelope["result"], kind=f"serve.{kind}"
-        )
+    if cache is not None:
+        cache.put_payload(key, envelope["result"], kind=f"serve.{kind}")
     return envelope
 
 

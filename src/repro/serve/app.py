@@ -4,14 +4,22 @@ Request path for ``POST /v1/advise``::
 
     parse HTTP → normalize query → cache key
         → batcher (identical key in flight → share its execution)
-        → claimed execution: shared cache (LRU hot tier → disk) [hit: answer]
-              → worker shard (by key) → engine evaluate → disk fill
+        → claimed execution: LRU hot tier, on the loop [hit: answer]
+              → worker shard (by key): disk tier [hit: reply]
+                    → engine evaluate → disk fill → reply
               → hot-tier fill → answer
+
+The server runs no helper thread: a hot hit is read synchronously on
+the event loop and answered without a copy (the hot tier's payload is
+shared and only read; ``meta`` goes on a new top-level dict). Everything
+else goes to the key's shard, which owns the disk tier: it answers a
+stored object without evaluating, and otherwise evaluates and writes
+the disk fill before it replies, so a miss's answer is stored before it
+is sent. The reply says which tier answered.
 
 The claim on a key covers its cache lookup, so a request that arrives
 while an identical one is looking up or executing shares that work; a
-later request reads the fill. The worker writes the disk fill before it
-replies, so a miss's answer is stored before it is sent.
+later request reads the fill.
 
 The answer body is byte-identical to the offline
 :func:`repro.serve.advisor.evaluate` output for the same normalized
@@ -100,24 +108,17 @@ class ServeApp:
     ) -> tuple[dict[str, Any], str]:
         """The claimed execution of one key; returns (result, cache tier).
 
-        Reads the cache; on a miss, runs the pool, whose worker stores
-        the result before it replies, and keeps the result in the hot
-        tier. Every request that coalesces onto this key shares the
-        outcome.
+        Answers a hot-tier hit on the loop. Otherwise runs the pool,
+        whose worker answers from disk or evaluates and stores the
+        result before it replies, and keeps the result in the hot tier.
+        Every request that coalesces onto this key shares the outcome,
+        which is read-only: it may be the hot tier's own object.
         """
         if self.cache is not None:
-            hot_before = self.cache.hot_hits
-            # Off the loop: a hot-tier miss falls through to a disk read.
-            cached = await asyncio.to_thread(self.cache.get_payload, key)
+            cached = self.cache.get_hot(key)
             if cached is not None:
-                hot = self.cache.hot_hits > hot_before
-                telemetry.counter(
-                    tm.METRIC_SERVE_CACHE_HOT
-                    if hot
-                    else tm.METRIC_SERVE_CACHE_DISK
-                ).inc()
-                return cached, "hot" if hot else "disk"
-        telemetry.counter(tm.METRIC_SERVE_CACHE_MISSES).inc()
+                telemetry.counter(tm.METRIC_SERVE_CACHE_HOT).inc()
+                return cached, "hot"
         envelope = await self.pool.run(
             job["kind"],
             job["payload"],
@@ -127,9 +128,16 @@ class ServeApp:
             parent_span_id=job.get("parent_span_id"),
         )
         result = envelope["result"]
+        tier = "disk" if envelope.get("disk_hit") else "miss"
+        telemetry.counter(
+            tm.METRIC_SERVE_CACHE_DISK
+            if tier == "disk"
+            else tm.METRIC_SERVE_CACHE_MISSES
+        ).inc()
         if self.cache is not None:
+            self.cache.count(tier)
             self.cache.put_hot(key, result)
-        return result, "miss"
+        return result, tier
 
     # -- routes ---------------------------------------------------------------
 

@@ -13,10 +13,13 @@ the batch scheduler. :class:`ServePool` adds what serving needs:
 * **Retries.** A worker lost mid-job, or an exception raised in it, is
   retried; a query past its deadline answers HTTP 503 and is not
   retried (a deterministic query that hung once will hang again).
-* **Stored answers.** Given a cache directory, the worker writes its
-  result to the shared cache (under the cache lock) before it replies,
-  so the server only keeps the answer in its hot tier and no helper
-  thread runs on a miss.
+* **Stored answers.** Given a cache directory, the worker owns the
+  shared cache's disk tier: it answers a stored object without
+  evaluating (the envelope's ``disk_hit``), and otherwise writes its
+  result to the cache (under the cache lock) before it replies. So the
+  server only reads and fills its in-process hot tier, and runs no
+  helper thread. A disk hit waits for its shard's lock, on the query's
+  deadline, as a miss does.
 * **Telemetry.** Each execution gets a manual-lifecycle
   ``serve.execute`` span; a :class:`~repro.telemetry.collect.TraceContext`
   rides to the worker, and the shipped spans/metrics are absorbed under
@@ -24,8 +27,8 @@ the batch scheduler. :class:`ServePool` adds what serving needs:
   rooted span tree exactly like a scheduled batch task.
 
 ``jobs=0`` runs executions inline (synchronously, on the caller's
-thread) with the same collection scope and the same cache write — the
-test-and-debug mode.
+thread) with the same collection scope and the same disk read and
+write — the test-and-debug mode.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ def _open_execute_span(
 class ServePool(WorkerPool):
     """``jobs`` key-routed worker shards with a deadline and bounded retry.
 
-    ``store`` is the cache directory each execution writes its result to
-    before replying (``None``: results are not stored).
+    ``store`` is the cache directory each execution first reads its
+    key from and otherwise writes its result to before replying
+    (``None``: nothing is read or stored).
     """
 
     def __init__(

@@ -31,7 +31,11 @@ if TYPE_CHECKING:
 
 @dataclasses.dataclass
 class CSRMatrix:
-    """CSR sparse matrix (double values, int32 indices)."""
+    """CSR sparse matrix (double values, int32 indices).
+
+    Rows are canonical: construction raises :class:`ValueError`, naming
+    the first bad row, unless each row's column ids strictly increase.
+    """
 
     n_rows: int
     n_cols: int
@@ -55,6 +59,18 @@ class CSRMatrix:
             self.indices.min() < 0 or self.indices.max() >= self.n_cols
         ):
             raise ValueError("column index out of range")
+        # One pass: each step within a row must raise the column id; the
+        # steps across a row boundary are exempt.
+        rising = np.diff(self.indices) > 0
+        starts = self.indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < len(self.indices))] - 1] = True
+        if not rising.all():
+            k = int(np.argmin(rising)) + 1
+            row = int(np.searchsorted(self.indptr, k, side="right")) - 1
+            raise ValueError(
+                f"row {row}: column ids must increase within a row "
+                "(one repeats or decreases)"
+            )
 
     # -- properties ----------------------------------------------------------
 

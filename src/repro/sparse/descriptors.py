@@ -133,12 +133,16 @@ def from_params(
 
     ``jitter`` in [0, 1) perturbs the priors deterministically from the
     seed, so a collection of same-family matrices is not artificially
-    uniform.
+    uniform. At ``jitter=0`` the wiggle is exactly 1.0, so no random
+    numbers are drawn (nor ``numpy.random`` imported).
     """
     loc_base = _FAMILY_LOCALITY[family]
     par_base = default_parallelism(family, n_rows, nnz / max(1, n_rows))
-    rng = np.random.default_rng(seed)
-    wiggle = 1.0 + jitter * (rng.random(2) * 2.0 - 1.0)
+    if jitter:
+        rng = np.random.default_rng(seed)
+        wiggle = 1.0 + jitter * (rng.random(2) * 2.0 - 1.0)
+    else:
+        wiggle = np.ones(2)
     locality = float(np.clip(loc_base * wiggle[0], 0.0, 1.0))
     parallelism = max(1.0, par_base * wiggle[1])
     return MatrixDescriptor(

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro import telemetry
 from repro.platforms import (
     ALL_EDRAM_MODES,
     ALL_MCDRAM_MODES,
@@ -219,6 +220,24 @@ class TestResolve:
         assert resolve("skylake", "off") == (skylake(edram=False), {"edram": False})
         for mode in McdramMode:
             assert resolve("knl", mode.value) == (knl(mode), {"mcdram": mode})
+
+    def test_each_machine_is_built_once_and_keywords_are_fresh(self):
+        for platform, modes in MODES.items():
+            for mode in modes:
+                machine, kwargs = resolve(platform, mode)
+                again, kwargs_again = resolve(platform, mode)
+                assert again is machine
+                assert kwargs_again == kwargs and kwargs_again is not kwargs
+
+    def test_a_manifest_opened_after_the_first_call_lists_the_machine(self):
+        machine, _ = resolve("knl", "flat")
+        with telemetry.session():
+            manifest = telemetry.start_manifest("probe", quick=True)
+            assert resolve("knl", "flat")[0] is machine
+            telemetry.finish_manifest(manifest)
+        assert manifest.platform_spec_hashes == {
+            machine.name: [telemetry.platform_spec_hash(machine)]
+        }
 
     def test_opm_present_exactly_when_powered(self):
         """An eDRAM that is off is physically absent; MCDRAM never is."""

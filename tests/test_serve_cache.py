@@ -7,9 +7,11 @@ import threading
 
 import pytest
 
+from repro.experiments import run as run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.runtime import file_lock
-from repro.runtime.cache import SCHEMA_VERSION, SharedResultCache
+from repro.runtime.cache import SCHEMA_VERSION, SharedResultCache, _atomic_write_json
+from repro.serve import advisor
 
 PAYLOAD = {"schema": 1, "winner": {"platform": "knl", "mode": "cache"}}
 
@@ -206,6 +208,26 @@ class TestHotTier:
         cache = SharedResultCache(tmp_path)
         assert cache.get_payload("9" * 64) is None
         assert cache.misses == 1
+
+
+# -- object files -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: advisor.advise({"kernel": "spmv", "params": {"n_rows": 4096}}),
+        lambda: run_experiment("table2", quick=True).as_dict(),
+        lambda: {"machine": "Xeon Phi™ 7210 — MCDRAM ≥ 16 GiB", "日本": ["café", "✓"]},
+    ],
+    ids=["advise", "experiment", "non-ascii"],
+)
+def test_object_bytes_equal_json_dump(tmp_path, make):
+    payload = make()
+    _atomic_write_json(tmp_path / "written.json", payload)
+    with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert (tmp_path / "written.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
 
 # -- stats hardening ----------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import asyncio
 import json
-import threading
 
 import pytest
 
@@ -309,35 +308,28 @@ class TestCoalescing:
         assert len(bodies) == 1  # every waiter got the identical answer
 
     def test_late_miss_joins_the_claimed_execution(self, tmp_path):
-        """A request whose lookup missed, but that is still in flight when
-        an identical request arrives, executes once for both of them."""
+        """A request whose hot lookup missed, but that is still in flight
+        when an identical request arrives, executes once for both of them."""
 
         async def go():
             async with _Server(tmp_path) as s:
-                missed, release = threading.Event(), threading.Event()
-                get_payload, pool_run = s.app.cache.get_payload, s.app.pool.run
-                lookups = runs = 0
+                missed, release = asyncio.Event(), asyncio.Event()
+                pool_run = s.app.pool.run
+                runs = 0
 
-                def held_get_payload(key):
-                    nonlocal lookups
-                    lookups += 1
-                    payload = get_payload(key)
-                    if lookups == 1:  # hold the first request after its miss
-                        missed.set()
-                        release.wait(10)
-                    return payload
-
-                async def counted_run(*args, **kwargs):
+                async def held_run(*args, **kwargs):
                     nonlocal runs
                     runs += 1
+                    if runs == 1:  # hold the first request after its miss
+                        missed.set()
+                        await asyncio.wait_for(release.wait(), 10)
                     return await pool_run(*args, **kwargs)
 
-                s.app.cache.get_payload = held_get_payload
-                s.app.pool.run = counted_run
+                s.app.pool.run = held_run
                 first = asyncio.create_task(
                     s.client.request("POST", "/v1/advise", STREAM_QUERY)
                 )
-                assert await asyncio.to_thread(missed.wait, 10)
+                assert await asyncio.wait_for(missed.wait(), 10)
                 other = Client("127.0.0.1", s.port)
                 await other.connect()
                 second = asyncio.create_task(

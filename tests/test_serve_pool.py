@@ -14,7 +14,8 @@ import threading
 
 import pytest
 
-from repro.runtime import faults, pool as worker_pool
+from repro.experiments import run as run_experiment
+from repro.runtime import SharedResultCache, faults, pool as worker_pool, run_batch
 from repro.serve import advisor, pool
 from repro.serve.bench import Client
 from tests.test_serve_http import _Server as _InlineServer
@@ -140,6 +141,72 @@ class TestStoredAnswers:
         assert object_path(tmp_path / "inline", key).exists()
         run(go(tmp_path / "none", no_cache=True))
         assert not (tmp_path / "none").exists()
+
+
+class TestNoHelperThread:
+    """The server answers every tier without a helper thread: hot hits on
+    the event loop, disk hits and misses in the key's shard."""
+
+    @pytest.mark.parametrize("jobs", [1, 0])
+    def test_every_tier_is_served_without_a_thread(self, tmp_path, jobs, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        run_batch(["table2"], cache=SharedResultCache(cache_dir))
+        handed_off = []
+
+        def refuse(*args, **kwargs):
+            handed_off.append(args)
+            raise AssertionError("the server handed work to a thread")
+
+        monkeypatch.setattr(asyncio, "to_thread", refuse)
+
+        async def go(requests):
+            loop = asyncio.get_running_loop()
+            loop.run_in_executor = refuse
+            threads = threading.active_count()
+            async with _Server(tmp_path, jobs=jobs, timeout_s=10.0) as s:
+                answers = []
+                for route, body in requests:
+                    status, payload = await s.client.request("POST", route, body)
+                    assert status == 200, payload
+                    answers.append((payload.pop("meta")["cache"], payload))
+                _, metrics = await s.client.request("GET", "/metrics")
+            assert threading.active_count() == threads
+            assert loop._default_executor is None
+            return answers, metrics["serve"]["cache"]
+
+        advise = ("/v1/advise", STREAM_QUERY)
+        experiment = ("/v1/experiment", {"experiment": "table2"})
+        answers, counts = run(go([advise, advise, experiment]))
+        assert [tier for tier, _ in answers] == ["miss", "hot", "disk"]
+        assert answers[0][1] == answers[1][1] == advisor.advise(STREAM_QUERY)
+        assert answers[2][1] == json.loads(
+            json.dumps(run_experiment("table2", quick=True).as_dict())
+        )
+        assert counts == {"hot_hits": 1, "disk_hits": 1, "misses": 1, "hot_entries": 2}
+        (restarted,), counts = run(go([advise]))  # a fresh app, same cache dir
+        assert restarted == ("disk", answers[0][1])
+        assert counts == {"hot_hits": 0, "disk_hits": 1, "misses": 0, "hot_entries": 1}
+        assert handed_off == []
+
+    def test_hot_entry_is_the_offline_answer_without_meta(self, tmp_path):
+        async def go():
+            async with _Server(tmp_path) as s:
+                tiers = []
+                for _ in range(3):
+                    status, payload = await s.client.request(
+                        "POST", "/v1/advise", STREAM_QUERY
+                    )
+                    assert status == 200
+                    tiers.append(payload["meta"]["cache"])
+                key = payload["meta"]["key"]
+                _, metrics = await s.client.request("GET", "/metrics")
+                return tiers, s.app.cache.get_hot(key), metrics["serve"]["cache"]
+
+        tiers, entry, counts = run(go())
+        assert tiers == ["miss", "hot", "hot"]
+        assert "meta" not in entry
+        assert entry == advisor.evaluate(advisor.normalize(STREAM_QUERY))
+        assert counts == {"hot_hits": 2, "disk_hits": 0, "misses": 1, "hot_entries": 1}
 
 
 class TestShardFailures:

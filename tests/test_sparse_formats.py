@@ -6,7 +6,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import CSCMatrix, CSRMatrix, decode, encode, spmv_csr5
+from repro.kernels.sptrans import merge_trans, scan_trans
+from repro.sparse import (
+    FAMILIES,
+    CSCMatrix,
+    CSRMatrix,
+    decode,
+    encode,
+    generate,
+    order_rows_by_length,
+    read_mm,
+    spmv_csr5,
+    write_mm,
+)
 from repro.sparse.csr5 import _transpose_order
 
 
@@ -58,6 +70,50 @@ class TestCSR:
                 indices=np.array([0, 5]),
                 data=np.array([1.0, 2.0]),
             )
+
+    @pytest.mark.parametrize(
+        "indptr,indices,row",
+        [
+            ([0, 3, 4], [0, 0, 0, 2], 0),  # a repeated column
+            ([0, 1, 3], [1, 2, 0], 1),  # a decreasing row
+            ([0, 0, 1, 1, 3, 3], [2, 1, 1], 3),  # empty rows around it
+        ],
+    )
+    def test_validation_rejects_a_non_canonical_row(self, indptr, indices, row):
+        with pytest.raises(ValueError, match=f"^row {row}: column ids must increase"):
+            CSRMatrix(
+                n_rows=len(indptr) - 1,
+                n_cols=3,
+                indptr=np.array(indptr),
+                indices=np.array(indices),
+                data=np.ones(len(indices)),
+            )
+
+    def test_validation_accepts_empty_rows_and_row_boundaries(self):
+        m = CSRMatrix(
+            n_rows=5,
+            n_cols=3,
+            indptr=np.array([0, 0, 2, 2, 3, 3]),
+            indices=np.array([1, 2, 0]),  # 2 -> 0 crosses a row boundary
+            data=np.ones(3),
+        )
+        assert m.row_nnz().tolist() == [0, 2, 0, 1, 0]
+        assert CSRMatrix(0, 0, np.array([0]), np.array([]), np.array([])).nnz == 0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_constructor_builds_canonical_rows(self, family, tmp_path):
+        """Each in-tree way to make a CSR passes the construction check."""
+        m = generate(family, 300, 4000, seed=11)  # from_coo
+        lower = m.lower_triangle()
+        transposed = [t(m).as_transposed_csr() for t in (scan_trans, merge_trans)]
+        assert transposed[0].to_dense().tobytes() == m.to_dense().T.tobytes()
+        assert all(np.array_equal(t.indices, transposed[0].indices) for t in transposed)
+        decoded = decode(encode(m))
+        assert np.array_equal(decoded.indices, m.indices)
+        ordered, _ = order_rows_by_length(m)
+        write_mm(lower, tmp_path / "m.mtx")
+        assert np.array_equal(read_mm(tmp_path / "m.mtx").indices, lower.indices)
+        assert ordered.nnz == m.nnz
 
     def test_diagonal(self):
         dense = np.array([[1.0, 2.0], [0.0, 0.0]])

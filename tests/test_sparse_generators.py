@@ -1,5 +1,7 @@
 """Synthetic matrix generators, descriptors and the 968-matrix collection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.sparse import (
     MIN_NNZ,
     MatrixDescriptor,
     build_collection,
+    default_locality,
     default_parallelism,
     footprint_mb,
     from_matrix,
@@ -88,6 +91,34 @@ class TestDescriptors:
         assert 0.0 <= d.locality <= 1.0
         assert 1.0 <= d.parallelism <= d.n_rows
         assert d.footprint_bytes == 12 * d.nnz + 20 * d.n_rows
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_from_params_without_jitter_equals_the_seeded_formula(self, family):
+        """At ``jitter=0`` no random number is drawn; each field equals,
+        value and type, what the seeded wiggle (exactly 1.0) gives."""
+        for n_rows, nnz, seed in (
+            (64, 300, 0),
+            (10_000, 200_000, 7),
+            (1_000_000, 20_000_000, 2),
+            (20_000_000, 300_000_000, 1),
+        ):
+            got = from_params("x", family, n_rows, nnz, seed=seed)
+            rng = np.random.default_rng(seed)
+            wiggle = 1.0 + 0.0 * (rng.random(2) * 2.0 - 1.0)
+            par_base = default_parallelism(family, n_rows, nnz / max(1, n_rows))
+            parallelism = max(1.0, par_base * wiggle[1])
+            want = MatrixDescriptor(
+                name="x",
+                family=family,
+                n_rows=n_rows,
+                nnz=nnz,
+                seed=seed,
+                locality=float(np.clip(default_locality(family) * wiggle[0], 0.0, 1.0)),
+                parallelism=min(parallelism, float(n_rows)),
+            )
+            fields = dataclasses.astuple(got), dataclasses.astuple(want)
+            assert fields[0] == fields[1]
+            assert [type(v) for v in fields[0]] == [type(v) for v in fields[1]]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -168,14 +168,16 @@ class TestConversions:
         assert_same(CSRMatrix.from_dense(dense), sparse_oracle.from_dense(dense))
 
     def test_to_dense_equals_scipy(self):
-        dup = CSRMatrix(
+        # Rows hold no repeated column (construction rejects one), so only
+        # the stored -0.0 tells accumulation from assignment.
+        signed = CSRMatrix(
             n_rows=2,
             n_cols=3,
-            indptr=np.array([0, 4, 5]),
-            indices=np.array([0, 0, 0, 2, 1]),
-            data=np.array([1e16, 1.0, -1e16, -0.0, 2.5]),
+            indptr=np.array([0, 3, 5]),
+            indices=np.array([0, 1, 2, 0, 1]),
+            data=np.array([1e16, -0.0, -1e16, 1.0, 2.5]),
         )
-        for m in (dup, generate("random", 97, 1500, seed=3)):
+        for m in (signed, generate("random", 97, 1500, seed=3)):
             assert m.to_dense().tobytes() == sparse_oracle.to_dense(m).tobytes()
 
     @pytest.mark.parametrize("family", FAMILIES)

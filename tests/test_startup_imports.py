@@ -8,9 +8,15 @@ NumPy, and scipy is imported only by ``to_scipy()``, the kernels'
 ``validate()`` oracles and the Cholesky TRSM, when they run. The child
 reports the scipy modules in ``sys.modules`` at the points a process
 reaches: the registry loaded (as perfbench's batch child loads it before
-it reports ready), the serve application imported, Figure 1, ext4 and
-ext5 run (they build ``random_uniform``, ``banded`` and all eight
-families with their lower triangles), and a sparse ``advise`` answered.
+it reports ready), the serve application imported, three sparse
+``advise`` queries answered (as a serve shard answers them, before any
+experiment runs), and Figure 1, ext4 and ext5 run (they build
+``random_uniform``, ``banded`` and all eight families with their lower
+triangles).
+
+It also reports whether ``numpy.random`` (15 modules, ~10 ms) is loaded.
+The advisor's sparse descriptors use no jitter, so serving them draws no
+random numbers and must not import it; the experiments do draw some.
 """
 
 import json
@@ -28,31 +34,33 @@ HEAVY = ("scipy.stats", "scipy.linalg")
 CHILD = """
 import json, sys
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen, rng = {}, {}
 
-seen = {}
+def note(point):
+    seen[point] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    rng[point] = "numpy.random" in sys.modules
+
 from repro import runtime
 from repro.experiments import registry
 registry.all_experiments()
-seen["registry"] = loaded()
+note("registry")
 import repro.serve.app
-seen["serve"] = loaded()
-for experiment_id in ("fig1", "ext4", "ext5"):
-    registry.run(experiment_id, quick=True)
-    seen[experiment_id] = loaded()
+note("serve")
 from repro.serve import advisor
 for kernel in ("spmv", "sptrans", "sptrsv"):
     advisor.advise({"kernel": kernel, "params": {"n_rows": 4096, "family": "banded"}})
-seen["advise"] = loaded()
-print(json.dumps(seen))
+note("advise")
+for experiment_id in ("fig1", "ext4", "ext5"):
+    registry.run(experiment_id, quick=True)
+    note(experiment_id)
+print(json.dumps({"scipy": seen, "numpy.random": rng}))
 """
 
-POINTS = ["registry", "serve", "fig1", "ext4", "ext5", "advise"]
+POINTS = ["registry", "serve", "advise", "fig1", "ext4", "ext5"]
 
 
 @pytest.fixture(scope="module")
-def seen():
+def child():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -69,6 +77,11 @@ def seen():
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def seen(child):
+    return child["scipy"]
+
+
 def test_registry_serve_and_fig1_import_neither_stats_nor_linalg(seen):
     for point in ("registry", "serve", "fig1"):
         assert [m for m in HEAVY if m in seen[point]] == [], point
@@ -76,3 +89,12 @@ def test_registry_serve_and_fig1_import_neither_stats_nor_linalg(seen):
 
 def test_no_scipy_module_at_start_up_or_after_sparse_work(seen):
     assert seen == {point: [] for point in POINTS}
+
+
+def test_serving_sparse_advice_imports_no_numpy_random(child):
+    loaded = child["numpy.random"]
+    assert {p: loaded[p] for p in ("registry", "serve", "advise")} == {
+        "registry": False,
+        "serve": False,
+        "advise": False,
+    }
