@@ -11,7 +11,9 @@ that makes re-running it cheap:
   of serialized results under ``~/.cache/opm-repro`` (or
   ``$OPM_REPRO_CACHE_DIR``); unchanged experiments replay in
   milliseconds. One class, :class:`SharedResultCache`, whose every
-  mutation holds one lock file, serves batches and the advisor alike.
+  mutation holds one lock file, serves batches and the advisor's shards
+  alike. It keeps nothing in memory; the advisor server keeps its own
+  hot tier.
 * **Journal** (:mod:`repro.runtime.journal`) — append-only JSONL task
   log; an interrupted batch resumes with ``--resume <journal>``.
 * **Scheduler** (:mod:`repro.runtime.scheduler`) — runs tasks inline, or

@@ -21,35 +21,27 @@ instead of tracebacking.
 
 One class, :class:`SharedResultCache`, serves the batch scheduler,
 ``report``, the ``cache`` subcommands and the :mod:`repro.serve`
-service, so concurrent batches, serve workers and ``cache clear`` can
+shards, so concurrent batches, serve workers and ``cache clear`` can
 share one directory. Every mutation (``put``, ``put_payload``,
 ``clear``, ``record_run``) holds the one cache-wide lock file,
 ``cache.lock``, around its own writes: a clear cannot interleave with a
 stats update, and two stats updates cannot lose each other's counts.
 Reads take no lock, because every object is written to a temp file and
-``os.replace``d into place, so a reader sees a whole object or none. An
-in-process LRU hot tier in front of the on-disk objects serves repeat
-hits without touching disk.
+``os.replace``d into place, so a reader sees a whole object or none.
 
-Which accessors copy: ``get``, ``get_payload`` and ``put_payload`` (and
-``put``) deep-copy between the caller and the hot tier, so a caller may
-mutate what it passed or got back. ``get_hot`` and ``put_hot`` are the
-serve app's: they touch only the hot tier, and share the payload object
-with it, uncopied, so their caller must treat it as read-only.
-``put_hot`` is for an answer another process (a serve shard) has already
-stored on disk.
+The cache keeps nothing in memory: every read decodes the object file,
+so it returns a fresh object its caller may mutate. The advisor server
+keeps its own hot tier of answers in front of the shards
+(:mod:`repro.serve.app`).
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import copy
 import dataclasses
 import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
@@ -108,24 +100,10 @@ class CacheStats:
 
 
 class SharedResultCache:
-    """Filesystem-backed, content-addressed store with an LRU hot tier.
+    """Filesystem-backed, content-addressed store; keeps nothing in memory."""
 
-    ``hot_capacity`` bounds the hot tier (entries; 0 disables it). Tier
-    accounting (``hot_hits`` / ``disk_hits`` / ``misses``) is kept on
-    the instance: each lookup counts the tier that answered it, and
-    :meth:`count` counts an answer a serve shard found on disk or
-    computed. The serve app publishes it as ``serve.cache.*`` counters.
-    """
-
-    def __init__(
-        self, root: str | Path | None = None, *, hot_capacity: int = 256
-    ) -> None:
+    def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self._hot = _LruTier(hot_capacity)
-        self._tier_lock = threading.Lock()
-        self.hot_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
 
     @property
     def _lock_path(self) -> Path:
@@ -144,61 +122,16 @@ class SharedResultCache:
         """The JSON payload stored under ``key``, or None."""
         return self._lookup(key, lambda v: v if isinstance(v, dict) else None)
 
-    def get_hot(self, key: str) -> dict[str, Any] | None:
-        """The hot tier's payload for ``key``, uncopied (read-only), or
-        None; never touches disk. Counts a hit only."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            self.count("hot")
-        return hot
-
     def _lookup(self, key: str, decode: Callable[[Any], Any]) -> Any | None:
-        """``decode`` of the object's payload: hot tier, then disk."""
-        hot = self._hot.get(key)
-        if hot is not None:
-            value = decode(copy.deepcopy(hot))
-            if value is not None:
-                self.count("hot")
-                return value
+        """``decode`` of the stored object's payload, or None."""
         try:
             doc = json.loads(self._object_path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            doc = None
-        raw = (
-            doc.get("payload")
-            if isinstance(doc, dict) and doc.get("schema") == SCHEMA_VERSION
-            else None
-        )
-        value = None if raw is None else decode(raw)
-        if value is None:
-            self.count("miss")
             return None
-        self._keep_copy(key, raw)
-        self.count("disk")
-        return value
-
-    def count(self, tier: str) -> None:
-        """Count one answer from ``tier``: ``hot``, ``disk`` or ``miss``."""
-        with self._tier_lock:
-            if tier == "hot":
-                self.hot_hits += 1
-            elif tier == "disk":
-                self.disk_hits += 1
-            else:
-                self.misses += 1
-
-    def put_hot(self, key: str, payload: dict[str, Any]) -> None:
-        """Keep ``payload`` in the hot tier only, uncopied; for an answer
-        another process has already stored on disk. Touches no disk."""
-        self._hot.put(key, payload)
-
-    def _keep_copy(self, key: str, payload: Any) -> None:
-        if self._hot.capacity:
-            self._hot.put(key, copy.deepcopy(payload))
-
-    @property
-    def hot_entries(self) -> int:
-        return len(self._hot)
+        if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
+            return None
+        raw = doc.get("payload")
+        return None if raw is None else decode(raw)
 
     def entries(self) -> list[Path]:
         objects = self.root / "objects"
@@ -250,15 +183,17 @@ class SharedResultCache:
                     "payload": payload,
                 },
             )
-            self._keep_copy(key, payload)
         return path
 
     def clear(self) -> int:
-        """Delete every cached object and the stats file; returns count."""
+        """Delete every cached object and the stats file; returns the
+        object count. Temp objects left by writers killed mid-write go
+        too (under the lock no writer is live); temp files in ``root``
+        itself stay, as ``--cache-dir`` may be shared with others."""
         with file_lock(self._lock_path):
-            self._hot.clear()
             entries = self.entries()
-            for path in [*entries, self.root / "stats.json"]:
+            orphans = (self.root / "objects").glob("*/*.tmp")
+            for path in [*entries, *orphans, self.root / "stats.json"]:
                 with contextlib.suppress(OSError):
                     path.unlink()
         return len(entries)
@@ -357,44 +292,6 @@ def file_lock(path: Path, *, timeout_s: float = 30.0) -> Iterator[None]:
         os.close(fd)
         with contextlib.suppress(OSError):
             os.unlink(sidecar)
-
-
-class _LruTier:
-    """Bounded in-process LRU of JSON payloads (thread-safe). It keeps and
-    returns the objects it is given; :class:`SharedResultCache` copies."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError(f"hot_capacity must be >= 0, got {capacity}")
-        self.capacity = capacity
-        self._entries: collections.OrderedDict[str, Any] = (
-            collections.OrderedDict()
-        )
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Any | None:
-        with self._lock:
-            if key not in self._entries:
-                return None
-            self._entries.move_to_end(key)
-            return self._entries[key]
-
-    def put(self, key: str, value: Any) -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:

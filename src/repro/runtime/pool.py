@@ -67,17 +67,17 @@ def _pool_worker(
     same collection scope; its fault hook is ``advise:<kernel>``.
 
     With ``store``, a ``(cache dir, key)`` pair, the worker owns the
-    shared cache's disk tier for that key. It reads the stored object
-    first; if there is one, the envelope carries it with ``disk_hit``
-    set, and nothing is evaluated, fault-hooked or written
-    (``duration_s`` is the read). Otherwise it evaluates and writes the
-    result before the envelope is returned, so a reply means a stored
-    answer. The batch scheduler passes no ``store``.
+    disk store for that key (the server keeps the hot tier). It reads
+    the stored object first; if there is one, the envelope carries it
+    with ``disk_hit`` set, and nothing is evaluated, fault-hooked or
+    written (``duration_s`` is the read). Otherwise it evaluates and
+    writes the result before the envelope is returned, so a reply means
+    a stored answer. The batch scheduler passes no ``store``.
     """
     cache = None
     if store is not None:
         root, key = store
-        cache = SharedResultCache(root, hot_capacity=0)
+        cache = SharedResultCache(root)
         start = time.perf_counter()
         stored = cache.get_payload(key)
         if stored is not None:

@@ -9,13 +9,14 @@ Request path for ``POST /v1/advise``::
                     → engine evaluate → disk fill → reply
               → hot-tier fill → answer
 
-The server runs no helper thread: a hot hit is read synchronously on
-the event loop and answered without a copy (the hot tier's payload is
-shared and only read; ``meta`` goes on a new top-level dict). Everything
-else goes to the key's shard, which owns the disk tier: it answers a
-stored object without evaluating, and otherwise evaluates and writes
-the disk fill before it replies, so a miss's answer is stored before it
-is sent. The reply says which tier answered.
+The server runs no helper thread, and owns the hot tier: an LRU of
+answers that only the claimed execution reads and fills, on the event
+loop. A hot hit is answered without a copy (the entry is shared and
+only read; ``meta`` goes on a new top-level dict). Everything else goes
+to the key's shard, which owns the disk store: it answers a stored
+object without evaluating, and otherwise evaluates and writes the disk
+fill before it replies, so a miss's answer is stored before it is sent.
+The reply says which tier answered.
 
 The claim on a key covers its cache lookup, so a request that arrives
 while an identical one is looking up or executing shares that work; a
@@ -39,13 +40,14 @@ asyncio handlers interleave many requests on one thread, which a
 from __future__ import annotations
 
 import asyncio
+import collections
 import dataclasses
 import time
 from pathlib import Path
 from typing import Any
 
 from repro import telemetry
-from repro.runtime.cache import SharedResultCache
+from repro.runtime.cache import default_cache_dir
 from repro.serve import advisor
 from repro.serve.batcher import Batcher
 from repro.serve.http import (
@@ -57,6 +59,9 @@ from repro.serve.http import (
 )
 from repro.serve.pool import PoolError, PoolTimeout, ServePool
 from repro.telemetry import collect, names as tm
+
+#: Answers the hot tier keeps; past it the least recently used goes.
+HOT_CAPACITY = 256
 
 
 @dataclasses.dataclass
@@ -84,17 +89,24 @@ class ServeApp:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.cache: SharedResultCache | None = (
+        #: The shards' cache directory; None under ``--no-cache``.
+        self.store: Path | None = (
             None
             if self.config.no_cache
-            else SharedResultCache(self.config.cache_dir)
+            else Path(self.config.cache_dir or default_cache_dir())
         )
         self.pool = ServePool(
             self.config.jobs,
             timeout_s=self.config.timeout_s,
             retries=self.config.retries,
-            store=None if self.cache is None else self.cache.root,
+            store=self.store,
         )
+        #: The hot tier: key -> answer, least recently used first.
+        self.hot: collections.OrderedDict[str, dict[str, Any]] = (
+            collections.OrderedDict()
+        )
+        #: Answered executions by cache tier: hot, disk or miss.
+        self.tiers: collections.Counter[str] = collections.Counter()
         self.batcher = Batcher(self._execute)
         self.trace_id = collect.new_trace_id()
         self.started_unix_s = time.time()
@@ -108,17 +120,19 @@ class ServeApp:
     ) -> tuple[dict[str, Any], str]:
         """The claimed execution of one key; returns (result, cache tier).
 
-        Answers a hot-tier hit on the loop. Otherwise runs the pool,
-        whose worker answers from disk or evaluates and stores the
-        result before it replies, and keeps the result in the hot tier.
-        Every request that coalesces onto this key shares the outcome,
-        which is read-only: it may be the hot tier's own object.
+        Answers a hot-tier hit on the loop, as the most recently used
+        entry. Otherwise runs the pool, whose worker answers from disk
+        or evaluates and stores the result before it replies, and keeps
+        the result in the hot tier. Every request that coalesces onto
+        this key shares the outcome, which is read-only: it may be the
+        hot tier's own object.
         """
-        if self.cache is not None:
-            cached = self.cache.get_hot(key)
-            if cached is not None:
-                telemetry.counter(tm.METRIC_SERVE_CACHE_HOT).inc()
-                return cached, "hot"
+        cached = self.hot.get(key)
+        if cached is not None:
+            self.hot.move_to_end(key)
+            self.tiers["hot"] += 1
+            telemetry.counter(tm.METRIC_SERVE_CACHE_HOT).inc()
+            return cached, "hot"
         envelope = await self.pool.run(
             job["kind"],
             job["payload"],
@@ -129,14 +143,16 @@ class ServeApp:
         )
         result = envelope["result"]
         tier = "disk" if envelope.get("disk_hit") else "miss"
+        self.tiers[tier] += 1
         telemetry.counter(
             tm.METRIC_SERVE_CACHE_DISK
             if tier == "disk"
             else tm.METRIC_SERVE_CACHE_MISSES
         ).inc()
-        if self.cache is not None:
-            self.cache.count(tier)
-            self.cache.put_hot(key, result)
+        if self.store is not None:
+            self.hot[key] = result
+            if len(self.hot) > HOT_CAPACITY:
+                self.hot.popitem(last=False)
         return result, tier
 
     # -- routes ---------------------------------------------------------------
@@ -169,7 +185,7 @@ class ServeApp:
             "status": "ok",
             "uptime_s": time.time() - self.started_unix_s,
             "jobs": self.config.jobs,
-            "cache": self.cache is not None,
+            "cache": self.store is not None,
         }
 
     def _metrics(self) -> dict[str, Any]:
@@ -185,12 +201,12 @@ class ServeApp:
             "dispatched": self.batcher.dispatched,
             "pool_recycles": self.pool.recycles,
         }
-        if self.cache is not None:
+        if self.store is not None:
             serve["cache"] = {
-                "hot_hits": self.cache.hot_hits,
-                "disk_hits": self.cache.disk_hits,
-                "misses": self.cache.misses,
-                "hot_entries": self.cache.hot_entries,
+                "hot_hits": self.tiers["hot"],
+                "disk_hits": self.tiers["disk"],
+                "misses": self.tiers["miss"],
+                "hot_entries": len(self.hot),
             }
         return {"serve": serve, "metrics": snapshot}
 

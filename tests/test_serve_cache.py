@@ -1,4 +1,4 @@
-"""The result cache under concurrency: one lock, hot tier, stats hardening."""
+"""The result cache under concurrency: one lock, disk only, stats hardening."""
 
 import json
 import multiprocessing
@@ -37,7 +37,7 @@ def _hammer(root, worker_id, iterations):
     Exits nonzero if any operation raises or any read returns a
     corrupt object — the assertion the parent checks via exitcode.
     """
-    cache = SharedResultCache(root, hot_capacity=8)
+    cache = SharedResultCache(root)
     for i in range(iterations):
         key = f"{worker_id:x}{i % 5:x}" + "0" * 62
         cache.put_payload(key, {"worker": worker_id, "i": i, **PAYLOAD})
@@ -152,40 +152,24 @@ class TestOneLock:
         assert SharedResultCache(tmp_path).stats().lifetime_hits in (0, 1)
 
 
-# -- hot tier -----------------------------------------------------------------
+# -- no hot tier (the server keeps one: tests/test_serve_pool.py) ------------
 
 
 class TestHotTier:
-    def test_repeat_hits_never_touch_disk(self, tmp_path):
-        cache = SharedResultCache(tmp_path, hot_capacity=4)
+    """The cache has none: every read decodes the object file, so what a
+    hot tier used to promise a caller (an isolated copy, a clear that
+    empties it) holds of the disk store."""
+
+    def test_nothing_is_kept_in_memory(self, tmp_path):
+        cache = SharedResultCache(tmp_path)
         key = "ab" * 32
         cache.put_payload(key, dict(PAYLOAD))
-        # Remove the on-disk object: the hot tier must still answer.
         for path in cache.entries():
             os.unlink(path)
-        assert cache.get_payload(key) == PAYLOAD
-        assert cache.hot_hits == 1
-        assert cache.disk_hits == 0
-
-    def test_disk_promotes_to_hot(self, tmp_path):
-        writer = SharedResultCache(tmp_path, hot_capacity=4)
-        key = "cd" * 32
-        writer.put_payload(key, dict(PAYLOAD))
-        reader = SharedResultCache(tmp_path, hot_capacity=4)
-        assert reader.get_payload(key) == PAYLOAD
-        assert reader.disk_hits == 1
-        assert reader.get_payload(key) == PAYLOAD
-        assert reader.hot_hits == 1
-
-    def test_lru_eviction_bounds_memory(self, tmp_path):
-        cache = SharedResultCache(tmp_path, hot_capacity=2)
-        keys = [f"{i:x}" * 64 for i in range(1, 5)]
-        for k in keys:
-            cache.put_payload(k, dict(PAYLOAD))
-        assert cache.hot_entries == 2
+        assert cache.get_payload(key) is None
 
     def test_hot_copy_is_isolated(self, tmp_path):
-        cache = SharedResultCache(tmp_path, hot_capacity=4)
+        cache = SharedResultCache(tmp_path)
         key = "ef" * 32
         cache.put_payload(key, dict(PAYLOAD))
         first = cache.get_payload(key)
@@ -193,21 +177,26 @@ class TestHotTier:
         assert cache.get_payload(key)["winner"] == PAYLOAD["winner"]
 
     def test_clear_clears_hot_tier(self, tmp_path):
-        cache = SharedResultCache(tmp_path, hot_capacity=4)
+        cache = SharedResultCache(tmp_path)
         key = "0a" * 32
         cache.put_payload(key, dict(PAYLOAD))
         cache.clear()
-        assert cache.hot_entries == 0
         assert cache.get_payload(key) is None
 
-    def test_negative_capacity_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="hot_capacity"):
-            SharedResultCache(tmp_path, hot_capacity=-1)
 
-    def test_miss_counted(self, tmp_path):
-        cache = SharedResultCache(tmp_path)
-        assert cache.get_payload("9" * 64) is None
-        assert cache.misses == 1
+def test_clear_removes_temp_objects_a_killed_writer_left(tmp_path):
+    cache = SharedResultCache(tmp_path)
+    for key in ("ab" * 32, "cd" * 32):
+        cache.put_payload(key, dict(PAYLOAD))
+    orphan = tmp_path / "objects" / "ab" / "tmpk1ll3d.tmp"
+    orphan.write_text('{"schema": 2, "payl')
+    # Not the cache's: --cache-dir may name a directory shared with others.
+    neighbour = tmp_path / "other.tmp"
+    neighbour.write_text("keep")
+    assert cache.clear() == 2
+    assert not orphan.exists()
+    assert neighbour.read_text() == "keep"
+    assert list((tmp_path / "objects").glob("*/*")) == []
 
 
 # -- object files -------------------------------------------------------------

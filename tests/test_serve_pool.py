@@ -17,6 +17,7 @@ import pytest
 from repro.experiments import run as run_experiment
 from repro.runtime import SharedResultCache, faults, pool as worker_pool, run_batch
 from repro.serve import advisor, pool
+from repro.serve import app as serve_app
 from repro.serve.bench import Client
 from tests.test_serve_http import _Server as _InlineServer
 
@@ -183,9 +184,12 @@ class TestNoHelperThread:
             json.dumps(run_experiment("table2", quick=True).as_dict())
         )
         assert counts == {"hot_hits": 1, "disk_hits": 1, "misses": 1, "hot_entries": 2}
-        (restarted,), counts = run(go([advise]))  # a fresh app, same cache dir
+        # A fresh app on the same cache dir: its shard reads the disk fill,
+        # and the server keeps that answer in its own hot tier.
+        (restarted, promoted), counts = run(go([advise, advise]))
         assert restarted == ("disk", answers[0][1])
-        assert counts == {"hot_hits": 0, "disk_hits": 1, "misses": 0, "hot_entries": 1}
+        assert promoted == ("hot", answers[0][1])
+        assert counts == {"hot_hits": 1, "disk_hits": 1, "misses": 0, "hot_entries": 1}
         assert handed_off == []
 
     def test_hot_entry_is_the_offline_answer_without_meta(self, tmp_path):
@@ -200,13 +204,51 @@ class TestNoHelperThread:
                     tiers.append(payload["meta"]["cache"])
                 key = payload["meta"]["key"]
                 _, metrics = await s.client.request("GET", "/metrics")
-                return tiers, s.app.cache.get_hot(key), metrics["serve"]["cache"]
+                return tiers, s.app.hot[key], metrics["serve"]["cache"]
 
         tiers, entry, counts = run(go())
         assert tiers == ["miss", "hot", "hot"]
         assert "meta" not in entry
         assert entry == advisor.evaluate(advisor.normalize(STREAM_QUERY))
         assert counts == {"hot_hits": 2, "disk_hits": 0, "misses": 1, "hot_entries": 1}
+
+
+class TestHotTier:
+    """The server's own LRU of answers, in front of the shards' disk store."""
+
+    def test_repeat_hits_never_touch_disk(self, tmp_path):
+        async def go():
+            async with _Server(tmp_path) as s:
+                first = await s.raw_advise(STREAM_QUERY)
+                for path in (tmp_path / "cache" / "objects").glob("*/*.json"):
+                    path.unlink()
+                return first, await s.raw_advise(STREAM_QUERY)
+
+        first, repeat = (json.loads(data) for data in run(go()))
+        tiers = first.pop("meta")["cache"], repeat.pop("meta")["cache"]
+        assert tiers == ("miss", "hot")
+        assert repeat == first
+
+    def test_a_hit_refreshes_recency_so_the_bound_evicts_the_oldest(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(serve_app, "HOT_CAPACITY", 2)
+        a, b, c = STREAM_QUERY, GEMM_QUERY, {"kernel": "stream", "params": {"n": 1 << 21}}
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                tiers = []
+                for query in (a, b, a, c, a, b):
+                    status, payload = await s.client.request("POST", "/v1/advise", query)
+                    assert status == 200
+                    tiers.append(payload["meta"]["cache"])
+                _, metrics = await s.client.request("GET", "/metrics")
+                return tiers, metrics["serve"]["cache"]
+
+        tiers, counts = run(go())
+        # The hit on A refreshed it, so C evicted B: A is hot, B is read back.
+        assert tiers == ["miss", "miss", "hot", "miss", "hot", "disk"]
+        assert counts == {"hot_hits": 2, "disk_hits": 1, "misses": 3, "hot_entries": 2}
 
 
 class TestShardFailures:
