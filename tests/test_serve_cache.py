@@ -1,5 +1,6 @@
 """The result cache under concurrency: one lock, disk only, stats hardening."""
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -12,8 +13,10 @@ from repro.experiments.results import ExperimentResult
 from repro.runtime import file_lock
 from repro.runtime.cache import SCHEMA_VERSION, SharedResultCache, _atomic_write_json
 from repro.serve import advisor
+from tests.test_serve_http import _Server
 
 PAYLOAD = {"schema": 1, "winner": {"platform": "knl", "mode": "cache"}}
+STREAM_QUERY = {"kernel": "stream", "params": {"n": 1 << 20}}
 
 
 # -- multiprocess workers (module level: picklable under spawn and fork) ------
@@ -158,7 +161,8 @@ class TestOneLock:
 class TestHotTier:
     """The cache has none: every read decodes the object file, so what a
     hot tier used to promise a caller (an isolated copy, a clear that
-    empties it) holds of the disk store."""
+    empties it) holds of the disk store. Promotion from disk to hot is
+    the server's, over the objects this cache writes."""
 
     def test_nothing_is_kept_in_memory(self, tmp_path):
         cache = SharedResultCache(tmp_path)
@@ -182,6 +186,29 @@ class TestHotTier:
         cache.put_payload(key, dict(PAYLOAD))
         cache.clear()
         assert cache.get_payload(key) is None
+
+    def test_disk_promotes_to_hot(self, tmp_path):
+        canonical = advisor.normalize(STREAM_QUERY)
+        key = advisor.query_key(canonical)
+        answer = advisor.evaluate(canonical)
+        writer = SharedResultCache(tmp_path / "cache")
+        writer.put_payload(key, answer, kind="serve.advise")
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                served = []
+                for _ in range(2):
+                    status, payload = await s.client.request(
+                        "POST", "/v1/advise", STREAM_QUERY
+                    )
+                    assert status == 200, payload
+                    served.append((payload.pop("meta")["cache"], payload))
+                return served, dict(s.app.hot)
+
+        served, hot = asyncio.run(go())
+        # The server read the writer's object, then answered from its tier.
+        assert served == [("disk", answer), ("hot", answer)]
+        assert hot == {key: answer}
 
 
 def test_clear_removes_temp_objects_a_killed_writer_left(tmp_path):
