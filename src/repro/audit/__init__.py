@@ -13,9 +13,6 @@ PURE001   worker-reachable code must not mutate module-level state
 PURE002   worker-reachable env reads limited to the fingerprint allowlist
 UNIT001   no +/-/comparison across _bytes/_lines/_elems identifiers
 REG001    experiment modules register the id their filename encodes
-LOCK001   SharedResultCache mutations only under ``with file_lock(...)``
-LOCK002   stats.json read-modify-writes only under ``with file_lock(...)``
-LOCK003   every flock acquire pairs with a finally-release
 ASYNC001  no blocking calls in ``async def`` bodies
 ASYNC002  ``asyncio.shield`` only wraps owned futures
 ASYNC003  ``create_task``/``ensure_future`` results must be retained

@@ -10,9 +10,12 @@ notices). Three event-loop disciplines are enforced statically:
   read/write helpers, ``Future.result``) plus the repo's own
   known-blocking surface (the result cache's disk API
   ``get_payload``/``put_payload``/``record_run`` and the worker entry
-  points). The fix is ``await asyncio.to_thread(...)`` — the blocking
-  callable then appears as an *argument*, which the rule deliberately
-  does not flag.
+  points). In serve code the remedy is the worker pool:
+  ``ServeApp._execute`` awaits ``ServePool.run``, which runs the work in
+  a shard process. The server runs no helper thread, and
+  ``tests/test_serve_pool.py`` fails on any ``asyncio.to_thread``. A
+  blocking callable passed as an *argument* (``asyncio.to_thread(fn,
+  ...)``) is not a call, so the rule does not flag that form.
 * **ASYNC002** — ``asyncio.shield(x)`` must shield an *owned* future
   (a plain name or attribute). Shielding a freshly created coroutine or
   task (``shield(do_work())``) detaches it: when the awaiter is
@@ -117,7 +120,8 @@ class BlockingCallInAsyncRule(_AsyncRule):
         "async def bodies must not call blocking functions (time.sleep, "
         "subprocess, sync file I/O, Future.result, the cache's disk "
         "API, worker entry points) — one blocked coroutine stalls every "
-        "request on the loop; dispatch via 'await asyncio.to_thread(...)'"
+        "request on the loop; serve code sends such work to the worker "
+        "pool"
     )
 
     def check_module(self, mod: SourceModule) -> Iterable[Finding]:

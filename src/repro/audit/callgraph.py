@@ -1,6 +1,6 @@
 """Shared call-graph and control-flow scaffolding for the audit rules.
 
-Two analyses live here because several rule families need them:
+Two analyses live here:
 
 * **Conservative call graph** (:class:`CallGraph`) — a name-based,
   flow-insensitive reachability graph seeded from the worker entry
@@ -18,13 +18,13 @@ Two analyses live here because several rule families need them:
 * **Intraprocedural CFG** (:class:`Cfg`) — statement-level successor
   edges within one function, enough to ask "can control reach the
   function exit from here without passing one of *these* statements?".
-  The LOCK and LIFE rules use it for must-pair properties (flock
-  acquire/release, ``Tracer.begin``/``finish``). Approximations, by
-  design: every top-level statement of a ``try`` body may jump to every
-  handler; an explicit ``raise`` exits via the :data:`RAISE` sentinel
-  directly (``finally`` ordering on exceptional paths is not modelled);
-  implicit exceptions from arbitrary calls are not modelled at all.
-  Rules that consume the CFG document which direction they err in.
+  LIFE001 is its one user, for the must-pair property
+  ``Tracer.begin``/``finish``. Approximations, by design: every
+  top-level statement of a ``try`` body may jump to every handler; an
+  explicit ``raise`` exits via the :data:`RAISE` sentinel directly
+  (``finally`` ordering on exceptional paths is not modelled); implicit
+  exceptions from arbitrary calls are not modelled at all. LIFE001
+  documents which direction it errs in.
 """
 
 from __future__ import annotations

@@ -96,8 +96,8 @@ def add_audit_parser(sub: argparse._SubParsersAction) -> None:
         "audit",
         help=(
             "statically check repo invariants (determinism, span "
-            "discipline, worker purity, unit safety, lock discipline, "
-            "async safety, span lifecycles)"
+            "discipline, worker purity, unit safety, async safety, "
+            "span lifecycles)"
         ),
     )
     auditp.add_argument(

@@ -276,11 +276,6 @@ def default_rules() -> list[Rule]:
     )
     from repro.audit.determinism import UnseededRandomRule, WallClockRule
     from repro.audit.liferules import ForkSharedSinkRule, SpanLifecycleRule
-    from repro.audit.lockrules import (
-        FlockPairRule,
-        SharedCacheMutationRule,
-        StatsWriteRule,
-    )
     from repro.audit.purity import GlobalMutationRule, UnfingerprintedEnvRule
     from repro.audit.registry_rules import RegistryIdRule
     from repro.audit.spanrules import SpanNameRule, SpanWithoutWithRule
@@ -295,9 +290,6 @@ def default_rules() -> list[Rule]:
         UnfingerprintedEnvRule(),
         MixedUnitsRule(),
         RegistryIdRule(),
-        SharedCacheMutationRule(),
-        StatsWriteRule(),
-        FlockPairRule(),
         BlockingCallInAsyncRule(),
         ShieldOwnerRule(),
         TaskRetentionRule(),

@@ -31,7 +31,7 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.audit.engine import Finding, Rule, SourceModule
-from repro.audit.resolve import ImportTable, dotted_chain, qualified_name
+from repro.audit.resolve import ImportTable, qualified_name
 
 #: Dotted suffixes that open a span on a tracer or the telemetry facade.
 _SPAN_CALLERS = ("telemetry.span", "tracer.span")
@@ -70,19 +70,6 @@ def _is_metric_call(node: ast.Call, imports: ImportTable) -> bool:
     return head.endswith("telemetry") or head.endswith("registry") or head == ""
 
 
-def _is_registry_reference(node: ast.AST, imports: ImportTable) -> bool:
-    """True when the name argument references repro.telemetry.names."""
-    chain = dotted_chain(node)
-    if chain is None:
-        return False
-    resolved = qualified_name(node, imports)
-    if resolved is not None and resolved.startswith(_NAMES_MODULE + "."):
-        return True
-    # ``from repro.telemetry.names import SPAN_X`` resolves fully above;
-    # accept the naming convention as a fallback for aliased imports.
-    return chain[-1].startswith(("SPAN_", "METRIC_"))
-
-
 class SpanNameRule(Rule):
     """SPAN001: literal span/metric names must be in the registry."""
 
@@ -108,14 +95,13 @@ class SpanNameRule(Rule):
             arg = node.args[0]
             if _is_span_call(node, imports):
                 yield from self._check_name(
-                    mod, node, arg, imports, "span", tm.SPAN_NAMES, ()
+                    mod, node, arg, "span", tm.SPAN_NAMES, ()
                 )
             elif _is_metric_call(node, imports):
                 yield from self._check_name(
                     mod,
                     node,
                     arg,
-                    imports,
                     "metric",
                     tm.METRIC_NAMES,
                     tm.METRIC_PREFIXES,
@@ -126,7 +112,6 @@ class SpanNameRule(Rule):
         mod: SourceModule,
         node: ast.Call,
         arg: ast.AST,
-        imports: ImportTable,
         kind: str,
         registry: frozenset[str],
         prefixes: tuple[str, ...],

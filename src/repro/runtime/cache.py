@@ -259,10 +259,14 @@ def _decode_result(value: Any) -> ExperimentResult | None:
 def file_lock(path: Path, *, timeout_s: float = 30.0) -> Iterator[None]:
     """Advisory inter-process lock held for the duration of the block.
 
-    Uses ``fcntl.flock`` on the given lock file. On platforms without
-    ``fcntl`` the lock degrades to a best-effort spin on exclusive
-    creation; either way the object writes it guards remain individually
-    atomic, so the worst outcome of a lost lock is a redone write.
+    Uses ``fcntl.flock`` on the given lock file; closing the descriptor
+    releases the lock, also when the block raises. On platforms without
+    ``fcntl`` the lock degrades to a spin on exclusive creation of a
+    sidecar file, which gives up after ``timeout_s`` and runs the block
+    unlocked. Each object write stays atomic even then, but an unlocked
+    block can lose updates: two ``record_run`` read-modify-writes drop
+    each other's counts, and a ``clear()`` that interleaves with one is
+    overwritten by the counts read before it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     if fcntl is not None:

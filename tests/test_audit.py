@@ -61,9 +61,6 @@ def test_default_rules_cover_all_shipped_ids():
         "PURE002",
         "UNIT001",
         "REG001",
-        "LOCK001",
-        "LOCK002",
-        "LOCK003",
         "ASYNC001",
         "ASYNC002",
         "ASYNC003",

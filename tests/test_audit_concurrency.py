@@ -1,8 +1,9 @@
-"""Tests for the concurrency-aware audit families: LOCK, ASYNC, LIFE.
+"""Tests for the concurrency-aware audit families: ASYNC, LIFE.
 
 Every rule gets a trigger fixture (the violation fires) and a pass
 fixture (the sanctioned idiom stays silent), mirroring the call sites
-in ``runtime/cache.py``, ``serve/app.py`` and the telemetry layer.
+in ``serve/app.py`` and the telemetry layer. The result cache's lock
+discipline is pinned by its own tests in ``tests/test_serve_cache.py``.
 Fixture modules are written into a ``repro/...``-shaped temp tree so
 module scoping behaves exactly as on the real package.
 """
@@ -38,126 +39,6 @@ def findings_for(root: Path, *, select=None):
 
 def rule_ids(findings) -> set[str]:
     return {f.rule_id for f in findings}
-
-
-# -- LOCK001 ------------------------------------------------------------------
-
-
-def test_lock001_flags_unguarded_shared_cache_mutation(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/c.py",
-        """
-        class SharedResultCache:
-            def put(self, key, result):
-                return super().put(key, result)
-
-            def clear(self):
-                _atomic_write_json(self.root, {})
-        """,
-    )
-    findings = findings_for(tmp_path, select=["LOCK001"])
-    assert len(findings) == 2
-    assert {f.line for f in findings} == {4, 7}
-    assert "file_lock" in findings[0].message
-
-
-def test_lock001_passes_under_file_lock_and_outside_guarded_class(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/c.py",
-        """
-        from repro.runtime.cache import file_lock
-
-        class SharedResultCache:
-            def put(self, key, result):
-                with file_lock(self.lock_path):
-                    return super().put(key, result)
-
-        class PlainCache:
-            def put(self, key, result):
-                return super().put(key, result)
-        """,
-    )
-    assert findings_for(tmp_path, select=["LOCK001"]) == []
-
-
-# -- LOCK002 ------------------------------------------------------------------
-
-
-def test_lock002_flags_unserialized_stats_write(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/s.py",
-        """
-        def record_run(root, counts):
-            _atomic_write_json(root / "stats.json", counts)
-        """,
-    )
-    (finding,) = findings_for(tmp_path, select=["LOCK002"])
-    assert finding.rule_id == "LOCK002"
-    assert "stats.json" in finding.message
-
-
-def test_lock002_passes_under_lock_and_for_other_files(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/s.py",
-        """
-        from repro.runtime.cache import file_lock
-
-        def record_run(root, counts):
-            with file_lock(root / "stats.lock"):
-                _atomic_write_json(root / "stats.json", counts)
-
-        def put(path, payload):
-            _atomic_write_json(path, payload)
-        """,
-    )
-    assert findings_for(tmp_path, select=["LOCK002"]) == []
-
-
-# -- LOCK003 ------------------------------------------------------------------
-
-
-def test_lock003_flags_unpaired_flock_acquire(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/l.py",
-        """
-        import fcntl
-        import os
-
-        def lock(path):
-            fd = os.open(path, os.O_RDWR)
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            os.close(fd)
-        """,
-    )
-    (finding,) = findings_for(tmp_path, select=["LOCK003"])
-    assert "finally" in finding.message
-
-
-def test_lock003_passes_try_finally_pair_and_ignores_unlock(tmp_path):
-    write(
-        tmp_path,
-        "repro/runtime/l.py",
-        """
-        import fcntl
-        import os
-
-        def lock(path):
-            fd = os.open(path, os.O_RDWR)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            finally:
-                os.close(fd)
-
-        def unlock(fd):
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        """,
-    )
-    assert findings_for(tmp_path, select=["LOCK003"]) == []
 
 
 # -- ASYNC001 -----------------------------------------------------------------
@@ -450,17 +331,20 @@ def test_span002_does_not_flag_manual_lifecycle_api(tmp_path):
 
 
 def test_multi_rule_same_line_suppression(tmp_path):
+    # The rule list without a space after the comma.
     code = """
-        class SharedResultCache:
-            def record(self, counts):
-                _atomic_write_json(self.root / "stats.json", counts){}
+        import time
+        import numpy as np
+
+        def sample():
+            return time.time(), np.random.rand(2){}
         """
-    write(tmp_path, "repro/runtime/m.py", code.format(""))
-    assert rule_ids(findings_for(tmp_path)) == {"LOCK001", "LOCK002"}
+    write(tmp_path, "repro/trace/m.py", code.format(""))
+    assert rule_ids(findings_for(tmp_path)) == {"DET001", "DET002"}
     write(
         tmp_path,
-        "repro/runtime/m.py",
-        code.format("  # audit: ignore[LOCK001,LOCK002]"),
+        "repro/trace/m.py",
+        code.format("  # audit: ignore[DET001,DET002]"),
     )
     assert findings_for(tmp_path) == []
 

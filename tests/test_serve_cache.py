@@ -1,6 +1,7 @@
 """The result cache under concurrency: one lock, disk only, stats hardening."""
 
 import asyncio
+import fcntl
 import json
 import multiprocessing
 import os
@@ -90,6 +91,19 @@ class TestFileLock:
             pass
         with file_lock(tmp_path / "a.lock"):
             pass
+
+    def test_a_raise_inside_the_block_releases_the_lock(self, tmp_path):
+        path = tmp_path / "a.lock"
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with file_lock(path):
+                raise RuntimeError("inside the block")
+        # flock locks conflict between open file descriptions, even in one
+        # process: a lock the raise leaked refuses this fresh descriptor.
+        fd = os.open(path, os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
 
 
 def _result():
