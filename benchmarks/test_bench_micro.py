@@ -316,18 +316,21 @@ def _engine_pass(fn, calls):
     return time.perf_counter() - t0
 
 
-def test_bench_engine_speedup_at_least_1_2x():
-    """Acceptance gate: ``estimate`` is one pass over a per-call stage table.
+def test_bench_engine_speedup_at_least_1_6x():
+    """Acceptance gate: ``estimate`` prices only the profile.
 
-    The per-phase oracle (``tests/engine_oracle.py``) rebuilds every
-    stage's straddle-adjusted constants in every phase and builds a fresh
-    noise generator per noisy call; the one-pass engine measured
-    1.28-1.50x on this grid. The gate is the median ratio of 5
+    The per-phase oracle (``tests/engine_oracle.py``) resolves the stack
+    afresh for every call, rebuilds every stage's straddle-adjusted
+    constants in every phase and builds a fresh noise generator per noisy
+    call. ``estimate`` walks a stack compiled once per (machine, mode,
+    knobs) in one pass: on a 2-vCPU x86-64 VM under Python 3.11 it
+    measured a median of 1.72-1.86x over 22 runs of this gate, against
+    1.28-1.50x when every call resolved its own stack, so undoing the
+    compile step fails the 1.6x bound. The gate is the median ratio of 5
     interleaved (oracle, one-pass) pairs, with the noise memo cleared
-    before every pass. One pass takes only 0.06-0.15 s, so a pair
-    takes turns between whole passes of the two until each side has been
-    timed for at least 0.5 s. Sliding back to per-phase object churn
-    fails the gate.
+    before every pass. One pass takes only 0.06-0.15 s, so a pair takes
+    turns between whole passes of the two until each side has been timed
+    for at least 0.5 s.
     """
     calls = _engine_calls()
     assert len(calls) == 1952
@@ -336,7 +339,7 @@ def test_bench_engine_speedup_at_least_1_2x():
         lambda: _engine_pass(estimate, calls),
     )
     print(f"oracle vs one-pass: median speedup {speedup:.2f}x")
-    assert speedup >= 1.2
+    assert speedup >= 1.6
 
 
 def test_bench_csr5_encode(benchmark):

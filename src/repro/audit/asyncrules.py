@@ -136,8 +136,7 @@ class BlockingCallInAsyncRule(_AsyncRule):
                         node,
                         f"blocking call '{label}' inside "
                         f"'async def {func.name}' — stalls the event "
-                        "loop; use 'await asyncio.to_thread(...)' or "
-                        "move it to the worker pool",
+                        "loop; move it to the worker pool",
                     )
 
     def _blocking_label(

@@ -2,14 +2,13 @@
 
 from repro.engine import roofline, stepping
 from repro.engine.calibration import DEFAULT_KNOBS, EFFICIENCY, ModelKnobs, efficiency
-from repro.engine.exectime import RunResult, build_stack, estimate
+from repro.engine.exectime import RunResult, estimate
 
 __all__ = [
     "DEFAULT_KNOBS",
     "EFFICIENCY",
     "ModelKnobs",
     "RunResult",
-    "build_stack",
     "efficiency",
     "estimate",
     "roofline",

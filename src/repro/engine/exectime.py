@@ -23,11 +23,19 @@ splits the memory boundary into static-share channels (with the
 straddling penalty of paper Section 4.2.1-II when an allocation spans
 both nodes), and hybrid composes a flat half over a cache half.
 
-:func:`estimate` is one pass per call: the stack's straddle-adjusted
-stage constants are derived once into a table that every phase walks.
-Its floats follow a fixed evaluation order, pinned against a per-phase
-oracle by ``tests/test_engine_oracle.py``; the lognormal noise factor is
-memoized per ``(seed, sigma)``. See docs/MODEL.md, "Evaluation".
+:func:`estimate` prices only the profile. The stack is compiled once per
+``(machine, edram, mcdram, knobs)`` by :func:`compile_stack`, a bounded
+``functools.lru_cache`` keyed on the values of the frozen specs: each
+stage's flags (flat, OPM, on-chip, direct-mapped), its raw capacity, and
+its capacity, bandwidth and latency with and without the straddle
+penalty, plus the DRAM and MCDRAM-port rates and the machine constants.
+Per call the footprint decides the flat share, whether the allocation
+straddles, and which stages take write-backs; the calibrated efficiency
+is read live. Each compiled constant is the same product, in the same
+order, that a per-call derivation computes, so the floats follow a fixed
+evaluation order, pinned against a per-phase oracle with its own stack
+resolution by ``tests/test_engine_oracle.py``. The lognormal noise factor
+is memoized per ``(seed, sigma)``. See docs/MODEL.md, "Evaluation".
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,26 +54,28 @@ from repro.platforms.spec import LINE_BYTES, MachineSpec
 from repro.platforms.tuning import EdramMode, McdramMode
 
 
-class _Stage(NamedTuple):
-    """One absorber in the configured stack."""
+class _Compiled(NamedTuple):
+    """One resolved (machine, eDRAM, MCDRAM, knobs) stack.
 
-    name: str
-    kind: str  # "cache" | "flat"
-    capacity: float  # bytes (cache: curve capacity; flat: resident bytes)
-    bandwidth: float  # GB/s
-    latency: float  # ns
-    share: float = 0.0  # flat only: fraction of incoming traffic served
-    #: Direct-mapped stages (MCDRAM cache mode) retain a *proportional*
-    #: share of an over-capacity cyclic working set, where an LRU stack
-    #: would thrash to zero — this is what keeps the paper's cache mode
-    #: above DDR past 16 GB (Figures 23/25).
-    direct_mapped: bool = False
+    Holds everything :func:`estimate` reads that the profile cannot
+    change. ``plain`` and ``straddled`` are the two straddle states, each
+    ``(rows, dram_hz, port_hz, s_lat)``: the stage rows, the DRAM and
+    MCDRAM-port rates in bytes/s, and the factor on DRAM latency. A row is
+    ``(name, flat, raw capacity, capacity, bandwidth in bytes/s, latency,
+    OPM stage, on-chip, memory-side, direct-mapped)``, where ``raw
+    capacity`` is the stage's capacity before the straddle factor.
+    """
 
-
-class _Stack(NamedTuple):
-    stages: tuple[_Stage, ...]
-    memory: _Stage  # the final DRAM channel
-    straddling: bool
+    plain: tuple
+    straddled: tuple
+    flat_bytes: int | None  # the flat half's bytes; None without one
+    can_straddle: bool  # flat mode: one allocation may span both nodes
+    dram_name: str
+    dram_latency: float
+    port_name: str
+    llc_capacity: float
+    cores: int
+    peak_hz: float  # dp_peak_gflops * 1e9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,71 +112,102 @@ class RunResult:
         return max(self.phases, key=lambda p: p.seconds)
 
 
-# -- stack construction -------------------------------------------------------
+# -- stack compilation --------------------------------------------------------
 
 
-def build_stack(
+@functools.lru_cache(maxsize=256)
+def compile_stack(
     machine: MachineSpec,
-    footprint: float,
-    *,
-    edram: EdramMode | bool | None = None,
-    mcdram: McdramMode | None = None,
-    knobs: ModelKnobs = DEFAULT_KNOBS,
-) -> _Stack:
-    """Resolve the OPM configuration into an ordered absorber stack."""
+    edram: EdramMode | bool | None,
+    mcdram: McdramMode | None,
+    knobs: ModelKnobs,
+) -> _Compiled:
+    """Resolve the OPM configuration into an ordered absorber stack.
+
+    Memoized on the values of all four arguments (the specs and knobs are
+    frozen dataclasses), never on a machine's name: multi-programmed
+    tenants and the Figure 30 what-ifs build same-named machines that
+    differ in one level.
+    """
+    # Stages: (name, flat, capacity, bandwidth in GB/s, latency, direct-mapped).
     stages = [
-        _Stage(lvl.name, "cache", float(lvl.capacity or 0), lvl.bandwidth, lvl.latency)
+        (lvl.name, False, float(lvl.capacity or 0), lvl.bandwidth, lvl.latency, False)
         for lvl in machine.caches
     ]
-    mem = machine.dram
-    dram = _Stage(mem.name, "cache", math.inf, mem.bandwidth, mem.latency)
+    flat_bytes = None
+    can_straddle = False
     opm = machine.opm
-    if opm is None or (opm.kind == "victim-cache" and _edram_off(edram)):
-        return _Stack(tuple(stages), dram, straddling=False)
+    if opm is not None and opm.kind == "victim-cache":
+        if not _edram_off(edram):
+            cap = float(opm.capacity or 0)
+            if not knobs.edram_victim:
+                # Inclusive design ablation: the L4 duplicates L3 contents.
+                cap = max(0.0, cap - float(machine.llc.capacity or 0))
+            stages.append((opm.name, False, cap, opm.bandwidth, opm.latency, False))
+    elif opm is not None:  # Memory-side OPM (MCDRAM).
+        mode = mcdram if mcdram is not None else McdramMode.CACHE
+        config = McdramConfig.from_spec(opm, mode)
+        if config.uses_flat:
+            flat_bytes = config.flat_bytes
+            can_straddle = mode is McdramMode.FLAT
+            stages.append((
+                f"{opm.name}-flat", True, float(config.flat_bytes),
+                opm.bandwidth, opm.latency, False,
+            ))
+        if config.uses_cache:
+            # MCDRAM's cache mode is direct-mapped (ways == 1): conflict
+            # misses and tag checks derate it. A set-associative memory-side
+            # buffer (Skylake's eDRAM) keeps its full capacity instead.
+            dm = (opm.ways or 1) == 1
+            stages.append((
+                f"{opm.name}-cache",
+                False,
+                config.cache_bytes * (knobs.direct_map_capacity_factor if dm else 1.0),
+                opm.bandwidth * (knobs.cache_mode_bandwidth_factor if dm else 1.0),
+                opm.latency,
+                dm,
+            ))
 
-    if opm.kind == "victim-cache":
-        cap = float(opm.capacity or 0)
-        if not knobs.edram_victim:
-            # Inclusive design ablation: the L4 duplicates L3 contents.
-            cap = max(0.0, cap - float(machine.llc.capacity or 0))
-        stages.append(_Stage(opm.name, "cache", cap, opm.bandwidth, opm.latency))
-        return _Stack(tuple(stages), dram, straddling=False)
+    opm_name = opm.name if opm is not None else None
 
-    # Memory-side OPM (MCDRAM).
-    mode = mcdram if mcdram is not None else McdramMode.CACHE
-    config = McdramConfig.from_spec(opm, mode)
-    straddling = False
-    if config.uses_flat:
-        share = min(1.0, config.flat_bytes / footprint) if footprint > 0 else 1.0
-        straddling = mode is McdramMode.FLAT and 0.0 < share < 1.0
-        stages.append(
-            _Stage(
-                name=f"{opm.name}-flat",
-                kind="flat",
-                capacity=float(config.flat_bytes),
-                bandwidth=opm.bandwidth,
-                latency=opm.latency,
-                share=share,
-            )
-        )
-    if config.uses_cache:
-        # MCDRAM's cache mode is direct-mapped (ways == 1): conflict
-        # misses and tag checks derate it. A set-associative memory-side
-        # buffer (Skylake's eDRAM) keeps its full capacity instead.
-        dm = (opm.ways or 1) == 1
-        stages.append(
-            _Stage(
-                name=f"{opm.name}-cache",
-                kind="cache",
-                capacity=config.cache_bytes
-                * (knobs.direct_map_capacity_factor if dm else 1.0),
-                bandwidth=opm.bandwidth
-                * (knobs.cache_mode_bandwidth_factor if dm else 1.0),
-                latency=opm.latency,
-                direct_mapped=dm,
-            )
-        )
-    return _Stack(tuple(stages), dram, straddling=straddling)
+    def state(s_bw: float, s_lat: float, s_cap: float) -> tuple:
+        rows = []
+        on_chip = True
+        for name, flat, capacity, bandwidth, latency, dm in stages:
+            is_opm = opm_name is not None and name.startswith(opm_name)
+            on_chip = on_chip and not is_opm
+            rows.append((
+                name,
+                flat,
+                capacity,
+                capacity if flat else capacity * s_cap,
+                bandwidth * (s_bw if flat else 1.0) * 1e9,
+                latency * (s_lat if flat else 1.0),
+                is_opm,
+                on_chip,
+                flat or is_opm,
+                dm,
+            ))
+        dram_hz = machine.dram.bandwidth * s_bw * 1e9
+        port_hz = opm.bandwidth * s_bw * 1e9 if opm is not None else 0.0
+        return tuple(rows), dram_hz, port_hz, s_lat
+
+    return _Compiled(
+        plain=state(1.0, 1.0, 1.0),
+        straddled=state(
+            knobs.flat_straddle_bandwidth_factor,
+            knobs.flat_straddle_latency_factor,
+            knobs.flat_straddle_cache_factor,
+        ),
+        flat_bytes=flat_bytes,
+        can_straddle=can_straddle,
+        dram_name=machine.dram.name,
+        dram_latency=machine.dram.latency,
+        port_name=f"{opm_name}-port",
+        llc_capacity=float(machine.llc.capacity or 0),
+        cores=machine.cores,
+        peak_hz=machine.dp_peak_gflops * 1e9,
+    )
 
 
 def _edram_off(edram: EdramMode | bool | None) -> bool:
@@ -210,47 +250,19 @@ def estimate(
     noise_seed: int | None = None,
 ) -> RunResult:
     """Model one kernel run; see the module docstring for semantics."""
+    stack = compile_stack(machine, edram, mcdram, knobs)
     footprint = float(profile.footprint_bytes)
-    stack = build_stack(machine, footprint, edram=edram, mcdram=mcdram, knobs=knobs)
-    s_bw = s_lat = s_cap = 1.0
-    if stack.straddling:
-        s_bw = knobs.flat_straddle_bandwidth_factor
-        s_lat = knobs.flat_straddle_latency_factor
-        s_cap = knobs.flat_straddle_cache_factor
-    opm = machine.opm
-    opm_name = opm.name if opm is not None else None
-
-    # Per-call stage table: (name, flat, capacity, share, bandwidth in B/s,
-    # latency, OPM stage, on-chip, memory-ish, direct-mapped).
-    table = []
-    on_chip = True
-    for stage in stack.stages:
-        flat = stage.kind == "flat"
-        is_opm = opm_name is not None and stage.name.startswith(opm_name)
-        on_chip = on_chip and not is_opm
-        # Dirty evictions from the on-chip caches land wherever the data
-        # is serviced: any memory-side stage (flat or OPM cache) carries
-        # write-back traffic for what it serves, as does an on-chip level
-        # big enough to hold the whole problem (steady-state residency).
-        memoryish = flat or is_opm or stage.capacity >= footprint
-        table.append((
-            stage.name,
-            flat,
-            stage.capacity if flat else stage.capacity * s_cap,
-            stage.share,
-            stage.bandwidth * (s_bw if flat else 1.0) * 1e9,
-            stage.latency * (s_lat if flat else 1.0),
-            is_opm,
-            on_chip,
-            memoryish,
-            stage.direct_mapped,
-        ))
-    memory = stack.memory
-    dram_hz = memory.bandwidth * s_bw * 1e9
-    port_hz = opm.bandwidth * s_bw * 1e9 if opm is not None else 0.0
+    share = 0.0  # flat stage only: fraction of incoming traffic served
+    straddling = False
+    if stack.flat_bytes is not None:
+        share = min(1.0, stack.flat_bytes / footprint) if footprint > 0 else 1.0
+        straddling = stack.can_straddle and 0.0 < share < 1.0
+    table, dram_hz, port_hz, s_lat = stack.straddled if straddling else stack.plain
     eff = profile.compute_efficiency * efficiency(profile.kernel, machine.arch)
-    peak = machine.dp_peak_gflops * 1e9 * eff
-    ramp = _valley_ramp(footprint, float(machine.llc.capacity or 0), knobs)
+    peak = stack.peak_hz * eff
+    ramp = _valley_ramp(footprint, stack.llc_capacity, knobs)
+    dram_name = stack.dram_name
+    dram_latency = stack.dram_latency
 
     phases: list[PhaseResult] = []
     dominant: PhaseResult | None = None
@@ -260,7 +272,7 @@ def estimate(
         demand = phase.demand_bytes
         reuse = phase.reuse
         write_fraction = phase.write_fraction
-        base_mlp = phase.global_mlp(machine.cores)
+        base_mlp = phase.global_mlp(stack.cores)
         # On-chip hits are pipelined; the valley ramp only throttles the
         # parallelism available to *below-LLC* misses.
         miss_mlp = base_mlp * ramp
@@ -271,7 +283,7 @@ def estimate(
         bw_stage, bw_s = None, 0.0  # most loaded channel (first wins a tie)
         opm_port_load = 0.0  # MCDRAM flat + cache halves share one device
         latency_s = 0.0
-        for name, flat, capacity, share, bw, lat, is_opm, on_chip, memoryish, dm in table:
+        for name, flat, raw, capacity, bw, lat, is_opm, on_chip, memory_side, dm in table:
             transit = demand * remaining
             if flat:  # static placement share
                 served = transit * share
@@ -288,8 +300,10 @@ def estimate(
                     if dm:
                         # Proportional residency: a direct-mapped memory-side
                         # cache keeps ~capacity/working-set of an over-capacity
-                        # cyclic footprint resident (no LRU thrash). Applies to
-                        # the fraction of traffic that is re-referenced at all.
+                        # cyclic footprint resident (no LRU thrash), which keeps
+                        # the paper's cache mode above DDR past 16 GB (Figures
+                        # 23/25). Applies to the fraction of traffic that is
+                        # re-referenced at all.
                         overflow_ws = max(capacity, footprint - (cum - capacity))
                         residency = min(1.0, capacity / overflow_ws)
                         reusable = max(0.0, (reuse.max_fraction - above) / (1.0 - above))
@@ -298,7 +312,11 @@ def estimate(
                 served = transit * cond_hit
                 remaining *= 1.0 - cond_hit
                 port_load = transit  # misses transit on the fill path too
-            wb = write_fraction * served if memoryish else 0.0
+            # Dirty evictions from the on-chip caches land wherever the data
+            # is serviced: any memory-side stage (flat or OPM cache) carries
+            # write-back traffic for what it serves, as does an on-chip level
+            # big enough to hold the whole problem (steady-state residency).
+            wb = write_fraction * served if memory_side or raw >= footprint else 0.0
             channel_s = (port_load + wb) / bw
             if bw_stage is None or channel_s > bw_s:
                 bw_stage, bw_s = name, channel_s
@@ -314,15 +332,15 @@ def estimate(
             # MCDRAM; their combined traffic cannot exceed the device port.
             channel_s = opm_port_load / port_hz
             if channel_s > bw_s:
-                bw_stage, bw_s = f"{opm_name}-port", channel_s
+                bw_stage, bw_s = stack.port_name, channel_s
 
         # Final DRAM channel.
         transit = demand * remaining
         channel_s = (transit + write_fraction * transit) / dram_hz
         if bw_stage is None or channel_s > bw_s:
-            bw_stage, bw_s = memory.name, channel_s
-        latency_s += (transit / LINE_BYTES) * memory.latency * s_lat * 1e-9 / miss_mlp
-        loads.append(StageLoad(memory.name, transit, transit))
+            bw_stage, bw_s = dram_name, channel_s
+        latency_s += (transit / LINE_BYTES) * dram_latency * s_lat * 1e-9 / miss_mlp
+        loads.append(StageLoad(dram_name, transit, transit))
         dram_bytes += transit
 
         compute_s = phase.flops / peak

@@ -1,16 +1,21 @@
 """Per-phase engine oracle for the differential tests (imported by tests only).
 
-:func:`repro.engine.exectime.estimate` evaluates a configuration in one
-pass over a per-call stage table, with the lognormal noise factor
-memoized. This module keeps the straightforward version it replaced: one
-:func:`_phase_time` call per phase that re-derives every stage's
-straddle-adjusted constants, a list of channel times reduced by ``max``,
-a second pass over the loads for the OPM/DRAM byte totals, and a fresh
-``np.random.default_rng`` for every noisy call. ``tests/test_engine_oracle.py``
-pins the fast path against it with exact float equality.
+:func:`repro.engine.exectime.estimate` prices a profile in one pass over
+a stack compiled once per (machine, mode, knobs), with the lognormal
+noise factor memoized. This module keeps the straightforward version it
+replaced: :func:`build_stack` resolves the stack afresh for every call
+and footprint, one :func:`_phase_time` call per phase re-derives every
+stage's straddle-adjusted constants, a list of channel times is reduced
+by ``max``, a second pass over the loads sums the OPM/DRAM byte totals,
+and every noisy call builds a fresh ``np.random.default_rng``.
+``tests/test_engine_oracle.py`` pins the fast path against it with exact
+float equality.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +25,105 @@ from repro.engine.exectime import (
     RunResult,
     StageLoad,
     _derive_seed,
-    _Stack,
     _valley_ramp,
-    build_stack,
 )
 from repro.kernels.profile import Phase, WorkloadProfile
+from repro.memory.mcdram import McdramConfig
 from repro.platforms.spec import LINE_BYTES, MachineSpec
 from repro.platforms.tuning import EdramMode, McdramMode
+
+
+class _Stage(NamedTuple):
+    """One absorber in the configured stack."""
+
+    name: str
+    kind: str  # "cache" | "flat"
+    capacity: float  # bytes (cache: curve capacity; flat: resident bytes)
+    bandwidth: float  # GB/s
+    latency: float  # ns
+    share: float = 0.0  # flat only: fraction of incoming traffic served
+    #: Direct-mapped stages (MCDRAM cache mode) retain a *proportional*
+    #: share of an over-capacity cyclic working set, where an LRU stack
+    #: would thrash to zero.
+    direct_mapped: bool = False
+
+
+class _Stack(NamedTuple):
+    stages: tuple[_Stage, ...]
+    memory: _Stage  # the final DRAM channel
+    straddling: bool
+
+
+def build_stack(
+    machine: MachineSpec,
+    footprint: float,
+    *,
+    edram: EdramMode | bool | None = None,
+    mcdram: McdramMode | None = None,
+    knobs: ModelKnobs = DEFAULT_KNOBS,
+) -> _Stack:
+    """Resolve the OPM configuration into an ordered absorber stack."""
+    stages = [
+        _Stage(lvl.name, "cache", float(lvl.capacity or 0), lvl.bandwidth, lvl.latency)
+        for lvl in machine.caches
+    ]
+    mem = machine.dram
+    dram = _Stage(mem.name, "cache", math.inf, mem.bandwidth, mem.latency)
+    opm = machine.opm
+    if opm is None or (opm.kind == "victim-cache" and _edram_off(edram)):
+        return _Stack(tuple(stages), dram, straddling=False)
+
+    if opm.kind == "victim-cache":
+        cap = float(opm.capacity or 0)
+        if not knobs.edram_victim:
+            # Inclusive design ablation: the L4 duplicates L3 contents.
+            cap = max(0.0, cap - float(machine.llc.capacity or 0))
+        stages.append(_Stage(opm.name, "cache", cap, opm.bandwidth, opm.latency))
+        return _Stack(tuple(stages), dram, straddling=False)
+
+    # Memory-side OPM (MCDRAM).
+    mode = mcdram if mcdram is not None else McdramMode.CACHE
+    config = McdramConfig.from_spec(opm, mode)
+    straddling = False
+    if config.uses_flat:
+        share = min(1.0, config.flat_bytes / footprint) if footprint > 0 else 1.0
+        straddling = mode is McdramMode.FLAT and 0.0 < share < 1.0
+        stages.append(
+            _Stage(
+                name=f"{opm.name}-flat",
+                kind="flat",
+                capacity=float(config.flat_bytes),
+                bandwidth=opm.bandwidth,
+                latency=opm.latency,
+                share=share,
+            )
+        )
+    if config.uses_cache:
+        # MCDRAM's cache mode is direct-mapped (ways == 1): conflict
+        # misses and tag checks derate it. A set-associative memory-side
+        # buffer (Skylake's eDRAM) keeps its full capacity instead.
+        dm = (opm.ways or 1) == 1
+        stages.append(
+            _Stage(
+                name=f"{opm.name}-cache",
+                kind="cache",
+                capacity=config.cache_bytes
+                * (knobs.direct_map_capacity_factor if dm else 1.0),
+                bandwidth=opm.bandwidth
+                * (knobs.cache_mode_bandwidth_factor if dm else 1.0),
+                latency=opm.latency,
+                direct_mapped=dm,
+            )
+        )
+    return _Stack(tuple(stages), dram, straddling=straddling)
+
+
+def _edram_off(edram: EdramMode | bool | None) -> bool:
+    if edram is None:
+        return False
+    if isinstance(edram, EdramMode):
+        return not edram.enabled
+    return not edram
 
 
 def _phase_time(

@@ -63,6 +63,10 @@ def test_async001_flags_blocking_calls_in_async_def(tmp_path):
     assert len(findings) == 4
     assert "time.sleep" in findings[0].message
     assert all("async def handler" in f.message for f in findings)
+    # The server runs no helper thread, so the remedy is the pool only.
+    assert all(f.message.endswith("stalls the event loop; move it to the worker pool")
+               for f in findings)
+    assert not any("to_thread" in f.message for f in findings)
 
 
 def test_async001_passes_sync_code_and_to_thread_dispatch(tmp_path):

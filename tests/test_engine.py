@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import DEFAULT_KNOBS, efficiency, estimate
-from repro.engine.exectime import build_stack
 from repro.kernels import (
     GemmKernel,
     SpmvKernel,
@@ -13,6 +12,7 @@ from repro.kernels import (
 )
 from repro.platforms import GIB, McdramMode, broadwell, knl
 from repro.sparse import from_params
+from tests.engine_oracle import build_stack
 
 
 def stream_gflops(machine, n, **kw):

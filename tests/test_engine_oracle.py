@@ -1,10 +1,11 @@
 """The one-pass engine equals the per-phase oracle, float for float.
 
-``repro.engine.estimate`` walks a per-call stage table and memoizes the
-noise factor; ``tests/engine_oracle.py`` keeps the per-phase evaluation it
-replaced. Every comparison here is ``RunResult`` equality — exact floats,
-bound strings, phases and per-stage loads — so experiment digests and
-served answers cannot move.
+``repro.engine.estimate`` walks a stack compiled once per (machine, mode,
+knobs) and memoizes the noise factor; ``tests/engine_oracle.py`` keeps the
+per-phase evaluation it replaced, with its own per-call stack resolution.
+Every comparison here is ``RunResult`` equality — exact floats, bound
+strings, phases and per-stage loads — so experiment digests and served
+answers cannot move.
 """
 
 import dataclasses
@@ -14,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import DEFAULT_KNOBS, estimate
-from repro.engine.exectime import _noise_factor, build_stack
+from repro.engine.exectime import _noise_factor, compile_stack
 from repro.experiments.sweeps import SWEEP_KERNELS, collection_for, sweep_configs
 from repro.kernels import GemmKernel, SpmvKernel, StreamKernel
 from repro.kernels.profile import Phase, ReuseCurve, WorkloadProfile
-from repro.platforms import GIB, broadwell, knl, skylake
+from repro.os.multiprog import _machine_with_slice
+from repro.platforms import GIB, MIB, broadwell, knl, skylake
 from repro.platforms.tuning import ALL_MCDRAM_MODES, EdramMode, McdramMode
 from tests import engine_oracle
 
@@ -127,11 +129,52 @@ def test_knl_modes_on_both_sides_of_mcdram(gib, knobs):
         ), {"data": footprint})
         for passes in (1.0, 1.7, 3.3)
     ]
-    straddles = build_stack(KNL, float(footprint), mcdram=McdramMode.FLAT).straddling
+    straddles = engine_oracle.build_stack(
+        KNL, float(footprint), mcdram=McdramMode.FLAT
+    ).straddling
     assert straddles == (footprint > 16 * GIB)
     for profile in (stream, gemm, *chases):
         for mode in McdramMode:
             assert_same(profile, KNL, mcdram=mode, knobs=knobs)
+
+
+def test_stack_memo_is_keyed_on_values_and_knobs():
+    """Same-named machines that differ in one level, and knob sets that
+    change the stack, must each get their own compiled stack."""
+    reuse = ReuseCurve.from_knots(
+        [(32 * MIB, 0.2), (256 * MIB, 0.35), (2 * GIB, 0.5), (6 * GIB, 0.6)],
+        footprint=12 * GIB,
+    )
+    phase = Phase("sweep", 1e10, 48.0 * GIB, reuse, write_fraction=0.3, mlp=12.0)
+    profile = WorkloadProfile("synthetic", {}, (phase,), {"data": 12 * GIB})
+    # A co-run tenant's 4 GiB MCDRAM slice, and the Figure 30 what-if's
+    # eDRAM at 4x capacity and half bandwidth: each keeps its base's name.
+    slice_ = _machine_with_slice(KNL, 4 * GIB, 1.0)
+    edram = BROADWELL.opm
+    whatif = BROADWELL.with_opm(
+        dataclasses.replace(edram, capacity=4 * edram.capacity, bandwidth=edram.bandwidth / 2)
+    )
+    assert slice_.name == KNL.name and whatif.name == BROADWELL.name
+    knob_sets = (KNOBS[0], KNOBS[1], KNOBS[3], KNOBS[4])
+    pairs = [
+        *[(m, {"mcdram": mode}) for mode in McdramMode for m in (KNL, slice_)],
+        *[(m, {"edram": True}) for m in (BROADWELL, whatif)],
+    ]
+    compile_stack.cache_clear()
+    for _ in range(2):  # the second pass is all memo hits
+        for machine, kwargs in pairs:
+            for knobs in knob_sets:
+                assert_same(profile, machine, knobs=knobs, **kwargs)
+    # The variants price differently, so a memo that confused them fails.
+    for base, variant, kwargs in (
+        (KNL, slice_, {"mcdram": McdramMode.CACHE}),
+        (KNL, slice_, {"mcdram": McdramMode.FLAT}),
+        (BROADWELL, whatif, {"edram": True}),
+    ):
+        assert estimate(profile, base, **kwargs) != estimate(profile, variant, **kwargs)
+    for machine, mode in ((KNL, McdramMode.CACHE), (slice_, McdramMode.FLAT)):
+        seconds = {estimate(profile, machine, mcdram=mode, knobs=k).seconds for k in knob_sets}
+        assert len(seconds) > 1
 
 
 def test_first_channel_wins_a_bandwidth_tie():

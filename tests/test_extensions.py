@@ -25,7 +25,7 @@ class TestSkylake:
     def test_memory_side_edram_not_direct_map_derated(self):
         """Skylake's set-associative buffer keeps full capacity; only
         MCDRAM's direct-mapped cache mode is derated."""
-        from repro.engine.exectime import build_stack
+        from tests.engine_oracle import build_stack
 
         sky_stack = build_stack(skylake(), 1e9, mcdram=McdramMode.CACHE)
         sky_stage = next(
