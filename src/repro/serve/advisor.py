@@ -89,9 +89,14 @@ def _int_param(
         raise QueryError(f"missing required param {name!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise QueryError(f"param {name!r} must be a number, got {value!r}")
-    if float(value) != int(value):
-        raise QueryError(f"param {name!r} must be an integer, got {value!r}")
-    value = int(value)
+    # JSON's Infinity and NaN parse as floats (neither is_integer), and
+    # an integer may have hundreds of digits: never convert it to float.
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise QueryError(
+                f"param {name!r} must be an integer, got {value!r}"
+            )
+        value = int(value)
     if not lo <= value <= hi:
         raise QueryError(
             f"param {name!r} out of range [{lo}, {hi}]: {value}"

@@ -2,25 +2,37 @@
 
 Request path for ``POST /v1/advise``::
 
-    parse HTTP → normalize query → cache key
+    parse HTTP → request memo: sha256(body) → (cache key, canonical query)
+        [miss: decode JSON → normalize → cache key → remember]
+        → LRU hot tier, on the loop [hit: splice meta → answer]
         → batcher (identical key in flight → share its execution)
-        → claimed execution: LRU hot tier, on the loop [hit: answer]
-              → worker shard (by key): disk tier [hit: reply]
-                    → engine evaluate → disk fill → reply
-              → hot-tier fill → answer
+        → claimed execution: worker shard (by key): disk tier [hit: reply]
+              → engine evaluate → disk fill → reply
+          → render once → hot-tier fill → splice meta → answer
 
 The server runs no helper thread, and owns the hot tier: an LRU of
-answers that only the claimed execution reads and fills, on the event
-loop. A hot hit is answered without a copy (the entry is shared and
-only read; ``meta`` goes on a new top-level dict). Everything else goes
-to the key's shard, which owns the disk store: it answers a stored
-object without evaluating, and otherwise evaluates and writes the disk
-fill before it replies, so a miss's answer is stored before it is sent.
-The reply says which tier answered.
+answers kept rendered (:class:`~repro.serve.http.Rendered`, the sorted
+compact JSON split around the top-level ``meta`` key), read before the
+batcher and filled by the claimed execution, both on the event loop. A
+hot hit creates no task: it costs one dict lookup and one byte splice
+of its own ``meta``. Everything else goes to the key's shard, which
+owns the disk store: it answers a stored object without evaluating, and
+otherwise evaluates and writes the disk fill before it replies, so a
+miss's answer is stored before it is sent. The reply says which tier
+answered.
 
-The claim on a key covers its cache lookup, so a request that arrives
-while an identical one is looking up or executing shares that work; a
-later request reads the fill.
+A repeated advise body skips the JSON decode, ``normalize`` and
+``query_key``: the request memo maps the body's SHA-256 to its cache
+key and canonical query, least recently used first, bounded like the
+hot tier. Only bodies that normalize are remembered, and the digest
+keys keep large bodies out of memory. The memoized canonical dicts are
+shared by every request that repeats the body and, under ``--jobs 0``,
+handed to the evaluation unpickled: nothing may mutate them.
+
+The hot-tier read and the claim on a key happen with no ``await``
+between them, so the claim covers the shard's disk lookup, the
+evaluation and the fill: a request that arrives while an identical one
+is in the shard shares that work; a later request reads the fill.
 
 The answer body is byte-identical to the offline
 :func:`repro.serve.advisor.evaluate` output for the same normalized
@@ -29,8 +41,8 @@ id) rides in a separate top-level ``meta`` field, so differential tests
 can strip ``meta`` and compare the rest byte-for-byte.
 
 ``POST /v1/experiment`` serves registered experiments through the same
-batcher/cache/pool path, keyed by the offline ``repro run`` scheduler's
-task keys.
+hot tier and batcher/cache/pool path, keyed by the offline ``repro run``
+scheduler's task keys.
 
 Spans here use manual lifecycles (``Tracer.begin``/``finish``): the
 asyncio handlers interleave many requests on one thread, which a
@@ -42,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
+import hashlib
 import time
 from pathlib import Path
 from typing import Any
@@ -52,6 +65,7 @@ from repro.serve import advisor
 from repro.serve.batcher import Batcher
 from repro.serve.http import (
     ProtocolError,
+    Rendered,
     Request,
     error_payload,
     read_request,
@@ -60,8 +74,24 @@ from repro.serve.http import (
 from repro.serve.pool import PoolError, PoolTimeout, ServePool
 from repro.telemetry import collect, names as tm
 
-#: Answers the hot tier keeps; past it the least recently used goes.
+#: Answers the hot tier keeps, and bodies the request memo keeps; past
+#: it the least recently used goes.
 HOT_CAPACITY = 256
+
+
+def _lru_get(lru: collections.OrderedDict, key: Any) -> Any:
+    """``lru[key]`` made the most recently used, or None."""
+    value = lru.get(key)
+    if value is not None:
+        lru.move_to_end(key)
+    return value
+
+
+def _lru_put(lru: collections.OrderedDict, key: Any, value: Any) -> None:
+    """Add ``key``; past :data:`HOT_CAPACITY` the least recently used goes."""
+    lru[key] = value
+    if len(lru) > HOT_CAPACITY:
+        lru.popitem(last=False)
 
 
 @dataclasses.dataclass
@@ -101,10 +131,15 @@ class ServeApp:
             retries=self.config.retries,
             store=self.store,
         )
-        #: The hot tier: key -> answer, least recently used first.
-        self.hot: collections.OrderedDict[str, dict[str, Any]] = (
+        #: The hot tier: key -> rendered answer, least recently used first.
+        self.hot: collections.OrderedDict[str, Rendered] = (
             collections.OrderedDict()
         )
+        #: The request memo: sha256(advise body) -> (key, canonical
+        #: query), least recently used first. Read-only values.
+        self.queries: collections.OrderedDict[
+            bytes, tuple[str, dict[str, Any]]
+        ] = collections.OrderedDict()
         #: Answered executions by cache tier: hot, disk or miss.
         self.tiers: collections.Counter[str] = collections.Counter()
         self.batcher = Batcher(self._execute)
@@ -117,22 +152,14 @@ class ServeApp:
 
     async def _execute(
         self, key: str, job: dict[str, Any]
-    ) -> tuple[dict[str, Any], str]:
-        """The claimed execution of one key; returns (result, cache tier).
+    ) -> tuple[Rendered, str]:
+        """The claimed execution of one hot miss; returns (answer, tier).
 
-        Answers a hot-tier hit on the loop, as the most recently used
-        entry. Otherwise runs the pool, whose worker answers from disk
-        or evaluates and stores the result before it replies, and keeps
-        the result in the hot tier. Every request that coalesces onto
-        this key shares the outcome, which is read-only: it may be the
-        hot tier's own object.
+        Runs the pool, whose worker answers from disk or evaluates and
+        stores the result before it replies, renders the result once and
+        keeps the rendering in the hot tier. Every request that coalesces
+        onto this key splices its own ``meta`` into the same rendering.
         """
-        cached = self.hot.get(key)
-        if cached is not None:
-            self.hot.move_to_end(key)
-            self.tiers["hot"] += 1
-            telemetry.counter(tm.METRIC_SERVE_CACHE_HOT).inc()
-            return cached, "hot"
         envelope = await self.pool.run(
             job["kind"],
             job["payload"],
@@ -141,7 +168,6 @@ class ServeApp:
             trace_id=self.trace_id,
             parent_span_id=job.get("parent_span_id"),
         )
-        result = envelope["result"]
         tier = "disk" if envelope.get("disk_hit") else "miss"
         self.tiers[tier] += 1
         telemetry.counter(
@@ -149,11 +175,10 @@ class ServeApp:
             if tier == "disk"
             else tm.METRIC_SERVE_CACHE_MISSES
         ).inc()
+        answer = Rendered.of(envelope["result"])
         if self.store is not None:
-            self.hot[key] = result
-            if len(self.hot) > HOT_CAPACITY:
-                self.hot.popitem(last=False)
-        return result, tier
+            _lru_put(self.hot, key, answer)
+        return answer, tier
 
     # -- routes ---------------------------------------------------------------
 
@@ -213,11 +238,16 @@ class ServeApp:
     async def _advise(
         self, request: Request, span_id: int | None = None
     ) -> tuple[int, Any]:
-        try:
-            canonical = advisor.normalize(request.json())
-        except advisor.QueryError as exc:
-            return 400, error_payload(400, str(exc))
-        key = advisor.query_key(canonical)
+        digest = hashlib.sha256(request.body).digest()
+        query = _lru_get(self.queries, digest)
+        if query is None:
+            try:
+                canonical = advisor.normalize(request.json())
+            except advisor.QueryError as exc:
+                return 400, error_payload(400, str(exc))
+            query = advisor.query_key(canonical), canonical
+            _lru_put(self.queries, digest, query)
+        key, canonical = query
         job = {
             "kind": "advise",
             "payload": canonical,
@@ -259,23 +289,33 @@ class ServeApp:
     async def _serve_job(
         self, key: str, job: dict[str, Any]
     ) -> tuple[int, Any]:
+        """Answer one key: the hot tier, else the batcher's execution.
+
+        The hot-tier read and the batcher's claim run with no ``await``
+        between them, so a key is never both in flight and hot: a hit
+        creates no task, and a miss joins or starts the one execution.
+        """
         start = time.perf_counter()
-        try:
-            result, tier = await self.batcher.submit(key, job)
-        except PoolTimeout as exc:
-            return 503, error_payload(503, str(exc))
-        except PoolError as exc:
-            return 500, error_payload(500, str(exc))
-        except advisor.QueryError as exc:
-            return 400, error_payload(400, str(exc))
-        payload = dict(result)
-        payload["meta"] = {
+        answer = _lru_get(self.hot, key)
+        if answer is not None:
+            tier = "hot"
+            self.tiers[tier] += 1
+            telemetry.counter(tm.METRIC_SERVE_CACHE_HOT).inc()
+        else:
+            try:
+                answer, tier = await self.batcher.submit(key, job)
+            except PoolTimeout as exc:
+                return 503, error_payload(503, str(exc))
+            except PoolError as exc:
+                return 500, error_payload(500, str(exc))
+            except advisor.QueryError as exc:
+                return 400, error_payload(400, str(exc))
+        return 200, answer.splice({
             "key": key,
             "cache": tier,
             "trace_id": self.trace_id,
             "wall_s": time.perf_counter() - start,
-        }
-        return 200, payload
+        })
 
     # -- connection handling --------------------------------------------------
 

@@ -7,6 +7,10 @@ concurrent requests cost exactly one execution, and the other N-1 await
 it and count into ``serve.requests.coalesced``. Distinct keys start
 their executions at once, each on its own; the pool shards them by key.
 
+The server answers hot-tier hits before it submits, so the batcher sees
+hot misses only: each execution is a shard's disk lookup, evaluation
+and fill, and ``dispatched`` counts pool runs.
+
 Everything runs on the event-loop thread, so the invariants are enforced
 by *not awaiting* between checking and updating the in-flight map: the
 first submit of a key claims it (inserts its task) synchronously, and

@@ -10,8 +10,9 @@ with the numbers CI gates on:
   cache must produce *exactly one* engine execution, read from the
   ``serve.engine.executions`` counter via ``/metrics``;
 * **hit ratios** — coalesced and cache-tier hit fractions of all
-  requests. A coalesced request shares its key's one cache lookup,
-  so the tiers count once per claimed key.
+  requests. Every hot hit counts; a coalesced request shares its
+  key's one disk lookup, so the disk and miss tiers count once per
+  execution.
 
 The workload mix is seeded and deterministic: a fixed population of
 distinct advise queries, zipf-ish repetition so coalescing and the hot

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping, NamedTuple
 
 #: Hard limits; exceeding either is a protocol error (400/413).
 MAX_HEADER_BYTES = 16 * 1024
@@ -86,23 +86,23 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     path = target.split("?", 1)[0] or "/"
 
     headers: dict[str, str] = {}
+    lengths: set[int] = set()
     for line in lines[1:]:
         if not line:
             continue
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length":
+            lengths.add(_content_length(value))
+        headers[name] = value
 
     if "transfer-encoding" in headers:
         raise ProtocolError(400, "chunked transfer encoding not supported")
-    raw_length = headers.get("content-length", "0")
-    try:
-        length = int(raw_length)
-    except ValueError as exc:
-        raise ProtocolError(400, f"bad Content-Length: {raw_length!r}") from exc
-    if length < 0:
-        raise ProtocolError(400, f"bad Content-Length: {raw_length!r}")
+    if len(lengths) > 1:
+        raise ProtocolError(400, "conflicting Content-Length headers")
+    length = lengths.pop() if lengths else 0
     if length > MAX_BODY_BYTES:
         raise ProtocolError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
 
@@ -115,17 +115,64 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
     return Request(method=method.upper(), path=path, headers=headers, body=body)
 
 
-def render_response(
-    status: int, payload: Any, *, keep_alive: bool = True
-) -> bytes:
-    """Serialize one JSON response with Content-Length framing.
+def _content_length(raw: str) -> int:
+    """One ``Content-Length`` value: ASCII digits only (no sign, no ``_``)."""
+    if raw.isascii() and raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise ProtocolError(400, f"bad Content-Length: {raw!r}")
+
+
+def _dumps(payload: Any) -> str:
+    """Compact JSON with sorted keys: the one wire form of every body.
 
     ``sort_keys`` keeps the wire bytes deterministic for a given payload,
     which is what lets the differential tests compare served answers
     byte-for-byte against the offline engine path.
     """
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class Rendered(NamedTuple):
+    """A JSON object rendered once, split around its top-level ``"meta"``.
+
+    :meth:`splice` is :func:`render_response`'s body for the object with
+    ``meta`` set, byte for byte, at the cost of one small ``json.dumps``:
+    the keys sort around ``"meta"``, so ``head`` holds every key before
+    it and ``"meta":``, and ``tail`` every key after it. The object's
+    own ``meta``, if any, is left out, as setting ``meta`` replaces it.
+    Top-level keys must be strings.
+    """
+
+    head: bytes
+    tail: bytes
+
+    @classmethod
+    def of(cls, payload: Mapping[str, Any]) -> Rendered:
+        before = _dumps({k: v for k, v in payload.items() if k < "meta"})
+        after = _dumps({k: v for k, v in payload.items() if k > "meta"})
+        head = before[:-1] + ("," if len(before) > 2 else "") + '"meta":'
+        tail = ("," if len(after) > 2 else "") + after[1:]
+        return cls(head.encode("utf-8"), tail.encode("utf-8"))
+
+    def splice(self, meta: Any) -> bytes:
+        return self.head + _dumps(meta).encode("utf-8") + self.tail
+
+
+def render_response(
+    status: int, payload: Any, *, keep_alive: bool = True
+) -> bytes:
+    """Serialize one JSON response with Content-Length framing.
+
+    A ``bytes`` payload is an already rendered body (see
+    :class:`Rendered`) and goes out as it is.
+    """
+    body = (
+        payload
+        if isinstance(payload, bytes)
+        else _dumps(payload).encode("utf-8")
     )
     reason = STATUS_REASONS.get(status, "Unknown")
     head = (

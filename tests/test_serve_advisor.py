@@ -119,6 +119,12 @@ class TestNormalize:
                 },
                 "unknown objective",
             ),
+            # JSON parses Infinity and NaN as floats, and big integers
+            # exactly; neither may reach float() or int() unchecked.
+            ({"kernel": "stream", "params": {"n": float("inf")}}, "must be an integer"),
+            ({"kernel": "stream", "params": {"n": float("-inf")}}, "must be an integer"),
+            ({"kernel": "stream", "params": {"n": float("nan")}}, "must be an integer"),
+            ({"kernel": "stream", "params": {"n": 10**400}}, "out of range"),
         ],
     )
     def test_rejects(self, payload, fragment):

@@ -222,7 +222,11 @@ class TestHotTier:
         served, hot = asyncio.run(go())
         # The server read the writer's object, then answered from its tier.
         assert served == [("disk", answer), ("hot", answer)]
-        assert hot == {key: answer}
+        assert list(hot) == [key]
+        # The entry is kept rendered; its meta slot is empty.
+        entry = json.loads(hot[key].splice(None))
+        assert entry.pop("meta") is None
+        assert entry == answer
 
 
 def test_clear_removes_temp_objects_a_killed_writer_left(tmp_path):

@@ -9,12 +9,14 @@ from repro import telemetry
 from repro.experiments import run as run_experiment
 from repro.runtime import SharedResultCache, faults, run_batch
 from repro.serve import advisor
+from repro.serve import app as serve_app
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.batcher import Batcher
 from repro.serve.bench import Client
 from repro.serve.http import (
     MAX_BODY_BYTES,
     ProtocolError,
+    Rendered,
     read_request,
     render_response,
 )
@@ -76,6 +78,14 @@ class TestProtocol:
                 + b"\r\n\r\n",
                 413,
             ),
+            # Content-Length is ASCII digits only, and one value.
+            (b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc", 400),
+            (b"POST / HTTP/1.1\r\nContent-Length: 0_3\r\n\r\nabc", 400),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Content-Length: 5\r\n\r\nabcde",
+                400,
+            ),
         ],
     )
     def test_protocol_errors(self, raw, status):
@@ -91,6 +101,27 @@ class TestProtocol:
         assert json.loads(body) == {"a": 2, "b": 1}
         # deterministic bytes: sorted keys, no whitespace
         assert body == b'{"a":2,"b":1}'
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"footprint": 1, "kernel": "x", "winner": {"b": 2, "a": [1.5]}},
+            {"alpha": 1, "Meta": 2, "met": {"z": None}},
+            {"meta0": 1, "metb": 2.25, "z": [{"y": 1, "x": 2}]},
+            {},
+            {"text": "na\u00efve \u2603", "zone": {"caf\u00e9": "\u00fc"}},
+            {"a": 1, "meta": {"stale": True}, "z": 2},
+            {"meta": "only"},
+        ],
+    )
+    def test_rendered_splice_is_render_response(self, payload):
+        """A stored rendering plus its meta is the response body of the
+        object with meta set, byte for byte."""
+        meta = {"key": "k", "cache": "hot", "trace_id": "t", "wall_s": 1e-4}
+        rendered = Rendered.of(payload)
+        assert render_response(200, rendered.splice(meta)) == render_response(
+            200, dict(payload, meta=meta)
+        )
 
     def test_bad_json_body(self):
         req = run(_parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nnot"))
@@ -146,6 +177,29 @@ class TestRoutes:
                 assert payload["serve"]["errors"] == 3
 
         run(go())
+
+    def test_non_finite_and_huge_params_answer_400(self, tmp_path):
+        """JSON's Infinity and NaN, and a 400-digit integer, are bad
+        queries, not internal errors."""
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                answers = []
+                for n in (float("inf"), float("-inf"), float("nan"), 10**400):
+                    answers.append(
+                        await s.client.request(
+                            "POST",
+                            "/v1/advise",
+                            {"kernel": "stream", "params": {"n": n}},
+                        )
+                    )
+                return answers
+
+        answers = run(go())
+        assert [status for status, _ in answers] == [400] * 4
+        messages = [payload["error"]["message"] for _, payload in answers]
+        assert all("must be an integer" in m for m in messages[:3])
+        assert "out of range" in messages[3]
 
     def test_advise_differential_byte_identical(self, tmp_path):
         """The served answer equals the offline engine path, byte for byte."""
@@ -267,6 +321,84 @@ class TestRoutes:
         first, second = run(go())
         assert first["meta"]["cache"] == "miss"
         assert second["meta"]["cache"] == "miss"
+
+
+class TestHotPath:
+    """A repeated advise request: one memo lookup, one hot-tier lookup."""
+
+    def test_a_hot_hit_dispatches_nothing(self, tmp_path):
+        async def go():
+            async with _Server(tmp_path) as s:
+                tiers = []
+                for _ in range(3):
+                    _, payload = await s.client.request(
+                        "POST", "/v1/advise", STREAM_QUERY
+                    )
+                    tiers.append(payload["meta"]["cache"])
+                _, metrics = await s.client.request("GET", "/metrics")
+                return tiers, metrics["serve"]
+
+        tiers, serve = run(go())
+        assert tiers == ["miss", "hot", "hot"]
+        # The batcher counts pool runs: the two hits never reached it.
+        assert (serve["dispatched"], serve["coalesced"]) == (1, 0)
+        assert serve["cache"]["hot_hits"] == 2
+
+    def test_a_repeated_body_normalizes_once(self, tmp_path, monkeypatch):
+        normalized = []
+        normalize = advisor.normalize
+
+        def counting(payload):
+            normalized.append(payload)
+            return normalize(payload)
+
+        monkeypatch.setattr(advisor, "normalize", counting)
+        respelled = {"params": {"n": 1 << 20}, "kernel": "stream"}
+        bad = {"kernel": "nope"}
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                statuses = []
+                for query in (STREAM_QUERY, STREAM_QUERY, respelled, bad, bad):
+                    status, _ = await s.client.request(
+                        "POST", "/v1/advise", query
+                    )
+                    statuses.append(status)
+                return statuses, len(s.app.queries)
+
+        statuses, remembered = run(go())
+        assert statuses == [200, 200, 200, 400, 400]
+        # Another spelling is another body; a bad body is never remembered.
+        assert normalized == [STREAM_QUERY, respelled, bad, bad]
+        assert remembered == 2
+
+    def test_the_memo_is_bounded_like_the_hot_tier(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_app, "HOT_CAPACITY", 2)
+        normalized = []
+        normalize = advisor.normalize
+
+        def counting(payload):
+            normalized.append(payload["params"]["n"])
+            return normalize(payload)
+
+        monkeypatch.setattr(advisor, "normalize", counting)
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                sizes = []
+                for n in (8, 16, 8, 32, 16):
+                    query = {"kernel": "stream", "params": {"n": n}}
+                    status, _ = await s.client.request(
+                        "POST", "/v1/advise", query
+                    )
+                    assert status == 200
+                    sizes.append(len(s.app.queries))
+                return sizes
+
+        sizes = run(go())
+        assert sizes == [1, 2, 2, 2, 2]
+        # Reading 8 again refreshed it, so 32 evicted 16.
+        assert normalized == [8, 16, 32, 16]
 
 
 class TestCoalescing:

@@ -208,7 +208,9 @@ class TestNoHelperThread:
 
         tiers, entry, counts = run(go())
         assert tiers == ["miss", "hot", "hot"]
-        assert "meta" not in entry
+        # The entry is kept rendered; its meta slot is empty.
+        entry = json.loads(entry.splice(None))
+        assert entry.pop("meta") is None
         assert entry == advisor.evaluate(advisor.normalize(STREAM_QUERY))
         assert counts == {"hot_hits": 2, "disk_hits": 0, "misses": 1, "hot_entries": 1}
 
@@ -228,6 +230,22 @@ class TestHotTier:
         tiers = first.pop("meta")["cache"], repeat.pop("meta")["cache"]
         assert tiers == ("miss", "hot")
         assert repeat == first
+
+    def test_default_tile_spelled_out_is_a_hot_hit(self, tmp_path):
+        """Another spelling of a query is another body but the same key:
+        the hot tier answers it with the first answer's bytes."""
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                first = await s.raw_advise(GEMM_QUERY)
+                spelled = {"kernel": "gemm", "params": {"order": 256, "tile": 128}}
+                return first, await s.raw_advise(spelled)
+
+        first, spelled = run(go())
+        answer, meta = json.loads(first), json.loads(spelled)["meta"]
+        assert (answer.pop("meta")["cache"], meta["cache"]) == ("miss", "hot")
+        wire = json.dumps(dict(answer, meta=meta), sort_keys=True, separators=(",", ":"))
+        assert spelled == wire.encode("utf-8")
 
     def test_a_hit_refreshes_recency_so_the_bound_evicts_the_oldest(
         self, tmp_path, monkeypatch
