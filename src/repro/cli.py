@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     validatep.add_argument(
         "--sampled",
         action="store_true",
-        help="use the streaming sampled stack-distance estimator "
-        "(bounded memory; adds the instrumented sparse kernels)",
+        help="use the window-sampled stack-distance estimator "
+        "(adds the instrumented sparse kernels)",
     )
     validatep.add_argument(
         "--window",

@@ -339,6 +339,8 @@ def _execute_inline(
     backoff: float = 0.0,
     backoff_max: float = DEFAULT_BACKOFF_MAX_S,
 ) -> dict[str, TaskOutcome]:
+    from repro import telemetry
+
     outcomes: dict[str, TaskOutcome] = {}
     for exp_id in ids:
         for attempt in range(1, retries + 2):
@@ -361,6 +363,7 @@ def _execute_inline(
                         error=_error_text(exc),
                     )
                 if attempt <= retries:
+                    telemetry.counter(tm.METRIC_TASKS_RETRIED).inc()
                     delay = _backoff_delay(attempt, backoff, backoff_max)
                     if delay > 0.0:
                         time.sleep(delay)

@@ -110,8 +110,6 @@ class ServeConfig:
     timeout_s: float | None = 30.0
     #: Extra attempts after a crashed execution.
     retries: int = 1
-    #: Experiments run in quick mode by default (full on request).
-    quick: bool = True
 
 
 class ServeApp:
@@ -268,7 +266,7 @@ class ServeApp:
                 400, f"unknown fields: {', '.join(sorted(unknown))}"
             )
         exp_id = body.get("experiment")
-        quick = body.get("quick", self.config.quick)
+        quick = body.get("quick", True)
         if not isinstance(quick, bool):
             return 400, error_payload(400, "quick must be a boolean")
         from repro.experiments import registry

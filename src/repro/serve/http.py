@@ -185,6 +185,18 @@ def render_response(
     return head.encode("latin-1") + body
 
 
+#: Longest error message a body carries whole. Messages quote client
+#: input (a bad value, an unknown name) and a body may be 1 MiB, so a
+#: longer one keeps only its first and last ``MAX_ERROR_CHARS // 2``
+#: characters: the start names the field, the end lists the choices.
+MAX_ERROR_CHARS = 300
+
+
 def error_payload(status: int, message: str) -> dict[str, Any]:
-    """The uniform JSON error body."""
+    """The uniform JSON error body, its message cut to
+    :data:`MAX_ERROR_CHARS` characters plus a marker."""
+    if len(message) > MAX_ERROR_CHARS:
+        half = MAX_ERROR_CHARS // 2
+        cut = len(message) - 2 * half
+        message = f"{message[:half]} ...[{cut} characters cut]... {message[-half:]}"
     return {"error": {"status": status, "message": message}}

@@ -9,17 +9,15 @@ from repro.trace.generator import (
     tiled_2d_array,
     uniform_random_array,
 )
-from repro.trace.reservoir import (
-    Reservoir,
+from repro.trace.stackdist import (
     SampledProfile,
+    StackDistanceProfile,
     sampled_stack_distances,
-    sampled_stack_distances_stream,
+    stack_distances,
 )
-from repro.trace.stackdist import StackDistanceProfile, stack_distances
 
 __all__ = [
     "CHUNK",
-    "Reservoir",
     "SampledProfile",
     "StackDistanceProfile",
     "chunk_arrays",
@@ -27,7 +25,6 @@ __all__ = [
     "pointer_chase_array",
     "repeated_sweep_array",
     "sampled_stack_distances",
-    "sampled_stack_distances_stream",
     "sequential_array",
     "stack_distances",
     "strided_array",

@@ -1,4 +1,4 @@
-"""Exact LRU stack-distance (reuse-distance) computation.
+"""Exact and sampled LRU stack-distance (reuse-distance) computation.
 
 The stack distance of a reference is the number of *distinct* lines
 touched since the previous reference to the same line (infinite for cold
@@ -8,14 +8,10 @@ bridge between traces and the analytic hit-rate model
 (:mod:`repro.engine.hitrate`).
 
 Implemented with a Fenwick (binary indexed) tree over last-access
-timestamps: O(N log N) for a trace of N references. Two input paths feed
-one Fenwick loop:
-
-* ndarray traces (the batched generators in :mod:`repro.trace.batch` /
-  :mod:`repro.kernels.traces`) — previous-occurrence indices are computed
-  fully vectorized, no ``list()`` round-trip;
-* generic iterables — a dict scan builds the same indices (and keeps the
-  historical behaviour that any hashable line key works).
+timestamps: O(N log N) for a trace of N references. The trace is one
+1-D array (lists and string keys go through ``np.asarray``), and the
+previous-occurrence indices the Fenwick loop consumes are computed fully
+vectorized.
 
 The per-timestamp ``add(t, +1)`` of the textbook algorithm is replaced by
 a closed-form preload of the all-ones tree (``tree[i] = i & -i``). That
@@ -24,12 +20,16 @@ positions ``<= i``, and ``prefix(i)`` only reads nodes ``<= i``, so the
 +1 units preloaded at future timestamps are invisible to every query
 issued before their time arrives; removals happen in the same order as
 the incremental algorithm.
+
+For the longest traces, :func:`sampled_stack_distances` estimates the
+curve from a systematic sample of windows, each computed exactly;
+``tests/test_reservoir.py`` quantifies its error on canonical streams.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,16 +99,6 @@ def _prev_occurrence_vectorized(arr: np.ndarray) -> list[int]:
     return prev.tolist()
 
 
-def _prev_occurrence_scan(lines: list) -> list[int]:
-    """Dict-scan fallback for arbitrary hashable line keys."""
-    last_seen: dict = {}
-    prev = []
-    for t, line in enumerate(lines):
-        prev.append(last_seen.get(line, -1))
-        last_seen[line] = t
-    return prev
-
-
 def _fenwick_distances(prev: list[int], n: int) -> np.ndarray:
     """Stack distances from previous-occurrence indices.
 
@@ -147,21 +137,147 @@ def _fenwick_distances(prev: list[int], n: int) -> np.ndarray:
     return out
 
 
-def stack_distances(line_trace: Iterable[int] | np.ndarray) -> StackDistanceProfile:
+def _as_trace(line_trace) -> np.ndarray:
+    """``line_trace`` as a 1-D array; anything else raises ValueError."""
+    arr = np.asarray(line_trace)
+    if arr.ndim != 1:
+        raise ValueError("line trace must be a 1-D array of line keys")
+    return arr
+
+
+def stack_distances(line_trace: np.ndarray | Sequence) -> StackDistanceProfile:
     """Compute per-reference LRU stack distances for a line-address trace.
 
-    Accepts any iterable of hashable line keys, or a 1-D ndarray of line
-    addresses (the batched fast path — no ``list()`` round-trip, with the
-    previous-occurrence pass fully vectorized).
+    ``line_trace`` is a 1-D array of line keys, or anything ``np.asarray``
+    turns into one (a list of ints or strings); keys that do not make a
+    1-D array, such as tuples, raise ``ValueError``.
     """
-    if isinstance(line_trace, np.ndarray):
-        arr = line_trace
-        if arr.ndim != 1:
-            raise ValueError("line trace array must be 1-D")
-        n = arr.shape[0]
-        prev = _prev_occurrence_vectorized(arr) if n else []
-    else:
-        lines = list(line_trace)
-        n = len(lines)
-        prev = _prev_occurrence_scan(lines)
+    arr = _as_trace(line_trace)
+    n = arr.shape[0]
+    prev = _prev_occurrence_vectorized(arr) if n else []
     return StackDistanceProfile(distances=_fenwick_distances(prev, n))
+
+
+@dataclasses.dataclass(frozen=True)
+class SampledProfile:
+    """Stack-distance estimate from sampled windows.
+
+    ``censored_fraction`` is the share of sampled references whose reuse
+    distance exceeded the window (they may be hits in very large caches;
+    the estimator counts them as misses, making `hit_rate` a *lower
+    bound* above the window working set).
+    """
+
+    profile: StackDistanceProfile
+    window: int
+    n_windows: int
+    censored_fraction: float
+
+    def hit_rate(self, capacity_lines: int) -> float:
+        return self.profile.hit_rate(capacity_lines)
+
+
+class WindowSampler:
+    """Systematic one-in-``period`` window sampler over a reference stream.
+
+    The core of :func:`sampled_stack_distances`; the validation harness
+    drives it directly to tee one chunk stream into the simulator and the
+    estimator. It keeps the exact distances of every sampled window, 8 B
+    per sampled reference, plus the pieces of one partial window. Its
+    ``censored_fraction`` is the cold share of those distances, so no
+    separate books can drift from them.
+    """
+
+    def __init__(self, window: int, period: int, seed: int) -> None:
+        if window < 2:
+            raise ValueError("window must be >= 2")
+        if period < 1:
+            raise ValueError("period must be >= 1")
+        self.window = window
+        self.period = period
+        rng = np.random.default_rng(seed)
+        self._offset = int(rng.integers(0, period))
+        self._index = 0  # completed windows so far (selected or not)
+        self._distances: list[np.ndarray] = []  # one per sampled window
+        # Partial-window pieces carried across push() chunk boundaries.
+        self._parts: list[np.ndarray] = []
+        self._buffered = 0
+
+    def _complete(self, refs: np.ndarray) -> None:
+        """Finish one full window: analyze it if systematically selected."""
+        if self._index % self.period == self._offset:
+            self._distances.append(stack_distances(refs).distances)
+        self._index += 1
+
+    def push(self, chunk: np.ndarray) -> None:
+        """Stream one 1-D chunk; windows are sliced, never copied,
+        except where one straddles a chunk boundary."""
+        chunk = _as_trace(chunk)
+        w = self.window
+        n = chunk.shape[0]
+        pos = 0
+        if self._buffered:
+            take = min(w - self._buffered, n)
+            self._parts.append(chunk[:take])
+            self._buffered += take
+            pos = take
+            if self._buffered == w:
+                self._complete(np.concatenate(self._parts))
+                self._parts = []
+                self._buffered = 0
+        while pos + w <= n:
+            self._complete(chunk[pos : pos + w])
+            pos += w
+        if pos < n:
+            self._parts.append(chunk[pos:])
+            self._buffered += n - pos
+
+    def finish(self) -> SampledProfile:
+        """The estimate so far. The final partial window is kept if its
+        slot is selected, or if nothing was sampled at all (short traces
+        must not yield an empty estimate)."""
+        if self._buffered and (
+            self._index % self.period == self._offset or not self._distances
+        ):
+            tail = np.concatenate(self._parts)
+            self._distances.append(stack_distances(tail).distances)
+        self._parts = []
+        self._buffered = 0
+        merged = StackDistanceProfile(
+            distances=np.concatenate(self._distances)
+            if self._distances
+            else np.empty(0, dtype=np.int64)
+        )
+        n = merged.n_references
+        return SampledProfile(
+            profile=merged,
+            window=self.window,
+            n_windows=len(self._distances),
+            censored_fraction=merged.n_cold / n if n else 0.0,
+        )
+
+
+def sampled_stack_distances(
+    chunks: Iterable[np.ndarray | tuple[np.ndarray, np.ndarray]],
+    *,
+    window: int = 4096,
+    period: int = 4,
+    seed: int = 0,
+) -> SampledProfile:
+    """Estimate the stack-distance curve from every ``period``-th window.
+
+    ``chunks`` yields 1-D line-address arrays, or ``(addrs, writes)``
+    pairs as :func:`~repro.trace.batch.chunk_arrays` and
+    :func:`~repro.kernels.traces.kernel_trace_chunks` make them; a whole
+    trace is one chunk, ``[trace]`` (a bare trace raises ``ValueError``).
+
+    The stream is cut into consecutive windows of ``window`` references,
+    whatever the chunk boundaries, and a deterministic systematic sample
+    (offset seeded) of one-in-``period`` windows is analyzed exactly.
+    Cold references at window starts are censored (distance unknown
+    beyond the window), tracked in ``censored_fraction``.
+    """
+    sampler = WindowSampler(window, period, seed)
+    for chunk in chunks:
+        sampler.push(chunk[0] if isinstance(chunk, tuple) else chunk)
+    return sampler.finish()

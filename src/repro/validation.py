@@ -5,7 +5,7 @@ cumulative capacities) agrees with the exact set-associative simulator on
 canonical access patterns. This module runs a *workload zoo* through
 both paths and reports per-level hit-rate errors, giving the reproduction
 a quantified accuracy statement (also enforced in
-``tests/test_validation.py`` and surfaced via ``opm-repro validate``).
+``tests/test_extensions.py`` and surfaced via ``opm-repro validate``).
 
 Method: for each zoo workload we (1) generate its address trace, (2) run
 the scaled-down exact hierarchy, (3) compute the trace's *measured*
@@ -22,13 +22,14 @@ hierarchy's :meth:`~repro.memory.hierarchy.Hierarchy.run_array` replay
 :meth:`~repro.memory.hierarchy.Hierarchy.access`), and the vectorized
 :func:`~repro.trace.stack_distances`.
 
-For traces too large to materialize (full-scale kernel and UF-matrix
-runs), :func:`validate_case_streamed` / :func:`validate_kernel_streamed`
-tee a chunk stream into the simulator's batched replay and the
-streaming window sampler (`repro.trace.reservoir`) in a single pass:
-memory stays bounded by one chunk plus one sampling window, and the
-analytic side uses the sampled stack-distance curve
-(``repro validate --sampled`` drives this end to end).
+For long traces (kernel and sparse-matrix runs),
+:func:`validate_case_streamed` / :func:`validate_kernel_streamed` tee a
+chunk stream into the simulator's batched replay and the window sampler
+(:class:`repro.trace.stackdist.WindowSampler`) in a single pass, and the
+analytic side uses the sampled stack-distance curve (``repro validate
+--sampled`` drives this end to end). The sampler keeps 8 B per sampled
+reference; a kernel's chunk stream holds one whole repetition of its
+trace (:func:`~repro.kernels.traces.kernel_trace_chunks`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from repro.trace import (
     tiled_2d_array,
     uniform_random_array,
 )
-from repro.trace.reservoir import WindowSampler
+from repro.trace.stackdist import WindowSampler
 
 #: Scale factor for fast exact simulation of realistic capacity ratios.
 SCALE = 0.001
@@ -142,26 +143,25 @@ def validate_case_streamed(
     window: int = 4096,
     period: int = 4,
     seed: int = 0,
-    max_distances: int | None = None,
 ) -> ValidationCase:
-    """Streamed validation: one pass, bounded memory, sampled curve.
+    """Streamed validation: one pass, sampled curve.
 
     ``chunks`` yields ``(line_addrs, writes)`` pairs (the
     ``kernel_trace_chunks`` / ``chunk_arrays`` shape). Each chunk is
     teed into the exact hierarchy's batched replay AND the systematic
-    window sampler, so the full trace never materializes — the
-    estimator holds one window, the reservoir (if capped) holds
-    ``max_distances`` distances. The analytic side uses the *sampled*
-    stack-distance curve, which is what full-scale sweeps over
-    UF-matrix-sized traces must do anyway.
+    window sampler, so nothing here concatenates the chunks. The
+    analytic side uses the *sampled* stack-distance curve, which is what
+    full-scale sweeps over UF-matrix-sized traces must do anyway; with
+    ``window`` at least the trace length and ``period=1`` it is the exact
+    curve, and the case equals :func:`validate_case`.
     """
     machine = machine if machine is not None else broadwell()
     hierarchy = for_broadwell(machine, scale=SCALE)
-    sampler = WindowSampler(window, period, seed, max_distances=max_distances)
+    sampler = WindowSampler(window, period, seed)
 
     def tee() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for la, lw in chunks:
-            sampler.push(np.asarray(la))
+            sampler.push(la)
             yield la, lw
 
     hierarchy.run_batched(tee())
@@ -177,7 +177,6 @@ def validate_kernel_streamed(
     window: int = 4096,
     period: int = 4,
     seed: int = 0,
-    max_distances: int | None = None,
 ) -> ValidationCase:
     """Streamed validation of one instrumented kernel's real trace."""
     from repro.kernels.traces import kernel_trace_chunks
@@ -191,7 +190,6 @@ def validate_kernel_streamed(
         window=window,
         period=period,
         seed=seed,
-        max_distances=max_distances,
     )
 
 

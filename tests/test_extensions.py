@@ -316,6 +316,37 @@ class TestValidationHarness:
         assert main(["validate"]) == 0
         assert "hit-rate validation" in capsys.readouterr().out
 
+    def test_streamed_case_with_whole_trace_window_is_exact(self):
+        """One window over the whole trace, every window sampled: the
+        streamed case reads the exact curve and equals the batch case."""
+        from repro.trace import chunk_arrays, expand_lines
+        from repro.validation import (
+            validate_case,
+            validate_case_streamed,
+            workload_zoo,
+        )
+
+        for name, factory in workload_zoo().items():
+            workload = factory()
+            lines, lw = expand_lines(workload[0], 8, workload[1])
+            streamed = validate_case_streamed(
+                name,
+                chunk_arrays(lines, lw, 1 << 14),
+                window=len(lines),
+                period=1,
+            )
+            assert streamed == validate_case(name, workload), name
+
+    def test_cli_validate_sampled(self, capsys):
+        from repro.cli import main
+        from repro.validation import workload_zoo
+
+        assert main(["validate", "--sampled"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:-1]
+        assert [row.split()[0] for row in rows] == [
+            *workload_zoo(), "spmv", "sptrsv"
+        ]
+
 
 class TestExtensionExperiments:
     def test_ext1_placement(self):

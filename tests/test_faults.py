@@ -292,6 +292,18 @@ class TestCrashAndBackoff:
         assert outcome.attempts == 2
         assert "injected crash" in outcome.error
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_is_counted_serial_and_pooled(
+        self, fault_state, monkeypatch, jobs
+    ):
+        monkeypatch.setenv(faults.ENV_SPEC, "table2=flaky_once")
+        with telemetry.session():
+            summary = run_batch(["table2"], jobs=jobs, cache=None, retries=1)
+            snapshot = telemetry.get_registry().snapshot()
+        (outcome,) = summary.outcomes
+        assert (outcome.status, outcome.attempts) == ("done", 2)
+        assert snapshot[tm.METRIC_TASKS_RETRIED]["value"] == 1
+
     def test_inline_flaky_once_with_backoff(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_STATE, raising=False)
         faults.install(FaultPlan.parse("table2=flaky_once"))

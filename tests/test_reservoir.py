@@ -1,65 +1,18 @@
-"""Reservoir sampling and sampled stack-distance estimation."""
+"""Sampled stack-distance estimation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace import stack_distances
-from repro.trace.reservoir import (
-    Reservoir,
-    sampled_stack_distances,
-    sampled_stack_distances_stream,
-)
-
-
-class TestReservoir:
-    def test_fills_to_capacity(self):
-        r = Reservoir(10, seed=1).extend(range(5))
-        assert sorted(r.sample) == [0, 1, 2, 3, 4]
-        assert len(r) == 5
-
-    def test_capacity_bound(self):
-        r = Reservoir(10, seed=1).extend(range(1000))
-        assert len(r) == 10
-        assert r.seen == 1000
-        assert all(0 <= x < 1000 for x in r.sample)
-
-    def test_deterministic_per_seed(self):
-        a = Reservoir(5, seed=3).extend(range(100)).sample
-        b = Reservoir(5, seed=3).extend(range(100)).sample
-        assert a == b
-
-    def test_uniformity(self):
-        """Sample mean over many reservoirs approaches the stream mean."""
-        means = []
-        for seed in range(60):
-            r = Reservoir(20, seed=seed).extend(range(1000))
-            means.append(np.mean(r.sample))
-        assert np.mean(means) == pytest.approx(499.5, rel=0.08)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Reservoir(0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(1, 300),
-        cap=st.integers(1, 50),
-        seed=st.integers(0, 100),
-    )
-    def test_property_size_and_membership(self, n, cap, seed):
-        r = Reservoir(cap, seed=seed).extend(range(n))
-        assert len(r) == min(n, cap)
-        assert len(set(r.sample)) == len(r.sample)  # no duplicates
-        assert all(0 <= x < n for x in r.sample)
+from repro.trace import sampled_stack_distances, stack_distances
 
 
 class TestSampledStackDistances:
     def test_exact_when_period_one_and_big_window(self):
         trace = ([0, 1, 2, 3] * 50)
         exact = stack_distances(trace)
-        sampled = sampled_stack_distances(trace, window=len(trace), period=1)
+        sampled = sampled_stack_distances([trace], window=len(trace), period=1)
         assert sampled.hit_rate(4) == pytest.approx(exact.hit_rate(4))
         assert sampled.n_windows == 1
 
@@ -69,7 +22,7 @@ class TestSampledStackDistances:
         rng = np.random.default_rng(0)
         trace = rng.integers(0, 64, size=40_000).tolist()
         exact = stack_distances(trace)
-        sampled = sampled_stack_distances(trace, window=1024, period=4)
+        sampled = sampled_stack_distances([trace], window=1024, period=4)
         for cap in (8, 32, 64, 128):
             tolerance = sampled.censored_fraction + 0.02
             assert sampled.hit_rate(cap) == pytest.approx(
@@ -82,31 +35,31 @@ class TestSampledStackDistances:
     def test_censoring_reported(self):
         # Reuse distance ~2000 >> window 256: everything censored.
         trace = list(range(2000)) * 3
-        sampled = sampled_stack_distances(trace, window=256, period=1)
+        sampled = sampled_stack_distances([trace], window=256, period=1)
         assert sampled.censored_fraction > 0.9
         # Censored reuse counts as miss: conservative lower bound.
         assert sampled.hit_rate(4096) <= stack_distances(trace).hit_rate(4096)
 
     def test_sampling_reduces_work(self):
         trace = list(range(100)) * 40
-        sampled = sampled_stack_distances(trace, window=200, period=5)
+        sampled = sampled_stack_distances([trace], window=200, period=5)
         assert sampled.n_windows < (len(trace) // 200)
         assert sampled.n_windows >= 1
 
     def test_tail_window_analyzed_when_nothing_else(self):
-        sampled = sampled_stack_distances([1, 2, 1], window=10, period=3)
+        sampled = sampled_stack_distances([[1, 2, 1]], window=10, period=3)
         assert sampled.n_windows == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sampled_stack_distances([1], window=1)
+            sampled_stack_distances([[1]], window=1)
         with pytest.raises(ValueError):
-            sampled_stack_distances([1], period=0)
+            sampled_stack_distances([[1]], period=0)
 
     def test_deterministic(self):
         trace = list(np.random.default_rng(1).integers(0, 50, size=5000))
-        a = sampled_stack_distances(trace, window=500, period=3, seed=7)
-        b = sampled_stack_distances(trace, window=500, period=3, seed=7)
+        a = sampled_stack_distances([trace], window=500, period=3, seed=7)
+        b = sampled_stack_distances([trace], window=500, period=3, seed=7)
         assert a.n_windows == b.n_windows
         assert a.hit_rate(32) == b.hit_rate(32)
 
@@ -126,7 +79,7 @@ class TestSampledStackDistances:
         the trace length and censored_fraction is n_cold/n exactly."""
         trace = np.random.default_rng(seed).integers(0, span, size=n)
         prof = sampled_stack_distances(
-            trace, window=window, period=period, seed=seed
+            [trace], window=window, period=period, seed=seed
         )
         assert prof.profile.n_cold == int((prof.profile.distances < 0).sum())
         total = (
@@ -150,7 +103,7 @@ class TestSampledStackDistances:
         ):
             exact = stack_distances(trace)
             sampled = sampled_stack_distances(
-                trace, window=len(trace), period=1
+                [trace], window=len(trace), period=1
             )
             assert sampled.profile.distances.tolist() == exact.distances.tolist()
             assert sampled.censored_fraction == pytest.approx(
@@ -159,16 +112,6 @@ class TestSampledStackDistances:
 
 
 class TestSampledStream:
-    def _chunked(self, arr, sizes):
-        out = []
-        pos = 0
-        for s in sizes:
-            out.append(arr[pos : pos + s])
-            pos += s
-        if pos < arr.size:
-            out.append(arr[pos:])
-        return out
-
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(0, 3000),
@@ -183,10 +126,10 @@ class TestSampledStream:
         trace reproduces the single-array estimate exactly."""
         arr = np.random.default_rng(seed).integers(0, span, size=n)
         whole = sampled_stack_distances(
-            arr, window=window, period=period, seed=seed
+            [arr], window=window, period=period, seed=seed
         )
         chunks = [arr[i : i + chunk] for i in range(0, n, chunk)]
-        streamed = sampled_stack_distances_stream(
+        streamed = sampled_stack_distances(
             chunks, window=window, period=period, seed=seed
         )
         assert streamed.n_windows == whole.n_windows
@@ -202,28 +145,21 @@ class TestSampledStream:
             (arr[:40], np.zeros(40, dtype=bool)),
             (arr[40:], np.zeros(60, dtype=bool)),
         ]
-        a = sampled_stack_distances_stream(pairs, window=25, period=1)
-        b = sampled_stack_distances(arr, window=25, period=1)
+        a = sampled_stack_distances(pairs, window=25, period=1)
+        b = sampled_stack_distances([arr], window=25, period=1)
         assert a.profile.distances.tolist() == b.profile.distances.tolist()
 
-    def test_reservoir_caps_kept_distances(self):
-        arr = np.random.default_rng(9).integers(0, 64, size=20_000)
-        capped = sampled_stack_distances_stream(
-            [arr], window=1024, period=1, seed=3, max_distances=500
-        )
-        full = sampled_stack_distances(arr, window=1024, period=1, seed=3)
-        assert capped.profile.distances.size == 500
-        # Window accounting is unaffected by the cap...
-        assert capped.n_windows == full.n_windows
-        assert capped.censored_fraction == full.censored_fraction
-        # ...and the subsampled curve tracks the full one.
-        for cap in (16, 64, 256):
-            assert capped.hit_rate(cap) == pytest.approx(
-                full.hit_rate(cap), abs=0.05
-            )
+    def test_bare_array_is_not_a_chunk_stream(self):
+        """A whole trace is one chunk, ``[trace]``; the trace itself is
+        refused rather than read one reference at a time."""
+        arr = np.arange(100, dtype=np.int64) % 7
+        with pytest.raises(ValueError, match="1-D"):
+            sampled_stack_distances(arr, window=25, period=1)
+        with pytest.raises(ValueError, match="1-D"):
+            sampled_stack_distances(arr.tolist(), window=25, period=1)
 
     def test_empty_stream(self):
-        prof = sampled_stack_distances_stream([], window=16, period=2)
+        prof = sampled_stack_distances([], window=16, period=2)
         assert prof.n_windows == 0
         assert prof.censored_fraction == 0.0
         assert prof.profile.distances.size == 0

@@ -13,17 +13,24 @@ from repro.serve import app as serve_app
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.batcher import Batcher
 from repro.serve.bench import Client
+from repro.platforms import MODES
 from repro.serve.http import (
     MAX_BODY_BYTES,
+    MAX_ERROR_CHARS,
     ProtocolError,
     Rendered,
+    error_payload,
     read_request,
     render_response,
 )
+from repro.sparse import generators
 from repro.serve.pool import PoolError, ServePool
 from repro.telemetry import names as tm
 
 STREAM_QUERY = {"kernel": "stream", "params": {"n": 1 << 20}}
+
+#: A 100 KB value for the 400 paths that quote client input.
+_BIG = "x" * 100_000
 
 
 async def _parse(data: bytes):
@@ -200,6 +207,58 @@ class TestRoutes:
         messages = [payload["error"]["message"] for _, payload in answers]
         assert all("must be an integer" in m for m in messages[:3])
         assert "out of range" in messages[3]
+
+    @pytest.mark.parametrize(
+        "path, body, head, tail",
+        [
+            ("/v1/advise", {"kernel": "stream", "params": {"n": _BIG}},
+             "param 'n' must be a number", "'"),
+            ("/v1/advise", {"kernel": "stream", "params": {"n": 10**400}},
+             "param 'n' out of range", "0"),
+            ("/v1/advise", {"kernel": _BIG},
+             "unknown kernel", ", ".join(advisor.KERNEL_BUILDERS)),
+            ("/v1/advise", {"kernel": "stream", "objective": _BIG},
+             "unknown objective", ", ".join(advisor.OBJECTIVES)),
+            ("/v1/advise", {"kernel": "stream", _BIG: 1},
+             "unknown fields: x", "x"),
+            ("/v1/advise", {"kernel": "stream", "params": {_BIG: 1}},
+             "unknown params for stream: x", "(accepted: n)"),
+            ("/v1/advise",
+             {"kernel": "spmv", "params": {"n_rows": 100, "family": _BIG}},
+             "unknown matrix family", ", ".join(generators.FAMILIES)),
+            ("/v1/advise",
+             {"kernel": "stream", "params": {"n": 1000}, "candidates": [_BIG]},
+             "unknown platform", ", ".join(MODES)),
+            ("/v1/experiment", {"experiment": _BIG}, "unknown experiment", "'"),
+        ],
+        ids=[
+            "n-text", "n-digits", "kernel", "objective", "field", "param",
+            "family", "platform", "experiment",
+        ],
+    )
+    def test_400_cuts_quoted_client_input(self, tmp_path, path, body, head, tail):
+        """A bad value or name of 100 KB comes back cut: the body stays
+        under 1 KiB, its start still names the field and its end still
+        lists the choices."""
+
+        async def go():
+            async with _Server(tmp_path) as s:
+                return await s.client.request("POST", path, body)
+
+        status, payload = run(go())
+        assert status == 400
+        assert len(json.dumps(payload, separators=(",", ":"))) < 1024
+        message = payload["error"]["message"]
+        assert message.startswith(head)
+        assert message.endswith(tail)
+        assert "characters cut]" in message
+
+    def test_error_payload_keeps_short_messages_whole(self):
+        whole = "m" * MAX_ERROR_CHARS
+        assert error_payload(400, whole)["error"]["message"] == whole
+        cut = error_payload(400, whole + "!")["error"]["message"]
+        assert cut.startswith(whole[: MAX_ERROR_CHARS // 2])
+        assert cut.endswith("!") and "[1 characters cut]" in cut
 
     def test_advise_differential_byte_identical(self, tmp_path):
         """The served answer equals the offline engine path, byte for byte."""

@@ -858,16 +858,21 @@ class TestStackDistanceNdarray:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             stack_distances(np.zeros((2, 2), dtype=np.int64))
+        # Tuple keys make a 2-D (or ragged) array, not a trace.
+        with pytest.raises(ValueError):
+            stack_distances([(1, 2), (3, 4), (1, 2)])
+        with pytest.raises(ValueError):
+            stack_distances([(1, 2), (3,)])
 
     def test_sampled_ndarray_equals_list_path(self):
         rng = np.random.default_rng(4)
         arr = rng.integers(0, 300, size=10_000)
-        a = sampled_stack_distances(arr, window=512, period=3, seed=5)
-        b = sampled_stack_distances(arr.tolist(), window=512, period=3, seed=5)
+        a = sampled_stack_distances([arr], window=512, period=3, seed=5)
+        b = sampled_stack_distances([arr.tolist()], window=512, period=3, seed=5)
         assert a.n_windows == b.n_windows
         assert a.censored_fraction == b.censored_fraction
         assert a.profile.distances.tolist() == b.profile.distances.tolist()
 
     def test_sampled_tail_window_ndarray(self):
-        a = sampled_stack_distances(np.array([1, 2, 1]), window=10, period=3)
+        a = sampled_stack_distances([np.array([1, 2, 1])], window=10, period=3)
         assert a.n_windows == 1
